@@ -49,13 +49,18 @@ def bump_battery(torus, count=DEFAULT_BATTERY_SIZE, seed=7):
     return out
 
 
-def pairing_profile(T: SpectralFunction, net, rho: SpectralFunction, eps_grid: ScaleGrid):
-    """|<T - f_eps, rho>| sampled over the eps grid (spectral pairing)."""
-    vals = []
+def _pairing_profiles(T, net, rhos, eps_grid):
+    """One |<T - f_eps, rho>| profile per rho, evaluating the net once per eps."""
+    table = []
     for e in eps_grid.values():
         diff = T - net(e)
-        vals.append(abs(pairing(diff, rho)))
-    return ScaleProfile(eps_grid, np.asarray(vals), {"net": net.label})
+        table.append([abs(pairing(diff, rho)) for rho in rhos])
+    return [ScaleProfile(eps_grid, col, {"net": net.label}) for col in np.asarray(table).T]
+
+
+def pairing_profile(T: SpectralFunction, net, rho: SpectralFunction, eps_grid: ScaleGrid):
+    """|<T - f_eps, rho>| sampled over the eps grid (spectral pairing)."""
+    return _pairing_profiles(T, net, [rho], eps_grid)[0]
 
 
 @dataclass(frozen=True)
@@ -98,8 +103,9 @@ def association_verdict(T, net, battery, q, eps_grid: ScaleGrid, margin=None, se
     sentinels = 0
     worst = np.inf
     worst_err = 0.0
-    for label, rho in battery:
-        fit = critical_exponent(pairing_profile(T, net, rho, eps_grid))
+    profiles = _pairing_profiles(T, net, [rho for _, rho in battery], eps_grid)
+    for (label, _), profile in zip(battery, profiles):
+        fit = critical_exponent(profile)
         ids.append(label)
         if fit.is_sentinel:
             sentinels += 1

@@ -27,23 +27,3 @@ class DegenerateProfile(BesovlabError, RuntimeError):
 
 class InvalidPair(BesovlabError, ValueError):
     """A kernel pair failed its compatibility verification."""
-
-
-class FormatError(BesovlabError, ValueError):
-    """An input file could not be parsed; carries location info."""
-
-    def __init__(self, message, line=None, column=None):
-        loc = ""
-        if line is not None:
-            loc = f" (line {line}" + (f", column {column}" if column is not None else "") + ")"
-        super().__init__(message + loc)
-        self.line = line
-        self.column = column
-
-
-class NonPowerOfTwo(FormatError):
-    """Sample count is not a power of two."""
-
-    def __init__(self, n):
-        super().__init__(f"sample count {n} is not a power of two")
-        self.n = n

@@ -298,12 +298,6 @@ def _taper(x, kernel, shrink=1.0):
 _WINDOW_SENSITIVITY_TOL = 1e-9
 
 
-def _double_factorial(n):
-    if n <= 0:
-        return 1.0
-    return float(np.prod(np.arange(n, 0, -2, dtype=float)))
-
-
 def kernel_space_norm(kernel, p, oversample=256):
     """Reference L^p(R) norm of the synthesized kernel (d = 1).
 

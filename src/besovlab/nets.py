@@ -85,14 +85,9 @@ class NetSpec:
         """Pointwise product with a constant net (module action)."""
         if cnet.kind != "constant":
             raise InvalidParameter("scaled_by takes a constant net")
-        ev = (
-            (lambda e: cnet(e) * self(e))
-            if self.kind == "function"
-            else (lambda e: cnet(e) * self(e))
-        )
         return NetSpec(
             self.kind,
-            ev,
+            lambda e: cnet(e) * self(e),
             self.continuous and cnet.continuous,
             max(self.eps_min, cnet.eps_min),
             None,
@@ -333,7 +328,8 @@ def _superpolynomial_growth(profile):
     half = np.polyfit(t[-halfn:], b[-halfn:], 1)[0]
     return half < full - 1.0 and half < -S_CAP
 
-def _net_profile(net, q, k, p, window, eps_grid):
+
+def _net_profile(net, k, p, window, eps_grid):
     if net.kind == "constant":
         return _magnitude_profile(net, eps_grid)
     return net_sobolev_profile(net, k, p, window, eps_grid)
@@ -361,7 +357,7 @@ def classify_moderate(net, q, k=0, p="inf", window=None, eps_grid=None, s_cap=S_
             if a > -s + 1e-9:
                 return ModerateVerdict(True, s)
         return ModerateVerdict(False)
-    profile = _net_profile(net, q, k, p, window, eps_grid)
+    profile = _net_profile(net, k, p, window, eps_grid)
     if profile is None or _superpolynomial_growth(profile):
         return ModerateVerdict(False)
     for s in range(-s_cap, s_cap + 1):
@@ -393,7 +389,7 @@ def classify_negligible(net, q, p="inf", window=None, eps_grid=None, s_max=S_CAP
             return NegligibleVerdict(True)
         fails = [s for s in scan if not slopes[1] > -s + 1e-9]
         return NegligibleVerdict(False, fails[0] if fails else -s_max)
-    profile = _net_profile(net, q, 0, p, window, eps_grid)
+    profile = _net_profile(net, 0, p, window, eps_grid)
     if profile is None:
         return NegligibleVerdict(False, -s_max)
     for s in scan:

@@ -85,9 +85,6 @@ class ScaleProfile:
             raise InvalidParameter("profile norms must be finite and nonnegative")
         object.__setattr__(self, "norms", n)
 
-    def to_rows(self):
-        return list(zip(self.grid.values().tolist(), self.norms.tolist()))
-
     def to_dict(self):
         return {
             "grid": {

@@ -4,9 +4,10 @@ Functions and distributions on a period-L torus are carried by their
 finite discrete spectra: coefficients c_m over the symmetric mode range
 m in [-N/2, N/2] (per axis), with frequencies xi_m = 2*pi*m/L.  All
 convolutions against spectrally-defined kernels are pointwise
-multiplications of coefficients, hence exact; the only quadrature in
-this module is the rectangle rule used for L^p norms of synthesized
-samples.
+multiplications of coefficients, hence exact.  The L^2 norm is exact as
+well, by Parseval; the only quadrature in this module is the rectangle
+rule used for the other L^p norms of synthesized samples (the grid sup at
+p = inf).  Real-valued inputs are synthesized from the half spectrum.
 
 Conventions
 -----------
@@ -18,6 +19,7 @@ Conventions
   onto the single grid-representable Nyquist mode.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,10 +38,10 @@ __all__ = [
     "pairing",
 ]
 
-# Oversampling of the synthesis grid used by the norm quadratures.  p = 2
-# becomes alias-free (hence exact) at 2x; other finite p keep the documented
-# second-order rectangle rule but on a grid fine enough for kernel-scale
-# oscillations.
+# Oversampling of the synthesis grid used by the norm quadratures.  The sup
+# at p = inf is taken at 2x (the grid on which |f|^2 is alias-free); other
+# finite p != 2 keep the documented second-order rectangle rule but on a grid
+# fine enough for kernel-scale oscillations.  p = 2 needs no grid (Parseval).
 _QUAD_OVERSAMPLE_P2 = 2
 _QUAD_OVERSAMPLE_GEN = 16
 
@@ -160,7 +162,12 @@ class SpectralFunction:
     # -- structure queries --------------------------------------------------
 
     def is_real(self, rtol=1e-10):
-        """True when coefficients are conjugate-symmetric (real-valued object)."""
+        """True when coefficients are conjugate-symmetric (real-valued object).
+
+        lp_norm uses this as its path switch: real objects are synthesized
+        by irfftn from the modes 0..N/2 of the last axis, so an asymmetry
+        below rtol * max|c| is ignored; other objects keep the complex ifftn.
+        """
         c = self.coefficients
         rev = c[tuple(slice(None, None, -1) for _ in range(c.ndim))]
         scale = np.max(np.abs(c)) or 1.0
@@ -193,15 +200,14 @@ class SpectralFunction:
         alpha = (order,) if np.isscalar(order) else tuple(order)
         if len(alpha) != d:
             raise InvalidParameter(f"multi-index {alpha} does not match dimension {d}")
-        xi = self.torus.frequencies()
         c = self.coefficients
         for axis, a in enumerate(alpha):
-            if a < 0:
-                raise InvalidParameter("derivative order must be nonnegative")
+            if a < 0 or int(a) != a:
+                raise InvalidParameter("derivative order must be a nonnegative integer")
             if a:
                 shape = [1] * d
-                shape[axis] = xi.size
-                c = c * (1j * xi.reshape(shape)) ** a
+                shape[axis] = -1
+                c = c * _derivative_multiplier(self.torus, int(a)).reshape(shape)
         return SpectralFunction(self.torus, c, self.tag)
 
     def dilate(self, factor=2):
@@ -217,15 +223,56 @@ class SpectralFunction:
         return SpectralFunction(self.torus, out, self.tag)
 
 
+@functools.lru_cache(maxsize=32)
+def _derivative_multiplier(torus, a):
+    """(i xi)^a over the torus's modes, read-only and cached per (torus, a).
+
+    Built as i^a * xi^a with xi^a by repeated real multiplication.
+    """
+    xi = torus.frequencies()
+    power = xi
+    for _ in range(a - 1):
+        power = power * xi
+    out = power * (1j**a)
+    out.flags.writeable = False
+    return out
+
+
 def _fold_axis(coeffs, axis, n_out, mode_max):
-    """Fold symmetric modes -M..M onto an FFT layout of length n_out >= 2M."""
-    idx = np.arange(-mode_max, mode_max + 1) % n_out
+    """Place symmetric modes -M..M on an FFT layout of length n_out >= 2M.
+
+    Modes 0..M fill bins 0..M and modes -M..-1 bins n_out-M..n_out-1; at
+    n_out == 2M the two Nyquist slots are summed onto bin M.
+    """
+    m = mode_max
     shape = list(coeffs.shape)
     shape[axis] = n_out
     out = np.zeros(shape, dtype=complex)
-    moved = np.moveaxis(out, axis, 0)
-    np.add.at(moved, idx, np.moveaxis(coeffs, axis, 0))
+    dst = np.moveaxis(out, axis, 0)
+    src = np.moveaxis(coeffs, axis, 0)
+    dst[: m + 1] = src[m:]
+    dst[n_out - m :] += src[:m]
     return out
+
+
+def _synthesize(f: SpectralFunction, oversample, real):
+    """Grid samples of f on the oversample*N grid.
+
+    A real f is synthesized by irfftn from modes 0..M of its last axis, which
+    irfftn zero-pads to n/2 + 1 bins; mode -M, implied by symmetry, needs a
+    bin of its own, so the real path needs oversample >= 2.
+    """
+    n = f.torus.grid_size * oversample
+    d = f.torus.dimension
+    axes = tuple(range(d))
+    a = f.coefficients * (n**d)  # exact: n is a power of two
+    if real:
+        a = a[..., f.torus.mode_max :]
+    for axis in axes[:-1] if real else axes:
+        a = _fold_axis(a, axis, n, f.torus.mode_max)
+    if real:
+        return np.fft.irfftn(a, s=(n,) * d, axes=axes)
+    return np.fft.ifftn(a, axes=axes)
 
 
 def dft_synthesize(f: SpectralFunction, oversample=1):
@@ -234,11 +281,7 @@ def dft_synthesize(f: SpectralFunction, oversample=1):
     Returns a complex array of shape (oversample*N,)*d.  Round trip with
     dft_analyze is the identity for Nyquist-balanced coefficients.
     """
-    n = f.torus.grid_size * oversample
-    a = f.coefficients
-    for axis in range(f.torus.dimension):
-        a = _fold_axis(a, axis, n, f.torus.mode_max)
-    return np.fft.ifftn(a) * (n ** f.torus.dimension)
+    return _synthesize(f, oversample, real=False)
 
 
 def dft_analyze(values, torus: Torus):
@@ -275,25 +318,37 @@ def _p_value(p):
 
 
 def lp_norm(f: SpectralFunction, p):
-    """L^p norm over one period by rectangle quadrature; exact grid sup at p = inf.
+    """L^p norm over one period.
+
+    p = 2 is exact by Parseval, sqrt(L^d * sum_m |c_m|^2) over all stored
+    modes, with no synthesis.  p = inf is the sup over the 2x-oversampled
+    grid; other finite p use the rectangle rule on the 16x grid.  Real
+    inputs (SpectralFunction.is_real) are synthesized from the half
+    spectrum, others by a complex transform.
 
     Raises AliasingRisk for a distribution-tagged input with p < inf whose
-    spectrum has not decayed at the band edge (the quadrature would be
-    dominated by truncation artifacts).
+    spectrum has not decayed at the band edge (the norm would be dominated
+    by truncation artifacts).
     """
     p = _p_value(p)
-    if np.isinf(p):
-        vals = dft_synthesize(f, _QUAD_OVERSAMPLE_P2)
-        return float(np.max(np.abs(vals)))
-    if f.tag == "distribution" and not f.spectrum_decayed():
+    d = f.torus.dimension
+    if not np.isinf(p) and f.tag == "distribution" and not f.spectrum_decayed():
         raise AliasingRisk(
             "L^p quadrature of a truncated distribution spectrum (p < inf)"
         )
-    over = _QUAD_OVERSAMPLE_P2 if p == 2.0 else _QUAD_OVERSAMPLE_GEN
-    vals = dft_synthesize(f, over)
-    d = f.torus.dimension
+    if p == 2.0:
+        c = f.coefficients.ravel()
+        return float(np.sqrt(f.torus.length**d * np.vdot(c, c).real))
+    over = _QUAD_OVERSAMPLE_P2 if np.isinf(p) else _QUAD_OVERSAMPLE_GEN
+    real = f.is_real()
+    vals = _synthesize(f, over, real)
+    mags = np.abs(vals, out=vals if real else None)
+    if np.isinf(p):
+        return float(np.max(mags))
+    if p != 1.0:
+        mags **= p
     cell = (f.torus.length / (f.torus.grid_size * over)) ** d
-    return float((np.sum(np.abs(vals) ** p) * cell) ** (1.0 / p))
+    return float((np.sum(mags) * cell) ** (1.0 / p))
 
 
 def _multi_indices(k, d):

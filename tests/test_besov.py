@@ -175,6 +175,14 @@ class TestDetectRegularity:
         with pytest.raises(InvalidParameter):
             detect_regularity(dirac(torus4k), 2, "inf", -1, pair32)
 
+    @pytest.mark.parametrize("p,want", [("inf", -2.0), (2.0, -1.0)])
+    def test_dirac_2d(self, pair32, p, want):
+        # the Dirac in d dimensions has Besov exponent -d + d/p
+        rep = detect_regularity(dirac(Torus(2, 1.0, 128)), p, "inf", "auto", pair32)
+        assert rep.verdict == "besov"
+        assert rep.r_hat == pytest.approx(want, abs=0.1)
+        assert rep.k_used > rep.r_hat + 1.0
+
 
 class TestDetectSmooth:
     def test_bandlimited_inputs_are_smooth(self, torus4k, pair32):

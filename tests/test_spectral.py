@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from besovlab.errors import AliasingRisk, InvalidParameter, ScaleOutOfRange
 from besovlab.kernels import build_lp_pair, build_mollifier, kernel_space_norm
@@ -16,6 +18,28 @@ from besovlab.spectral import (
     sobolev_norm,
 )
 from oracles import antiderivative_lp, direct_mode_sum
+
+
+def _complex_quadrature(f, p, oversample):
+    """Reference norm: complex ifftn of the full folded spectrum, then the
+    rectangle rule (grid sup at p = inf)."""
+    t = f.torus
+    n = t.grid_size * oversample
+    a = np.zeros((n,) * t.dimension, dtype=complex)
+    idx = np.arange(-t.mode_max, t.mode_max + 1) % n
+    np.add.at(a, np.ix_(*[idx] * t.dimension), f.coefficients)
+    mags = np.abs(np.fft.ifftn(a) * n**t.dimension)
+    if p == "inf":
+        return float(mags.max())
+    return float((np.sum(mags**p) * (t.length / n) ** t.dimension) ** (1.0 / p))
+
+
+def _real_coefficients(rng, torus):
+    """Random conjugate-symmetric coefficients: a real-valued object."""
+    shape = torus.coeff_shape()
+    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    flip = tuple(slice(None, None, -1) for _ in shape)
+    return SpectralFunction(torus, (z + np.conj(z[flip])) / 2)
 
 
 class TestTorus:
@@ -88,6 +112,29 @@ class TestSynthesize:
         back = dft_synthesize(dft_analyze(v, t))
         np.testing.assert_allclose(back.real, v, atol=1e-12)
 
+    @pytest.mark.parametrize("oversample", [1, 2])
+    def test_nyquist_slots_on_the_grid(self, oversample):
+        # at oversample 1 the +-N/2 slots share the one Nyquist bin (summed);
+        # at 2 they are distinct modes.  Unbalanced complex values tell apart.
+        t = Torus(1, 1.0, 8)
+        c = np.zeros(9, dtype=complex)
+        c[0], c[-1], c[5] = 1.0 + 2.0j, -0.5j, 0.25
+        f = SpectralFunction(t, c)
+        x = t.grid(oversample)
+        np.testing.assert_allclose(
+            dft_synthesize(f, oversample), direct_mode_sum(c, 1.0, x), atol=1e-13
+        )
+
+    def test_2d_nyquist_fold_against_direct_sum(self):
+        t = Torus(2, 1.0, 8)
+        rng = np.random.default_rng(8)
+        c = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+        x = t.grid()
+        e = np.exp(1j * np.outer(x, t.frequencies()))
+        want = e @ c @ e.T  # sum_{m1,m2} c e^{i xi_m1 x1} e^{i xi_m2 x2}
+        got = dft_synthesize(SpectralFunction(t, c), 1)
+        np.testing.assert_allclose(got, want, atol=1e-12)
+
 
 class TestLpNorm:
     def test_constant_l2(self, torus64):
@@ -127,6 +174,63 @@ class TestLpNorm:
         rhs = np.sum(np.abs(f.coefficients) ** 2)
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
+    @pytest.mark.parametrize("d,n", [(1, 1024), (2, 32)])
+    def test_parseval_matches_2x_rule(self, d, n):
+        t = Torus(d, 1.5, n)
+        rng = np.random.default_rng(21)
+        shape = t.coeff_shape()
+        for f in (
+            _real_coefficients(rng, t),
+            SpectralFunction(t, rng.standard_normal(shape) + 1j * rng.standard_normal(shape)),
+        ):
+            assert lp_norm(f, 2) == pytest.approx(_complex_quadrature(f, 2, 2), rel=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.sampled_from([1, 2]),
+        log_n=st.integers(3, 6),
+        p=st.sampled_from([1.0, 3.0, "inf"]),
+    )
+    def test_half_spectrum_matches_complex_path(self, seed, d, log_n, p):
+        t = Torus(d, 1.0, 2**log_n)
+        f = _real_coefficients(np.random.default_rng(seed), t)
+        assert f.is_real()
+        over = 2 if p == "inf" else 16
+        assert lp_norm(f, p) == pytest.approx(_complex_quadrature(f, p, over), rel=1e-12)
+
+    def test_transform_follows_is_real(self, torus64, monkeypatch):
+        calls = []
+
+        def spy(name):
+            fn = getattr(np.fft, name)
+
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        for name in ("irfftn", "ifftn"):
+            monkeypatch.setattr(np.fft, name, spy(name))
+        lp_norm(sine(torus64), 1)
+        c = np.zeros(65, dtype=complex)
+        c[33] = 1.0
+        lp_norm(SpectralFunction(torus64, c), 1)
+        assert calls == ["irfftn", "ifftn"]
+
+    def test_single_complex_mode_keeps_modulus(self):
+        # e^{i xi_1 x} has modulus 1; its real part cos would give
+        # a sup of 1 but an L^1 norm of 2L/pi
+        t = Torus(1, 2.0, 64)
+        c = np.zeros(65, dtype=complex)
+        c[33] = 1.0
+        f = SpectralFunction(t, c)
+        assert not f.is_real()
+        assert lp_norm(f, "inf") == pytest.approx(1.0, rel=1e-12)
+        assert lp_norm(f, 1) == pytest.approx(2.0, rel=1e-12)
+        assert lp_norm(f, 3) == pytest.approx(2.0 ** (1 / 3), rel=1e-12)
+
     def test_distribution_aliasing_guard(self, torus64):
         with pytest.raises(AliasingRisk):
             lp_norm(dirac(torus64), 2)
@@ -163,6 +267,33 @@ class TestSobolevNorm:
     def test_rejects_negative_order(self, torus64):
         with pytest.raises(InvalidParameter):
             sobolev_norm(constant(torus64), -1, 2)
+
+    def test_derivative_multiplier_orders(self, torus1k):
+        rng = np.random.default_rng(4)
+        c = rng.standard_normal(1025) + 1j * rng.standard_normal(1025)
+        f = SpectralFunction(torus1k, c)
+        ixi = 1j * torus1k.frequencies()
+        for a in range(14):
+            np.testing.assert_allclose(
+                f.derivative(a).coefficients, c * ixi**a, rtol=1e-13, atol=0
+            )
+
+    def test_derivative_order_must_be_integer(self, torus64):
+        f = sine(torus64)
+        np.testing.assert_array_equal(f.derivative(2.0).coefficients, f.derivative(2).coefficients)
+        for bad in (-1, 0.5):
+            with pytest.raises(InvalidParameter):
+                f.derivative(bad)
+
+    def test_derivative_multi_index_2d(self):
+        t = Torus(2, 1.0, 16)
+        rng = np.random.default_rng(6)
+        c = rng.standard_normal((17, 17)) + 1j * rng.standard_normal((17, 17))
+        ixi = 1j * t.frequencies()
+        for a, b in ((0, 0), (1, 0), (0, 3), (2, 5)):
+            want = c * ixi[:, None] ** a * ixi[None, :] ** b
+            got = SpectralFunction(t, c).derivative((a, b)).coefficients
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
 
 class TestConvolveScaled:
