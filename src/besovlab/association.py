@@ -12,6 +12,7 @@ band-limited bumps with seeded random centers and widths; the seed is part
 of the report.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,8 +76,6 @@ class AssociationReport:
     seed: int | None = None
 
     def to_dict(self):
-        import math
-
         return {
             "verdict": self.verdict,
             "b_hat": None if math.isinf(self.b_hat) else self.b_hat,

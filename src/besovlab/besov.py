@@ -20,16 +20,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AliasingRisk, InvalidParameter, InvalidPair
+from .errors import InvalidParameter, InvalidPair
 from .kernels import verify_lp_conditions
 from .nets import NetSpec
-from .scales import ScaleGrid, critical_exponent, q_integral, sweep
+from .scales import ScaleGrid, ScaleProfile, critical_exponent, q_integral, sweep
 from .spectral import (
     SpectralFunction,
-    dft_synthesize,
+    convolve_scaled,
+    derivative_order,
     lp_norm,
     min_scale,
-    convolve_scaled,
+    parse_exponent,
+    sobolev_table,
 )
 
 __all__ = [
@@ -37,7 +39,6 @@ __all__ = [
     "SmoothEvidence",
     "besov_norm",
     "embed",
-    "localize",
     "detect_regularity",
     "detect_smooth",
     "default_grid",
@@ -66,58 +67,10 @@ def embed(T: SpectralFunction, phi, grid: ScaleGrid = None) -> NetSpec:
     return NetSpec(
         "function",
         lambda e: convolve_scaled(T, phi, e),
-        True,
         eps_min * (1.0 - 1e-12),
         None,
         f"embed[{phi.label}]",
     )
-
-
-def localize(T: SpectralFunction, window: SpectralFunction) -> SpectralFunction:
-    """Pointwise product with a smooth band-limited cutoff in [0, 1].
-
-    Computed on a doubly-oversampled grid, so every product coefficient up
-    to Nyquist is the exact linear convolution of the stored sequences.
-    Modes within the window's bandwidth of Nyquist see only a partial
-    convolution against the truncated representation of T; those
-    incomputable edge modes are zeroed.  Energy pushed past Nyquist is the
-    representation policy for distribution-tagged inputs; for function
-    inputs a non-negligible loss raises AliasingRisk.
-    """
-    T._check_same_torus(window)
-    wvals = dft_synthesize(window, 2)
-    if np.max(np.abs(wvals.imag)) > 1e-9 or np.min(wvals.real) < -1e-9 or np.max(
-        wvals.real
-    ) > 1.0 + 1e-9:
-        raise InvalidParameter("window must be real-valued with values in [0, 1]")
-    tvals = dft_synthesize(T, 2)
-    torus = T.torus
-    n2 = torus.grid_size * 2
-    a = np.fft.fftn(tvals * wvals) / (n2 ** torus.dimension)
-    mmax = torus.mode_max
-    modes = np.arange(-mmax, mmax + 1)
-    kept = a
-    for axis in range(torus.dimension):
-        kept = np.moveaxis(np.moveaxis(kept, axis, 0)[modes % n2], 0, axis)
-    bw = window.active_bandwidth(rtol=1e-16)
-    complete = mmax - bw
-    if complete <= 0:
-        raise AliasingRisk("window bandwidth reaches Nyquist; no complete modes")
-    if torus.dimension == 1:
-        edge = np.abs(modes) > complete
-    else:
-        edge = np.maximum(np.abs(modes)[:, None], np.abs(modes)[None, :]) > complete
-    kept = np.where(edge, 0.0, kept)
-    if T.tag == "function":
-        total = np.sum(np.abs(a) ** 2)
-        inside = np.sum(np.abs(kept) ** 2)
-        t_energy = np.sum(np.abs(T.coefficients) ** 2)
-        if (total - inside) > 1e-14 * max(t_energy, total):
-            raise AliasingRisk(
-                "product bandwidth exceeds Nyquist; localize would drop "
-                f"{float(total - inside):.2e} of squared coefficient mass"
-            )
-    return SpectralFunction(torus, kept, T.tag)
 
 
 def besov_norm(T, s, p, q, pair, grid: ScaleGrid):
@@ -127,6 +80,7 @@ def besov_norm(T, s, p, q, pair, grid: ScaleGrid):
     grid.y_min (q = inf: the sup).  Exponents, not norm values, carry the
     membership claims; the value is advisory at finite truncation.
     """
+    q = parse_exponent(q, "q")
     phi, psi = pair
     diag = verify_lp_conditions(pair, s)
     if not diag.passed:
@@ -134,9 +88,9 @@ def besov_norm(T, s, p, q, pair, grid: ScaleGrid):
     first = lp_norm(convolve_scaled(T, phi, 1.0), p)
     profile = sweep(T, psi, grid, k=0, p=p)
     tail = q_integral(profile, -s, q)
-    if q == "inf" or (isinstance(q, float) and math.isinf(q)):
+    if math.isinf(q):
         return first + tail
-    return first + tail ** (1.0 / float(q))
+    return first + tail ** (1.0 / q)
 
 
 @dataclass(frozen=True)
@@ -185,17 +139,14 @@ def detect_regularity(T, p, q, k, pair, grid: ScaleGrid = None) -> RegularityRep
     (stderr above 0.2) or the cap is hit.
     """
     phi = pair[0]
-    if k == "auto" or k is None:
-        k = 1
-    if k < 0:
-        raise InvalidParameter("derivative order k must be nonnegative")
+    k = 1 if k == "auto" or k is None else derivative_order(k, "derivative order k")
     grid = grid or default_grid(T.torus, phi)
     settings = {
         "kernel": phi.label,
         "grid": [grid.y_min, grid.y_max, grid.count],
     }
     escalations = 0
-    profile_at = _order_cached_sweeper(T, phi, grid, p)
+    profile_at = _net_profiles(T, phi, grid, p)
     while True:
         profile = profile_at(k)
         fit = critical_exponent(profile)
@@ -221,34 +172,20 @@ def detect_regularity(T, p, q, k, pair, grid: ScaleGrid = None) -> RegularityRep
         escalations += 1
 
 
-def _order_cached_sweeper(T, phi, grid, p):
-    """Mollifier-net profiles with per-derivative-order norms cached.
+def _net_profiles(T, phi, grid, p):
+    """k -> the W^{k,p} profile of the mollifier net, each order computed once.
 
-    Escalating k recomputes only the new orders; the arithmetic is
-    identical to sweep(T, phi, grid, k, p).
+    The arithmetic is that of sweep(T, phi, grid, k, p); raising k computes
+    only the norm-table columns of the new orders.
     """
-    from .scales import ScaleProfile
-    from .spectral import _multi_indices
-
     convs = [convolve_scaled(T, phi, y) for y in grid.values()]
-    cache = {}
+    by_order = []  # by_order[j]: per-scale max over the multi-indices of order j
 
     def profile_at(k):
-        cols = []
-        for alpha in _multi_indices(int(k), T.torus.dimension):
-            if alpha not in cache:
-                cache[alpha] = np.array(
-                    [
-                        lp_norm(c.derivative(alpha) if any(alpha) else c, p)
-                        for c in convs
-                    ]
-                )
-            cols.append(cache[alpha])
-        return ScaleProfile(
-            grid,
-            np.max(np.vstack(cols), axis=0),
-            {"k": k, "p": str(p), "kernel": phi.label},
-        )
+        for j in range(len(by_order), k + 1):
+            by_order.append(sobolev_table(convs, [j], p).max(axis=1))
+        norms = np.max(by_order[: k + 1], axis=0)
+        return ScaleProfile(grid, norms, {"k": k, "p": str(p), "kernel": phi.label})
 
     return profile_at
 
@@ -284,11 +221,12 @@ def detect_smooth(T, p, q, pair, grid: ScaleGrid = None, k_max=8) -> SmoothEvide
     The witness s (a value making every per-k integral converge) is
     reported alongside; the cap k_max is part of the claim.
     """
+    k_max = derivative_order(k_max, "k_max")
     if k_max < 4:
         raise InvalidParameter("k_max must be at least 4")
     phi = pair[0]
     grid = grid or default_grid(T.torus, phi)
-    profile_at = _order_cached_sweeper(T, phi, grid, p)
+    profile_at = _net_profiles(T, phi, grid, p)
     s_hats = []
     for k in range(k_max + 1):
         fit = critical_exponent(profile_at(k))

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParameter, QuadratureInaccurate
+from .spectral import derivative_order, parse_exponent
 
 __all__ = [
     "Kernel",
@@ -68,9 +69,6 @@ class Kernel:
         Declared compatibility radius.
     eta : float
         Declared annulus ratio (lp kind; 0 for mollifiers).
-    moment_order : float
-        Vanishing-moment guarantee: orders 1..moment_order for mollifiers,
-        0..moment_order for lp kernels.  inf for both constructions here.
     inner_support, outer_support : float
         The profile is exactly 0 for |xi| <= inner_support and
         |xi| >= outer_support.
@@ -84,7 +82,6 @@ class Kernel:
     kind: str
     sigma: float
     eta: float = 0.0
-    moment_order: float = math.inf
     inner_support: float = 0.0
     outer_support: float = 0.0
     plateau: tuple = (0.0, 0.0)
@@ -239,11 +236,8 @@ def moment(kernel, alpha):
     kernel is radial, so the moment reduces to an angular factor times a
     radial integral.
     """
-    if np.isscalar(alpha):
-        idx = (int(alpha),)
-    else:
-        idx = tuple(int(a) for a in alpha)
-    if any(a < 0 for a in idx) or sum(idx) > MAX_MOMENT_ORDER:
+    idx = tuple(derivative_order(a, "moment order") for a in np.atleast_1d(alpha))
+    if sum(idx) > MAX_MOMENT_ORDER:
         raise InvalidParameter(f"moment order {alpha} outside [0, {MAX_MOMENT_ORDER}]")
     if len(idx) == 1:
         x, vals, dx = kernel_samples(kernel)
@@ -304,10 +298,10 @@ def kernel_space_norm(kernel, p, oversample=256):
     Used as the scale-free side of dilation identities; the heavy
     oversampling controls the rectangle-rule error at the kinks of |K|^p.
     """
+    p = parse_exponent(p)
     x, vals, dx = kernel_samples(kernel, oversample=oversample)
-    if p == "inf" or (isinstance(p, float) and math.isinf(p)) or p is None:
+    if math.isinf(p):
         return float(np.max(np.abs(vals)))
-    p = float(p)
     return float((np.sum(np.abs(vals) ** p) * dx) ** (1.0 / p))
 
 

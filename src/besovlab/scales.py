@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateProfile, InvalidParameter, ScaleOutOfRange
-from .spectral import convolve_scaled, min_scale, sobolev_norm
+from .spectral import convolve_scaled, derivative_order, min_scale, parse_exponent, sobolev_table
 
 __all__ = [
     "ScaleGrid",
@@ -113,12 +113,9 @@ def sweep(T, kernel, grid: ScaleGrid, k=0, p=2):
         raise ScaleOutOfRange(
             f"grid bottom {grid.y_min:.3g} below kernel minimum scale {lo:.3g}"
         )
-    norms = [sobolev_norm(convolve_scaled(T, kernel, y), k, p) for y in grid.values()]
-    return ScaleProfile(
-        grid,
-        np.asarray(norms),
-        {"k": k, "p": str(p), "kernel": kernel.label},
-    )
+    convs = (convolve_scaled(T, kernel, y) for y in grid.values())
+    norms = sobolev_table(convs, range(derivative_order(k) + 1), p).max(axis=1)
+    return ScaleProfile(grid, norms, {"k": k, "p": str(p), "kernel": kernel.label})
 
 
 def synthetic_profile(grid: ScaleGrid, fn, meta=None):
@@ -135,16 +132,14 @@ def q_integral(profile: ScaleProfile, s, q):
     target for steep integrands); q = inf: max of y^s N(y).  May return inf
     when the weighted terms overflow.
     """
+    q = parse_exponent(q, "q")
     y = profile.grid.values()
     n = profile.norms
     with np.errstate(over="ignore", invalid="ignore"):
         terms = np.where(n > 0.0, y**s * n, 0.0)
-        if q == "inf" or (isinstance(q, float) and math.isinf(q)):
+        if math.isinf(q):
             return float(np.max(terms))
-        qv = float(q)
-        if qv < 1.0:
-            raise InvalidParameter(f"q must be in [1, inf], got {q}")
-        powed = terms**qv
+        powed = terms**q
     w = np.ones_like(powed)
     w[0] = w[-1] = 0.5
     total = float(np.sum(w * powed) * profile.grid.log_step)
@@ -247,12 +242,13 @@ def convergence_verdict(profile: ScaleProfile, s, q, margin=None):
     is "borderline": log corrections at the critical index distinguish
     q < inf from q = inf and finite data cannot resolve them.
     """
+    q = parse_exponent(q, "q")
     fit = critical_exponent(profile)
     if fit.is_sentinel:
         return "convergent"
     m = margin if margin is not None else max(3.0 * fit.stderr, 1e-9)
     a = fit.slope
-    if q == "inf" or (isinstance(q, float) and math.isinf(q)):
+    if math.isinf(q):
         return "convergent" if a >= s - m else "divergent"
     if a > s + m:
         return "convergent"

@@ -10,7 +10,7 @@ functions.  All emit Nyquist-balanced coefficient arrays.
 import numpy as np
 
 from .errors import InvalidParameter
-from .spectral import SpectralFunction, Torus, dft_synthesize
+from .spectral import SpectralFunction, Torus
 
 __all__ = [
     "dirac",

@@ -20,6 +20,7 @@ Conventions
 """
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,9 +32,13 @@ __all__ = [
     "SpectralFunction",
     "dft_synthesize",
     "dft_analyze",
+    "parse_exponent",
+    "derivative_order",
     "lp_norm",
+    "sobolev_table",
     "sobolev_norm",
     "convolve_scaled",
+    "localize",
     "min_scale",
     "pairing",
 ]
@@ -107,6 +112,25 @@ class Torus:
     def coeff_shape(self):
         return (self.grid_size + 1,) * self.dimension
 
+    def band_index(self):
+        """max_i |m_i| over the coefficient layout (read-only, cached)."""
+        return _radial_layout(self, False)
+
+    def frequency_radius(self):
+        """|xi| over the coefficient layout (read-only, cached)."""
+        return _radial_layout(self, True)
+
+
+@functools.lru_cache(maxsize=32)
+def _radial_layout(torus, euclidean):
+    """The one place where the 1-d/2-d radial layout is decided."""
+    r = np.abs(torus.frequencies() if euclidean else torus.modes())
+    if torus.dimension == 2:
+        join = np.hypot if euclidean else np.maximum
+        r = join(r[:, None], r[None, :])
+    r.flags.writeable = False
+    return r
+
 
 @dataclass(frozen=True)
 class SpectralFunction:
@@ -179,13 +203,8 @@ class SpectralFunction:
         peak = c.max()
         if peak == 0.0:
             return 0
-        modes = self.torus.modes()
-        if self.torus.dimension == 1:
-            radial = np.abs(modes)
-        else:
-            radial = np.maximum(np.abs(modes)[:, None], np.abs(modes)[None, :])
         active = c > rtol * peak
-        return int(radial[active].max()) if active.any() else 0
+        return int(self.torus.band_index()[active].max()) if active.any() else 0
 
     def spectrum_decayed(self, rtol=_BAND_DECAY_RTOL):
         """True when the outer 1/16 of the mode range is below rtol * max|c|."""
@@ -202,12 +221,11 @@ class SpectralFunction:
             raise InvalidParameter(f"multi-index {alpha} does not match dimension {d}")
         c = self.coefficients
         for axis, a in enumerate(alpha):
-            if a < 0 or int(a) != a:
-                raise InvalidParameter("derivative order must be a nonnegative integer")
+            a = derivative_order(a)
             if a:
                 shape = [1] * d
                 shape[axis] = -1
-                c = c * _derivative_multiplier(self.torus, int(a)).reshape(shape)
+                c = c * _derivative_multiplier(self.torus, a).reshape(shape)
         return SpectralFunction(self.torus, c, self.tag)
 
     def dilate(self, factor=2):
@@ -284,6 +302,12 @@ def dft_synthesize(f: SpectralFunction, oversample=1):
     return _synthesize(f, oversample, real=False)
 
 
+def _gather_modes(a, mode_max):
+    """Symmetric modes -M..M per axis from an FFT-layout array (a copy)."""
+    idx = np.arange(-mode_max, mode_max + 1) % a.shape[0]
+    return a[np.ix_(*(idx,) * a.ndim)]
+
+
 def dft_analyze(values, torus: Torus):
     """Forward transform of grid samples into the symmetric coefficient layout.
 
@@ -295,26 +319,38 @@ def dft_analyze(values, torus: Torus):
         raise InvalidParameter(
             f"sample shape {v.shape} does not match torus grid {torus.grid_size}^{torus.dimension}"
         )
-    a = np.fft.fftn(v) / (torus.grid_size ** torus.dimension)
-    mmax = torus.mode_max
-    modes = np.arange(-mmax, mmax + 1)
-    weights = np.where(np.abs(modes) == mmax, 0.5, 1.0)
-    out = a
+    out = _gather_modes(np.fft.fftn(v) / (torus.grid_size ** torus.dimension), torus.mode_max)
     for axis in range(torus.dimension):
-        out = np.moveaxis(np.moveaxis(out, axis, 0)[modes % torus.grid_size], 0, axis)
-        shape = [1] * torus.dimension
-        shape[axis] = modes.size
-        out = out * weights.reshape(shape)
+        np.moveaxis(out, axis, 0)[[0, -1]] *= 0.5
     return SpectralFunction(torus, out, "function")
 
 
-def _p_value(p):
-    if p == "inf" or p is None:
-        return np.inf
-    p = float(p)
-    if not (p >= 1.0):
-        raise InvalidParameter(f"p must be in [1, inf], got {p}")
-    return p
+def parse_exponent(p, name="p"):
+    """The exponent p of an L^p norm (or q of a scale integral) as a float.
+
+    A number >= 1, or a string float() reads as one ("inf", "2"), is
+    accepted; None reads as inf.  Anything else raises InvalidParameter.
+    """
+    if p is None:
+        return math.inf
+    try:
+        value = float(p)
+    except (TypeError, ValueError):
+        value = math.nan
+    if not value >= 1.0:
+        raise InvalidParameter(f"{name} must be a number in [1, inf] or 'inf', got {p!r}")
+    return value
+
+
+def derivative_order(k, name="derivative order"):
+    """A nonnegative integer derivative order; an integral float is accepted."""
+    try:
+        ok = k >= 0 and int(k) == k
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise InvalidParameter(f"{name} must be a nonnegative integer, got {k!r}")
+    return int(k)
 
 
 def lp_norm(f: SpectralFunction, p):
@@ -330,20 +366,20 @@ def lp_norm(f: SpectralFunction, p):
     spectrum has not decayed at the band edge (the norm would be dominated
     by truncation artifacts).
     """
-    p = _p_value(p)
+    p = parse_exponent(p)
     d = f.torus.dimension
-    if not np.isinf(p) and f.tag == "distribution" and not f.spectrum_decayed():
+    if not math.isinf(p) and f.tag == "distribution" and not f.spectrum_decayed():
         raise AliasingRisk(
             "L^p quadrature of a truncated distribution spectrum (p < inf)"
         )
     if p == 2.0:
         c = f.coefficients.ravel()
         return float(np.sqrt(f.torus.length**d * np.vdot(c, c).real))
-    over = _QUAD_OVERSAMPLE_P2 if np.isinf(p) else _QUAD_OVERSAMPLE_GEN
+    over = _QUAD_OVERSAMPLE_P2 if math.isinf(p) else _QUAD_OVERSAMPLE_GEN
     real = f.is_real()
     vals = _synthesize(f, over, real)
     mags = np.abs(vals, out=vals if real else None)
-    if np.isinf(p):
+    if math.isinf(p):
         return float(np.max(mags))
     if p != 1.0:
         mags **= p
@@ -351,21 +387,35 @@ def lp_norm(f: SpectralFunction, p):
     return float((np.sum(mags) * cell) ** (1.0 / p))
 
 
-def _multi_indices(k, d):
+def _multi_indices(orders, d):
+    """Multi-indices in graded order: all of orders[0], then orders[1], ..."""
     if d == 1:
-        return [(a,) for a in range(k + 1)]
-    return [(a, b) for a in range(k + 1) for b in range(k + 1 - a)]
+        return [(j,) for j in orders]
+    return [(j - b, b) for j in orders for b in range(j + 1)]
+
+
+def sobolev_table(fields, orders, p):
+    """Table of lp_norm(D^alpha f, p): one row per field, one column per alpha.
+
+    The columns are the multi-indices whose order is in orders, graded as
+    in _multi_indices, so the columns for orders 0..k form a prefix of the
+    table for orders 0..K >= k.  fields may be a generator; then only one
+    field is held at a time.
+    """
+    orders = [derivative_order(j) for j in orders]
+    p = parse_exponent(p)
+    rows = []
+    for f in fields:
+        alphas = _multi_indices(orders, f.torus.dimension)
+        rows.append([lp_norm(f.derivative(a) if any(a) else f, p) for a in alphas])
+        del f  # released before the next field is made
+    return np.asarray(rows, dtype=float)
 
 
 def sobolev_norm(f: SpectralFunction, k, p):
     """W^{k,p} norm: max of lp_norm over spectral derivatives of order <= k."""
-    if k < 0 or int(k) != k:
-        raise InvalidParameter(f"derivative order k must be a nonnegative integer, got {k}")
-    best = 0.0
-    for alpha in _multi_indices(int(k), f.torus.dimension):
-        g = f.derivative(alpha) if any(alpha) else f
-        best = max(best, lp_norm(g, p))
-    return best
+    k = derivative_order(k, "derivative order k")
+    return float(sobolev_table([f], range(k + 1), p).max())
 
 
 def min_scale(kernel, torus: Torus):
@@ -388,13 +438,44 @@ def convolve_scaled(T: SpectralFunction, kernel, y):
         raise ScaleOutOfRange(
             f"scale {y:.6g} below minimum {lo:.6g} for this kernel/torus"
         )
-    xi = T.torus.frequencies()
-    if T.torus.dimension == 1:
-        radial = np.abs(xi)
-    else:
-        radial = np.hypot(xi[:, None], xi[None, :])
-    mult = kernel.profile(y * radial)
+    mult = kernel.profile(y * T.torus.frequency_radius())
     return SpectralFunction(T.torus, T.coefficients * mult, "function")
+
+
+def localize(T: SpectralFunction, window: SpectralFunction) -> SpectralFunction:
+    """Pointwise product with a smooth band-limited cutoff in [0, 1].
+
+    Computed on a doubly-oversampled grid, so every product coefficient up
+    to Nyquist is the exact linear convolution of the stored sequences.
+    Modes within the window's bandwidth of Nyquist see only a partial
+    convolution against the truncated representation of T; those
+    incomputable edge modes are zeroed.  Energy pushed past Nyquist is the
+    representation policy for distribution-tagged inputs; for function
+    inputs a non-negligible loss raises AliasingRisk.
+    """
+    T._check_same_torus(window)
+    wvals = dft_synthesize(window, 2)
+    if np.max(np.abs(wvals.imag)) > 1e-9 or np.min(wvals.real) < -1e-9 or np.max(
+        wvals.real
+    ) > 1.0 + 1e-9:
+        raise InvalidParameter("window must be real-valued with values in [0, 1]")
+    tvals = dft_synthesize(T, 2)
+    torus = T.torus
+    a = np.fft.fftn(tvals * wvals) / ((torus.grid_size * 2) ** torus.dimension)
+    complete = torus.mode_max - window.active_bandwidth(rtol=1e-16)
+    if complete <= 0:
+        raise AliasingRisk("window bandwidth reaches Nyquist; no complete modes")
+    kept = np.where(torus.band_index() > complete, 0.0, _gather_modes(a, torus.mode_max))
+    if T.tag == "function":
+        total = np.sum(np.abs(a) ** 2)
+        inside = np.sum(np.abs(kept) ** 2)
+        t_energy = np.sum(np.abs(T.coefficients) ** 2)
+        if (total - inside) > 1e-14 * max(t_energy, total):
+            raise AliasingRisk(
+                "product bandwidth exceeds Nyquist; localize would drop "
+                f"{float(total - inside):.2e} of squared coefficient mass"
+            )
+    return SpectralFunction(torus, kept, T.tag)
 
 
 def pairing(f: SpectralFunction, g: SpectralFunction):

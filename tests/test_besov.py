@@ -9,7 +9,6 @@ from besovlab.besov import (
     detect_regularity,
     detect_smooth,
     embed,
-    localize,
 )
 from besovlab.errors import AliasingRisk, InvalidPair, InvalidParameter
 from besovlab.kernels import build_lp_pair, kernel_space_norm
@@ -19,10 +18,12 @@ from besovlab.spectral import (
     SpectralFunction,
     Torus,
     dft_synthesize,
+    localize,
     lp_norm,
+    pairing,
     sobolev_norm,
 )
-from oracles import kernel_space_samples, second_difference_exponent
+from oracles import direct_mode_sum, kernel_space_samples, second_difference_exponent
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +60,46 @@ class TestLocalize:
         w = 2.0 * bump(torus1k, center=0.3, halfwidth=0.1)  # peaks at 2
         with pytest.raises(InvalidParameter):
             localize(heaviside(torus1k), w)
+
+
+class TestLocalizePairing2d:
+    """localize and pairing on a 64^2 torus, against a separable window."""
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        line = Torus(1, 1.0, 64)
+        b1 = bump(line, center=0.1, halfwidth=0.15)
+        b2 = bump(line, center=0.85, halfwidth=0.15)
+        plane = Torus(2, 1.0, 64)
+        w = SpectralFunction(plane, np.outer(b1.coefficients, b2.coefficients))
+        # the phi net of the Dirac at eps = 0.2, with room below Nyquist for
+        # the product with w
+        T = embed(dirac(plane), build_lp_pair(8.0, 0.5)[0])(0.2)
+        return b1, b2, w, T
+
+    def test_localize_is_the_grid_product(self, setup):
+        b1, b2, w, T = setup
+        got = dft_synthesize(localize(T, w), 2)
+        want = (
+            dft_synthesize(T, 2)
+            * dft_synthesize(b1, 2)[:, None]
+            * dft_synthesize(b2, 2)[None, :]
+        )
+        assert np.abs(want).max() > 0.5
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_pairing_with_constant_is_the_mean(self, setup):
+        _, _, w, _ = setup
+        got = pairing(constant(w.torus, 1.0), w)
+        assert got == pytest.approx(np.mean(dft_synthesize(w).real), rel=1e-12)
+
+    def test_pairing_with_dirac_evaluates_at_zero(self, setup):
+        b1, b2, w, _ = setup
+        at_zero = direct_mode_sum(b1.coefficients, 1.0, [0.0])[0]
+        at_zero *= direct_mode_sum(b2.coefficients, 1.0, [0.0])[0]
+        got = pairing(dirac(w.torus), w)
+        assert abs(at_zero) > 0.1
+        assert got == pytest.approx(at_zero, rel=1e-12)
 
 
 class TestEmbed:
@@ -175,6 +216,17 @@ class TestDetectRegularity:
         with pytest.raises(InvalidParameter):
             detect_regularity(dirac(torus4k), 2, "inf", -1, pair32)
 
+    def test_non_integer_k_rejected(self, torus4k, pair32):
+        # norms are taken at integer orders: a fractional k would shift r_hat
+        with pytest.raises(InvalidParameter):
+            detect_regularity(heaviside(torus4k), "inf", "inf", 1.5, pair32)
+
+    def test_integral_float_k_is_that_integer(self, torus4k, pair32):
+        T = heaviside(torus4k)
+        rep = detect_regularity(T, "inf", "inf", 2.0, pair32)
+        assert rep == detect_regularity(T, "inf", "inf", 2, pair32)
+        assert type(rep.k_used) is int
+
     @pytest.mark.parametrize("p,want", [("inf", -2.0), (2.0, -1.0)])
     def test_dirac_2d(self, pair32, p, want):
         # the Dirac in d dimensions has Besov exponent -d + d/p
@@ -213,6 +265,10 @@ class TestDetectSmooth:
     def test_k_max_floor(self, torus4k, pair32):
         with pytest.raises(InvalidParameter):
             detect_smooth(sine(torus4k, 3), 2, "inf", pair32, k_max=2)
+
+    def test_non_integer_k_max_rejected(self, torus4k, pair32):
+        with pytest.raises(InvalidParameter):
+            detect_smooth(sine(torus4k, 3), 2, "inf", pair32, k_max=4.5)
 
 
 class TestPairIndependence:

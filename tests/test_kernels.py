@@ -117,6 +117,8 @@ class TestMomentOp:
             moment(moll32, 17)
         with pytest.raises(InvalidParameter):
             moment(moll32, -1)
+        with pytest.raises(InvalidParameter):
+            moment(moll32, 1.5)  # not read as order 1
 
     def test_narrow_transition_raises(self):
         _, psi = build_lp_pair(16.0, 0.25)

