@@ -12,7 +12,6 @@ band-limited bumps with seeded random centers and widths; the seed is part
 of the report.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +19,7 @@ import numpy as np
 from .errors import InvalidParameter
 from .scales import ScaleGrid, ScaleProfile, critical_exponent
 from .signals import bump
-from .spectral import SpectralFunction, pairing
+from .spectral import SpectralFunction, pairing, to_jsonable
 
 __all__ = [
     "AssociationReport",
@@ -76,25 +75,16 @@ class AssociationReport:
     seed: int | None = None
 
     def to_dict(self):
-        return {
-            "verdict": self.verdict,
-            "b_hat": None if math.isinf(self.b_hat) else self.b_hat,
-            "q": self.q,
-            "rho_ids": list(self.rho_ids),
-            "slopes": self.slopes,
-            "stderrs": self.stderrs,
-            "margin": self.margin,
-            "seed": self.seed,
-        }
+        return to_jsonable(self)
 
 
-def association_verdict(T, net, battery, q, eps_grid: ScaleGrid, margin=None, seed=None):
+def association_verdict(T, net, battery, q, eps_grid: ScaleGrid, seed=None):
     """Classify the association of a net to T over a test-function battery.
 
     rapid: every pairing profile hits the vanishing/decay sentinel;
-    strong(b_hat): the worst fitted slope still exceeds the margin (the
-    weighted pairing integral at rate b converges iff the slope beats b);
-    none: some pairing fails to decay.
+    strong(b_hat): the worst fitted slope b_hat still exceeds the margin
+    max(3 * its stderr, 0.05) (the weighted pairing integral at rate b
+    converges iff the slope beats b); none: some pairing fails to decay.
     """
     if not battery:
         raise InvalidParameter("test-function battery is empty")
@@ -118,7 +108,7 @@ def association_verdict(T, net, battery, q, eps_grid: ScaleGrid, margin=None, se
             worst_err = fit.stderr
     if sentinels == len(battery):
         return AssociationReport("rapid", np.inf, str(q), ids, slopes, stderrs, 0.0, seed)
-    m = margin if margin is not None else max(3.0 * worst_err, 0.05)
+    m = max(3.0 * worst_err, 0.05)
     verdict = "strong" if worst > m else "none"
     return AssociationReport(verdict, float(worst), str(q), ids, slopes, stderrs, m, seed)
 

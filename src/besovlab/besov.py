@@ -32,6 +32,7 @@ from .spectral import (
     min_scale,
     parse_exponent,
     sobolev_table,
+    to_jsonable,
 )
 
 __all__ = [
@@ -45,13 +46,14 @@ __all__ = [
 ]
 
 STDERR_CAP = 0.2
+Y_FLOOR = 0.002  # smallest scale of default_grid, whatever the torus
 K_CAP = 13
 SMOOTH_GROWTH_THRESHOLD = 0.5
 
 
-def default_grid(torus, kernel, y_max=0.25, count=48, y_floor=0.002):
+def default_grid(torus, kernel, y_max=0.25, count=48):
     """Analysis grid: from just above the kernel's minimum scale to y_max."""
-    lo = max(min_scale(kernel, torus) * 1.05, y_floor)
+    lo = max(min_scale(kernel, torus) * 1.05, Y_FLOOR)
     return ScaleGrid(lo, y_max, count)
 
 
@@ -111,22 +113,7 @@ class RegularityReport:
     settings: dict = field(default_factory=dict)
 
     def to_dict(self):
-        r = None if math.isinf(self.r_hat) else self.r_hat
-        s = None if math.isinf(self.s_hat) else self.s_hat
-        return {
-            "r_hat": r,
-            "s_hat": s,
-            "k_used": self.k_used,
-            "p": self.p,
-            "q": self.q,
-            "stderr": self.stderr,
-            "window": list(self.window),
-            "points": self.points,
-            "residual": self.residual,
-            "verdict": self.verdict,
-            "escalations": self.escalations,
-            "settings": dict(self.settings),
-        }
+        return to_jsonable(self)
 
 
 def detect_regularity(T, p, q, k, pair, grid: ScaleGrid = None) -> RegularityReport:
@@ -136,8 +123,10 @@ def detect_regularity(T, p, q, k, pair, grid: ScaleGrid = None) -> RegularityRep
     and reports r_hat = k + slope.  The estimate is only meaningful for
     k above the smoothness, so k escalates by 2 (capped) until
     k > r_hat + 1.  Verdict "inconclusive" when the fit is too noisy
-    (stderr above 0.2) or the cap is hit.
+    (stderr above 0.2) or the cap is hit.  The report carries p and q as
+    parsed by spectral.parse_exponent ("inf" for None).
     """
+    p, q = parse_exponent(p), parse_exponent(q, "q")
     phi = pair[0]
     k = 1 if k == "auto" or k is None else derivative_order(k, "derivative order k")
     grid = grid or default_grid(T.torus, phi)
@@ -148,28 +137,17 @@ def detect_regularity(T, p, q, k, pair, grid: ScaleGrid = None) -> RegularityRep
     escalations = 0
     profile_at = _net_profiles(T, phi, grid, p)
     while True:
-        profile = profile_at(k)
-        fit = critical_exponent(profile)
-        if fit.is_sentinel:
-            return RegularityReport(
-                math.inf, -math.inf, k, str(p), str(q), 0.0, fit.window,
-                fit.points, 0.0, "inconclusive", escalations, settings,
-            )
-        r_hat = k + fit.slope
-        s_hat = -fit.slope
-        if k > r_hat + 1.0:
-            verdict = "besov" if fit.stderr <= STDERR_CAP else "inconclusive"
-            return RegularityReport(
-                r_hat, s_hat, k, str(p), str(q), fit.stderr, fit.window,
-                fit.points, fit.residual, verdict, escalations, settings,
-            )
-        if k + 2 > K_CAP:
-            return RegularityReport(
-                r_hat, s_hat, k, str(p), str(q), fit.stderr, fit.window,
-                fit.points, fit.residual, "inconclusive", escalations, settings,
-            )
+        fit = critical_exponent(profile_at(k))
+        r_hat = k + fit.slope  # inf for the vanishing-profile sentinel
+        if fit.is_sentinel or k > r_hat + 1.0 or k + 2 > K_CAP:
+            break
         k += 2
         escalations += 1
+    trusted = k > r_hat + 1.0 and fit.stderr <= STDERR_CAP
+    return RegularityReport(
+        r_hat, -fit.slope, k, f"{p:g}", f"{q:g}", fit.stderr, fit.window, fit.points,
+        fit.residual, "besov" if trusted else "inconclusive", escalations, settings,
+    )
 
 
 def _net_profiles(T, phi, grid, p):
@@ -202,14 +180,7 @@ class SmoothEvidence:
     threshold: float = SMOOTH_GROWTH_THRESHOLD
 
     def to_dict(self):
-        return {
-            "smooth": self.smooth,
-            "growth_rate": self.growth_rate,
-            "s_hat_by_k": self.s_hat_by_k,
-            "k_max": self.k_max,
-            "s_witness": self.s_witness,
-            "threshold": self.threshold,
-        }
+        return to_jsonable(self)
 
 
 def detect_smooth(T, p, q, pair, grid: ScaleGrid = None, k_max=8) -> SmoothEvidence:
@@ -221,6 +192,7 @@ def detect_smooth(T, p, q, pair, grid: ScaleGrid = None, k_max=8) -> SmoothEvide
     The witness s (a value making every per-k integral converge) is
     reported alongside; the cap k_max is part of the claim.
     """
+    p, q = parse_exponent(p), parse_exponent(q, "q")
     k_max = derivative_order(k_max, "k_max")
     if k_max < 4:
         raise InvalidParameter("k_max must be at least 4")

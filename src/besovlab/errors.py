@@ -1,5 +1,15 @@
 """Exception types shared across the toolkit."""
 
+__all__ = [
+    "BesovlabError",
+    "InvalidParameter",
+    "ScaleOutOfRange",
+    "AliasingRisk",
+    "QuadratureInaccurate",
+    "DegenerateProfile",
+    "InvalidPair",
+]
+
 
 class BesovlabError(Exception):
     """Base class for all toolkit errors."""

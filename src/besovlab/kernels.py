@@ -22,10 +22,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParameter, QuadratureInaccurate
-from .spectral import derivative_order, parse_exponent
+from .spectral import derivative_order, parse_exponent, to_jsonable
 
 __all__ = [
     "Kernel",
+    "smoothstep",
     "build_mollifier",
     "build_lp_pair",
     "verify_lp_conditions",
@@ -38,6 +39,10 @@ __all__ = [
 MOMENT_TOL = 1e-8
 POSITIVITY_TOL = 1e-12
 MAX_MOMENT_ORDER = 16
+_SAMPLE_REL_FLOOR = 1e-14  # kernel_samples: |K| at the window edge over its peak
+_MAX_DOUBLINGS = 10  # kernel_samples: window doublings allowed to reach that floor
+_MOMENT_2D_MAX_GRID = 4096  # side of the largest 2-d moment quadrature grid
+_WITNESS_SAMPLES = 64  # verify_lp_conditions: samples per non-vanishing range
 
 # Fraction of sigma used for the outer roll-off of pair kernels; keeps the
 # declared annulus [eta*sigma, sigma] on the plateau where the profile is
@@ -181,19 +186,19 @@ def build_lp_pair(sigma, eta):
 # ---------------------------------------------------------------------------
 
 
-def kernel_samples(kernel, oversample=2, rel_floor=1e-14, max_doublings=10):
+def kernel_samples(kernel, oversample=2):
     """Synthesize K(x) on a uniform grid reaching the kernel's decay floor.
 
     Returns (x, values, dx).  The sample spacing dx <= pi / (oversample *
     outer_support) keeps the rectangle rule alias-free for any integrand
     whose transform is supported in [-outer_support, outer_support].  The
-    half-width doubles until |K| at the window edge drops below rel_floor
-    of its peak.
+    half-width doubles, at most 10 times, until |K| at the window edge drops
+    below 1e-14 of its peak; QuadratureInaccurate is raised otherwise.
     """
     dx = math.pi / (oversample * kernel.outer_support)
     # decay length ~ 1/min_transition; start a few e-foldings out
     half = max(64.0 * dx, 48.0 / kernel.min_transition)
-    for _ in range(max_doublings + 1):
+    for _ in range(_MAX_DOUBLINGS + 1):
         n = 1 << max(8, math.ceil(math.log2(2.0 * half / dx)))
         dxi = 2.0 * math.pi / (n * dx)
         grid_idx = np.arange(n) - n // 2
@@ -207,7 +212,7 @@ def kernel_samples(kernel, oversample=2, rel_floor=1e-14, max_doublings=10):
         mag = np.abs(vals)
         edge = max(2, n // 32)
         tail = max(mag[:edge].max(), mag[-edge:].max())
-        if tail <= rel_floor * mag.max():
+        if tail <= _SAMPLE_REL_FLOOR * mag.max():
             return x, vals, dx
         half *= 2.0
     raise QuadratureInaccurate(
@@ -262,13 +267,13 @@ def moment(kernel, alpha):
     raise InvalidParameter("moment supports d = 1 or d = 2 multi-indices")
 
 
-def _moment_2d(kernel, a, b, max_grid=4096):
+def _moment_2d(kernel, a, b):
     """Cartesian 2-d synthesis + rectangle rule (alias-free by band limit)."""
     x1d, _, dx = kernel_samples(kernel)
     n = x1d.size
-    if n > max_grid:
+    if n > _MOMENT_2D_MAX_GRID:
         raise QuadratureInaccurate(
-            f"2-d moment grid {n} exceeds the {max_grid} budget for this kernel"
+            f"2-d moment grid {n} exceeds the {_MOMENT_2D_MAX_GRID} budget for this kernel"
         )
     dxi = 2.0 * math.pi / (n * dx)
     gi = np.arange(n) - n // 2
@@ -324,19 +329,10 @@ class LPDiagnostics:
     failures: list = field(default_factory=list)
 
     def to_dict(self):
-        return {
-            "passed": self.passed,
-            "order": self.order,
-            "sigma_witness": self.sigma_witness,
-            "eta_witness": self.eta_witness,
-            "min_phi": self.min_phi,
-            "min_psi": self.min_psi,
-            "moments": [[a, v] for a, v in self.moments],
-            "failures": list(self.failures),
-        }
+        return to_jsonable(self)
 
 
-def verify_lp_conditions(pair, s, n_samples=64):
+def verify_lp_conditions(pair, s):
     """Check pair compatibility at order s; returns diagnostics, never raises.
 
     Non-vanishing is sampled on the witness ranges derived from the kernels'
@@ -356,7 +352,7 @@ def verify_lp_conditions(pair, s, n_samples=64):
         failures.append(f"no admissible annulus: eta witness {eta_w:.3g}")
         eta_w = min(max(eta_w, 1e-6), 1.0 - 1e-6)
 
-    xs = (np.arange(n_samples) + 0.5) / n_samples
+    xs = (np.arange(_WITNESS_SAMPLES) + 0.5) / _WITNESS_SAMPLES
     phi_vals = phi.profile(xs * sigma_w)
     psi_vals = psi.profile(eta_w * sigma_w + xs * (sigma_w - eta_w * sigma_w))
     min_phi = float(np.min(np.abs(phi_vals)))

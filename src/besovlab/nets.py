@@ -3,7 +3,7 @@
 A net is a family eps -> f_eps, continuous in eps, evaluated lazily.  Nets
 are classified as moderate (the eps^{qs}-weighted integral of the q-th power
 of their norms converges for SOME s) or negligible (for EVERY s).  The "for
-every s" quantifier is rendered as signed integers |s| <= s_max plus the
+every s" quantifier is rendered as signed integers |s| <= S_CAP plus the
 fitted-slope certificate; negative s is the binding direction.
 
 The two counterexample spike families live here as well: trains of
@@ -21,12 +21,14 @@ import numpy as np
 
 from .errors import InvalidParameter
 from .scales import ScaleGrid, ScaleProfile, convergence_verdict
-from .spectral import SpectralFunction, derivative_order, localize, sobolev_table
+from .spectral import SpectralFunction, derivative_order, localize, sobolev_table, to_jsonable
 
 __all__ = [
     "NetSpec",
     "SpikeNet",
     "SpikeIntegral",
+    "ModerateVerdict",
+    "NegligibleVerdict",
     "classify_moderate",
     "classify_negligible",
     "spike_integral",
@@ -37,9 +39,15 @@ __all__ = [
 ]
 
 S_CAP = 10
+# signed integer rates tried by the classifiers, the binding direction first
+_S_SCAN = range(-S_CAP, S_CAP + 1)
 # classification sums run far past the net's own cap so that series peaking
 # late (negative-s weights against sqrt-n decay) are resolved
 CLASSIFY_N_MAX = 4096
+# spikes of a SpikeNet: n = SPIKE_N_MIN .. SPIKE_N_MAX
+SPIKE_N_MIN = 4
+SPIKE_N_MAX = 120
+_DEFAULT_EPS_GRID = ScaleGrid(1e-4, 1.0, 64)
 
 
 @dataclass(frozen=True)
@@ -113,7 +121,7 @@ def perturbed_net(base: NetSpec, g: SpectralFunction, amplitude, label=None):
 
 @dataclass(frozen=True)
 class SpikeNet:
-    """Train of constant-function spikes at eps = 1/n, n >= n_min.
+    """Train of constant-function spikes at eps = 1/n, SPIKE_N_MIN <= n <= SPIKE_N_MAX.
 
     Each spike occupies [1/n - w_n, 1/n + w_n] with w_n = exp(-n): a plateau
     of height h_n on the inner half, linear ramps to zero on the outer
@@ -127,8 +135,6 @@ class SpikeNet:
     q: float
     variant: str = "remark1"
     power: int = 1
-    n_min: int = 4
-    n_max: int = 120
 
     def __post_init__(self):
         if self.variant not in ("remark1", "remark2"):
@@ -149,7 +155,7 @@ class SpikeNet:
 
     def value(self, eps):
         """Pointwise evaluation (continuous, zero between spikes)."""
-        for n in range(self.n_min, self.n_max + 1):
+        for n in range(SPIKE_N_MIN, SPIKE_N_MAX + 1):
             c = 1.0 / n
             w = math.exp(-n)
             if abs(eps - c) > w:
@@ -178,14 +184,7 @@ class SpikeIntegral:
     n_used: int
 
     def to_dict(self):
-        return {
-            "finite": self.finite,
-            "log_value": self.log_value,
-            "tail_slope": self.tail_slope,
-            "growing": self.growing,
-            "last_ratio": self.last_ratio,
-            "n_used": self.n_used,
-        }
+        return to_jsonable(self)
 
 
 def _log_terms(net: SpikeNet, s, q_test, n_max):
@@ -195,18 +194,17 @@ def _log_terms(net: SpikeNet, s, q_test, n_max):
     and the dlog measure contributes n * exp(-n) at eps = 1/n:
       term_n <= 2 exp(-n) n^{1-qs} h_n^q.
     """
-    n = np.arange(net.n_min, n_max + 1, dtype=float)
+    n = np.arange(SPIKE_N_MIN, n_max + 1, dtype=float)
     return math.log(2.0) + q_test * net.log_height(n) - n + (1.0 - q_test * s) * np.log(n), n
 
 
-def spike_integral(net: SpikeNet, s, q_test, n_max=None):
+def spike_integral(net: SpikeNet, s, q_test, n_max=SPIKE_N_MAX):
     """Analytic log-space evaluation of the weighted integral over spikes.
 
     Divergence is decided from the shape of the per-spike terms: log-terms
     still increasing at the horizon, or a tail power d(log term)/d(log n)
     of -1 or above (the series is cleanly geometric-versus-polynomial).
     """
-    n_max = n_max or net.n_max
     terms, n = _log_terms(net, s, q_test, n_max)
     # running logsumexp for the partial-sum diagnostics
     order = np.maximum.accumulate(terms)
@@ -249,10 +247,6 @@ class NegligibleVerdict:
         return "negligible" if self.negligible else f"not-negligible(s_fail={self.s_fail})"
 
 
-def _default_eps_grid():
-    return ScaleGrid(1e-4, 1.0, 64)
-
-
 def net_sobolev_profile(net: NetSpec, k, p, window=None, eps_grid=None):
     """Sample ||f_eps||_{W^{k,p}} (optionally window-localized) over eps.
 
@@ -264,15 +258,14 @@ def net_sobolev_profile(net: NetSpec, k, p, window=None, eps_grid=None):
     """
     if net.kind != "function":
         raise InvalidParameter("net_sobolev_profile needs a function net")
-    grid = eps_grid or _default_eps_grid()
+    grid = eps_grid or _DEFAULT_EPS_GRID
     fields = (net(e) if window is None else localize(net(e), window) for e in grid.values())
     norms = sobolev_table(fields, range(derivative_order(k) + 1), p).max(axis=1)
     return ScaleProfile(grid, norms, {"k": k, "p": str(p), "net": net.label})
 
 
-def _magnitude_profile(net: NetSpec, eps_grid):
+def _magnitude_profile(net: NetSpec, grid):
     """|f_eps| over the grid; None signals unrepresentable growth."""
-    grid = eps_grid or _default_eps_grid()
     vals = []
     for e in grid.values():
         try:
@@ -285,17 +278,14 @@ def _magnitude_profile(net: NetSpec, eps_grid):
     return ScaleProfile(grid, np.asarray(vals), {"net": net.label})
 
 
-def _analytic_slopes(net: NetSpec, eps_grid):
-    """Full- and tail-window log-log slopes from a closed-form magnitude."""
-    grid = eps_grid or _default_eps_grid()
+def _analytic_slope(net: NetSpec, grid):
+    """Tail-window log-log slope of a closed-form magnitude; None if not finite."""
     t = np.log(grid.values())
     logs = np.asarray([float(net.log_magnitude(e)) for e in grid.values()])
     if not np.all(np.isfinite(logs)):
         return None
-    full = float(np.polyfit(t, logs, 1)[0])
     h = t.size // 2
-    half = float(np.polyfit(t[-h:], logs[-h:], 1)[0])
-    return full, half
+    return float(np.polyfit(t[-h:], logs[-h:], 1)[0])
 
 
 def _superpolynomial_growth(profile):
@@ -312,45 +302,42 @@ def _superpolynomial_growth(profile):
     return half < full - 1.0 and half < -S_CAP
 
 
-def _net_profile(net, k, p, window, eps_grid):
-    if net.kind == "constant":
-        return _magnitude_profile(net, eps_grid)
-    return net_sobolev_profile(net, k, p, window, eps_grid)
+def _convergence_test(net, q, k, p, window, eps_grid):
+    """s -> whether the eps^{qs}-weighted q-integral of the net's norms converges.
 
-
-def classify_moderate(net, q, k=0, p="inf", window=None, eps_grid=None, s_cap=S_CAP):
-    """Smallest integer s making the eps^{qs}-weighted integral converge.
-
-    SpikeNet inputs use the analytic per-spike route; function and constant
-    nets use the sampled norm profile and the exponent-based verdict.  The
-    weighted integral at s converges exactly when the fitted decay exponent
-    a satisfies a > -s, so s* is the smallest integer strictly beating -a.
+    SpikeNet inputs use the analytic per-spike sums, constant nets with a
+    closed-form magnitude its fitted slope, and other nets the sampled norm
+    profile and the exponent-based verdict.  The integral at s converges
+    exactly when the decay exponent a satisfies a > -s.  None when the net
+    is moderate at no s: its magnitude overflows, its closed-form magnitude
+    is not finite, or its sampled norms grow superpolynomially.
     """
     if isinstance(net, SpikeNet):
-        for s in range(-s_cap, s_cap + 1):
-            if spike_integral(net, s, q, n_max=CLASSIFY_N_MAX).finite:
-                return ModerateVerdict(True, s)
-        return ModerateVerdict(False)
-    if net.kind == "constant" and net.log_magnitude is not None:
-        slopes = _analytic_slopes(net, eps_grid)
-        if slopes is None or (slopes[1] < slopes[0] - 1.0 and slopes[1] < -s_cap):
-            return ModerateVerdict(False)
-        a = slopes[1]
-        for s in range(-s_cap, s_cap + 1):
-            if a > -s + 1e-9:
-                return ModerateVerdict(True, s)
-        return ModerateVerdict(False)
-    profile = _net_profile(net, k, p, window, eps_grid)
+        return lambda s: spike_integral(net, s, q, n_max=CLASSIFY_N_MAX).finite
+    grid = eps_grid or _DEFAULT_EPS_GRID
+    if net.kind == "function":
+        profile = net_sobolev_profile(net, k, p, window, grid)
+    elif net.log_magnitude is None:
+        profile = _magnitude_profile(net, grid)
+    else:
+        a = _analytic_slope(net, grid)
+        return None if a is None else (lambda s: a > -s + 1e-9)
     if profile is None or _superpolynomial_growth(profile):
+        return None
+    return lambda s: convergence_verdict(profile, -s, q) == "convergent"
+
+
+def classify_moderate(net, q, k=0, p="inf", window=None, eps_grid=None):
+    """Smallest integer s, |s| <= S_CAP, making the weighted integral converge."""
+    converges = _convergence_test(net, q, k, p, window, eps_grid)
+    if converges is None:
         return ModerateVerdict(False)
-    for s in range(-s_cap, s_cap + 1):
-        if convergence_verdict(profile, -s, q) == "convergent":
-            return ModerateVerdict(True, s)
-    return ModerateVerdict(False)
+    s_star = next((s for s in _S_SCAN if converges(s)), None)
+    return ModerateVerdict(s_star is not None, s_star)
 
 
-def classify_negligible(net, q, p="inf", window=None, eps_grid=None, s_max=S_CAP):
-    """Negligibility: convergence for every signed integer |s| <= s_max.
+def classify_negligible(net, q, p="inf", window=None, eps_grid=None):
+    """Negligibility: convergence for every signed integer |s| <= S_CAP.
 
     Only the k = 0 (L^p) profile is consulted: for compactly supported nets
     negligibility of the plain norms already controls all derivative
@@ -358,30 +345,13 @@ def classify_negligible(net, q, p="inf", window=None, eps_grid=None, s_max=S_CAP
     count as failures (conservative in the direction of the claim).
 
     The verdict is limited by grid resolution: the fine half of eps_grid
-    must show a slope above s_max.  On a 1024-point unit torus, the Dirac
+    must show a slope above S_CAP.  On a 1024-point unit torus, the Dirac
     net localized by bump(center=0.5, halfwidth=0.08) decays faster than
     any power, yet ScaleGrid(0.02, 0.5, 16) reads not-negligible(s_fail=-10):
     its fine-half slope is only about 6.5.
     """
-    scan = [s for s in range(-s_max, s_max + 1)]
-    if isinstance(net, SpikeNet):
-        for s in scan:
-            if not spike_integral(net, s, q, n_max=CLASSIFY_N_MAX).finite:
-                return NegligibleVerdict(False, s)
-        return NegligibleVerdict(True)
-    if net.kind == "constant" and net.log_magnitude is not None:
-        slopes = _analytic_slopes(net, eps_grid)
-        if slopes is None:
-            return NegligibleVerdict(False, -s_max)
-        diverging_decay = slopes[1] > slopes[0] + 1.0 and slopes[1] > s_max
-        if diverging_decay or slopes[1] > s_max:
-            return NegligibleVerdict(True)
-        fails = [s for s in scan if not slopes[1] > -s + 1e-9]
-        return NegligibleVerdict(False, fails[0] if fails else -s_max)
-    profile = _net_profile(net, 0, p, window, eps_grid)
-    if profile is None:
-        return NegligibleVerdict(False, -s_max)
-    for s in scan:
-        if convergence_verdict(profile, -s, q) != "convergent":
-            return NegligibleVerdict(False, s)
-    return NegligibleVerdict(True)
+    converges = _convergence_test(net, q, 0, p, window, eps_grid)
+    if converges is None:
+        return NegligibleVerdict(False, -S_CAP)
+    s_fail = next((s for s in _S_SCAN if not converges(s)), None)
+    return NegligibleVerdict(s_fail is None, s_fail)

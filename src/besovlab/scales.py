@@ -20,7 +20,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateProfile, InvalidParameter, ScaleOutOfRange
-from .spectral import convolve_scaled, derivative_order, min_scale, parse_exponent, sobolev_table
+from .spectral import (
+    convolve_scaled,
+    derivative_order,
+    min_scale,
+    parse_exponent,
+    sobolev_table,
+    to_jsonable,
+)
 
 __all__ = [
     "ScaleGrid",
@@ -86,15 +93,7 @@ class ScaleProfile:
         object.__setattr__(self, "norms", n)
 
     def to_dict(self):
-        return {
-            "grid": {
-                "y_min": self.grid.y_min,
-                "y_max": self.grid.y_max,
-                "count": self.grid.count,
-            },
-            "norms": self.norms.tolist(),
-            "meta": dict(self.meta),
-        }
+        return to_jsonable(self)
 
     @classmethod
     def from_dict(cls, d):
@@ -161,14 +160,7 @@ class ExponentFit:
         return math.isinf(self.slope)
 
     def to_dict(self):
-        return {
-            "slope": None if self.is_sentinel else self.slope,
-            "sentinel": self.is_sentinel,
-            "stderr": self.stderr,
-            "window": list(self.window),
-            "points": self.points,
-            "residual": self.residual,
-        }
+        return {**to_jsonable(self), "sentinel": self.is_sentinel}
 
 
 def critical_exponent(profile: ScaleProfile):
@@ -233,20 +225,20 @@ def _slope_stderr(t, resid):
     return math.sqrt(var / sxx) if sxx > 0 else math.inf
 
 
-def convergence_verdict(profile: ScaleProfile, s, q, margin=None):
+def convergence_verdict(profile: ScaleProfile, s, q):
     """Decide the y^(-s)-weighted integral by the exponent test a vs s.
 
     Power-law profiles make the q-integral with weight y^(-qs) converge
     exactly when the exponent a exceeds s (q < inf), or a >= s for the
-    q = inf supremum.  Within the margin (default 3 * stderr) the verdict
-    is "borderline": log corrections at the critical index distinguish
-    q < inf from q = inf and finite data cannot resolve them.
+    q = inf supremum.  Within the margin of 3 fit stderrs (at least 1e-9)
+    the verdict is "borderline": log corrections at the critical index
+    distinguish q < inf from q = inf and finite data cannot resolve them.
     """
     q = parse_exponent(q, "q")
     fit = critical_exponent(profile)
     if fit.is_sentinel:
         return "convergent"
-    m = margin if margin is not None else max(3.0 * fit.stderr, 1e-9)
+    m = max(3.0 * fit.stderr, 1e-9)
     a = fit.slope
     if math.isinf(q):
         return "convergent" if a >= s - m else "divergent"

@@ -89,7 +89,7 @@ def cosine(torus: Torus, mode=1):
     return SpectralFunction(torus, c, "function")
 
 
-def lacunary(torus: Torus, alpha, max_mode=None):
+def lacunary(torus: Torus, alpha):
     """Weierstrass-type series: sum over n of 2^(-alpha n) cos(2^n 2 pi x / L).
 
     Holder exponent alpha in (0, 1); dyadic modes capped at N/4 so the top
@@ -99,9 +99,8 @@ def lacunary(torus: Torus, alpha, max_mode=None):
         raise InvalidParameter(f"lacunary exponent must be in (0, 1), got {alpha}")
     c = _empty_1d(torus)
     mmax = torus.mode_max
-    cap = max_mode if max_mode is not None else mmax // 2
     n = 0
-    while 2**n <= cap:
+    while 2**n <= mmax // 2:
         amp = 0.5 * 2.0 ** (-alpha * n)
         c[mmax + 2**n] += amp
         c[mmax - 2**n] += amp
@@ -109,7 +108,7 @@ def lacunary(torus: Torus, alpha, max_mode=None):
     return SpectralFunction(torus, c, "function")
 
 
-def bump(torus: Torus, center=0.5, halfwidth=0.1, normalize=True):
+def bump(torus: Torus, center=0.5, halfwidth=0.1):
     """Band-limited periodized Gaussian bump, peak value 1, values in [0, 1].
 
     Coefficients are the exact Gaussian transform, cut once they decay below
@@ -126,8 +125,7 @@ def bump(torus: Torus, center=0.5, halfwidth=0.1, normalize=True):
     g = (h * np.sqrt(np.pi) / torus.length) * np.exp(-((xi * h) ** 2) / 4.0)
     g[np.abs(g) < 1e-18 * np.max(g)] = 0.0
     g[0] = g[-1] = 0.0
-    if normalize:
-        # positive coefficients: the peak sits exactly at the center
-        g = g / np.sum(g)
+    # positive coefficients: the peak sits exactly at the center
+    g = g / np.sum(g)
     c = g * np.exp(-1j * xi * center)
     return SpectralFunction(torus, c, "function")

@@ -21,7 +21,7 @@ Conventions
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -33,6 +33,7 @@ __all__ = [
     "dft_synthesize",
     "dft_analyze",
     "parse_exponent",
+    "to_jsonable",
     "derivative_order",
     "lp_norm",
     "sobolev_table",
@@ -52,6 +53,8 @@ _QUAD_OVERSAMPLE_GEN = 16
 
 # Relative floor below which outer-band coefficients count as decayed.
 _BAND_DECAY_RTOL = 1e-12
+# Relative asymmetry below which coefficients count as conjugate-symmetric.
+_REAL_RTOL = 1e-10
 
 
 def _is_pow2(n):
@@ -185,17 +188,17 @@ class SpectralFunction:
 
     # -- structure queries --------------------------------------------------
 
-    def is_real(self, rtol=1e-10):
+    def is_real(self):
         """True when coefficients are conjugate-symmetric (real-valued object).
 
         lp_norm uses this as its path switch: real objects are synthesized
         by irfftn from the modes 0..N/2 of the last axis, so an asymmetry
-        below rtol * max|c| is ignored; other objects keep the complex ifftn.
+        below 1e-10 * max|c| is ignored; other objects keep the complex ifftn.
         """
         c = self.coefficients
         rev = c[tuple(slice(None, None, -1) for _ in range(c.ndim))]
         scale = np.max(np.abs(c)) or 1.0
-        return np.max(np.abs(c - np.conj(rev))) <= rtol * scale
+        return np.max(np.abs(c - np.conj(rev))) <= _REAL_RTOL * scale
 
     def active_bandwidth(self, rtol=_BAND_DECAY_RTOL):
         """Largest |m| carrying a coefficient above rtol * max|c|."""
@@ -206,9 +209,9 @@ class SpectralFunction:
         active = c > rtol * peak
         return int(self.torus.band_index()[active].max()) if active.any() else 0
 
-    def spectrum_decayed(self, rtol=_BAND_DECAY_RTOL):
-        """True when the outer 1/16 of the mode range is below rtol * max|c|."""
-        return self.active_bandwidth(rtol) <= self.torus.mode_max * 15 // 16
+    def spectrum_decayed(self):
+        """True when the outer 1/16 of the mode range is below 1e-12 * max|c|."""
+        return self.active_bandwidth() <= self.torus.mode_max * 15 // 16
 
     def derivative(self, order=1):
         """Spectral derivative: multiply by (i xi)^alpha.
@@ -340,6 +343,26 @@ def parse_exponent(p, name="p"):
     if not value >= 1.0:
         raise InvalidParameter(f"{name} must be a number in [1, inf] or 'inf', got {p!r}")
     return value
+
+
+def to_jsonable(obj):
+    """obj as JSON data: the one serializer of the reports' to_dict.
+
+    Dataclasses become dicts of their fields, tuples, lists and arrays
+    become lists, and non-finite floats become None; dict values are
+    converted in the same way.
+    """
+    if is_dataclass(obj):
+        obj = {f.name: getattr(obj, f.name) for f in fields(obj)}
+    if isinstance(obj, dict):
+        return {key: to_jsonable(value) for key, value in obj.items()}
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        return [to_jsonable(value) for value in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
 
 
 def derivative_order(k, name="derivative order"):

@@ -1,0 +1,124 @@
+"""The public surface: each module's __all__, and the reports' JSON form."""
+
+import importlib
+import inspect
+import json
+import math
+import pkgutil
+
+import numpy as np
+import pytest
+
+import besovlab
+from besovlab.association import AssociationReport
+from besovlab.besov import detect_regularity, detect_smooth
+from besovlab.kernels import build_lp_pair, verify_lp_conditions
+from besovlab.nets import SpikeNet, spike_integral
+from besovlab.scales import ScaleGrid, critical_exponent, synthetic_profile
+from besovlab.signals import constant, heaviside
+from besovlab.spectral import Torus, to_jsonable
+
+MODULES = [
+    importlib.import_module(f"besovlab.{info.name}")
+    for info in pkgutil.iter_modules(besovlab.__path__)
+]
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_all_lists_every_public_definition(module):
+    exported = getattr(module, "__all__", None)
+    assert exported is not None, f"{module.__name__} has no __all__"
+    assert [name for name in exported if not hasattr(module, name)] == []
+    defined = {
+        name
+        for name, obj in vars(module).items()
+        if not name.startswith("_")
+        and (inspect.isclass(obj) or inspect.isfunction(obj))
+        and obj.__module__ == module.__name__
+    }
+    assert sorted(defined - set(exported)) == []
+
+
+def _reports():
+    """One report of each type, with non-finite values where they can occur."""
+    torus = Torus(1, 1.0, 1024)
+    pair = build_lp_pair(32.0, 0.5)
+    zero = constant(torus, 0.0)  # vanishing profiles: the +inf slope sentinel
+    grid = ScaleGrid(1e-3, 1.0, 32)
+    return {
+        "SpikeIntegral": spike_integral(SpikeNet(q=2.0), 0.0, 2.0),
+        "RegularityReport": detect_regularity(heaviside(torus), "inf", "inf", "auto", pair),
+        "RegularityReport-sentinel": detect_regularity(zero, "inf", "inf", "auto", pair),
+        "SmoothEvidence-sentinel": detect_smooth(zero, "inf", "inf", pair, k_max=4),
+        "AssociationReport-rapid": AssociationReport(
+            "rapid", math.inf, "2", ["rho00"], [None], [0.0], 0.0, 7
+        ),
+        "ExponentFit": critical_exponent(synthetic_profile(grid, lambda y: y**0.5)),
+        "ExponentFit-sentinel": critical_exponent(synthetic_profile(grid, lambda y: 0.0)),
+        "LPDiagnostics": verify_lp_conditions(pair, 1.0),
+        "ScaleProfile": synthetic_profile(grid, lambda y: y**0.5, {"k": 0, "p": "inf"}),
+    }
+
+
+KEYS = {
+    "SpikeIntegral": {"finite", "log_value", "tail_slope", "growing", "last_ratio", "n_used"},
+    "RegularityReport": {
+        "r_hat", "s_hat", "k_used", "p", "q", "stderr", "window", "points", "residual",
+        "verdict", "escalations", "settings",
+    },
+    "SmoothEvidence": {"smooth", "growth_rate", "s_hat_by_k", "k_max", "s_witness", "threshold"},
+    "AssociationReport": {
+        "verdict", "b_hat", "q", "rho_ids", "slopes", "stderrs", "margin", "seed",
+    },
+    "ExponentFit": {"slope", "sentinel", "stderr", "window", "points", "residual"},
+    "LPDiagnostics": {
+        "passed", "order", "sigma_witness", "eta_witness", "min_phi", "min_psi", "moments",
+        "failures",
+    },
+    "ScaleProfile": {"grid", "norms", "meta"},
+}
+
+
+class TestReportSerialization:
+    @pytest.fixture(scope="class")
+    def reports(self):
+        return _reports()
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "SpikeIntegral",
+            "RegularityReport",
+            "RegularityReport-sentinel",
+            "SmoothEvidence-sentinel",
+            "AssociationReport-rapid",
+            "ExponentFit",
+            "ExponentFit-sentinel",
+            "LPDiagnostics",
+            "ScaleProfile",
+        ],
+    )
+    def test_strict_json_with_the_documented_keys(self, reports, name):
+        report = reports[name]
+        d = report.to_dict()
+        assert json.loads(json.dumps(d, allow_nan=False)) == d
+        assert set(d) == KEYS[type(report).__name__]
+
+    def test_non_finite_values_read_none(self, reports):
+        rep = reports["RegularityReport-sentinel"].to_dict()
+        assert (rep["r_hat"], rep["s_hat"], rep["verdict"]) == (None, None, "inconclusive")
+        assert reports["SmoothEvidence-sentinel"].to_dict()["s_hat_by_k"] == [None] * 5
+        assert reports["AssociationReport-rapid"].to_dict()["b_hat"] is None
+        fit = reports["ExponentFit-sentinel"].to_dict()
+        assert (fit["slope"], fit["sentinel"]) == (None, True)
+
+    def test_containers_and_numpy_values(self, reports):
+        profile = reports["ScaleProfile"]
+        assert profile.to_dict()["grid"] == {"y_min": 1e-3, "y_max": 1.0, "count": 32}
+        assert profile.to_dict()["norms"] == profile.norms.tolist()
+        assert reports["LPDiagnostics"].to_dict()["moments"] == [
+            [a, v] for a, v in reports["LPDiagnostics"].moments
+        ]
+        got = to_jsonable({"t": (1, math.inf), "a": np.array([[0.5, np.nan]]), "i": np.arange(2)})
+        assert got == {"t": [1, None], "a": [[0.5, None]], "i": [0, 1]}
+        assert type(got["i"][1]) is int

@@ -8,6 +8,8 @@ from besovlab.errors import InvalidParameter
 from besovlab.kernels import build_lp_pair
 from besovlab.nets import (
     CLASSIFY_N_MAX,
+    ModerateVerdict,
+    NegligibleVerdict,
     NetSpec,
     SpikeNet,
     classify_moderate,
@@ -153,6 +155,13 @@ class TestClassifyNegligible:
         assert not v.negligible
         assert v.s_fail is not None
 
+    def test_superpolynomial_growth_not_negligible(self):
+        # a net moderate at no s is negligible at none; the scan used to fit
+        # a profile too steep to resolve and raise DegenerateProfile
+        wild = constant_net(lambda e: math.exp(1.0 / math.sqrt(e)), label="exp(e^-1/2)")
+        assert not classify_moderate(wild, 2).moderate
+        assert classify_negligible(wild, 2) == NegligibleVerdict(False, -10)
+
     def test_constant_one_not_negligible(self):
         one = constant_net(lambda e: 1.0, label="one")
         v = classify_negligible(one, 2)
@@ -167,6 +176,29 @@ class TestClassifyNegligible:
         for net in battery:
             if classify_negligible(net, 2.0).negligible:
                 assert classify_negligible(net, 1.0).negligible
+
+
+def _closed_form_net(log_magnitude, label):
+    """A constant net classified from its closed-form magnitude alone."""
+
+    def unsampled(eps):
+        raise AssertionError(f"{label} sampled at eps={eps}")
+
+    return constant_net(unsampled, label=label, log_magnitude=log_magnitude)
+
+
+class TestClosedFormClassification:
+    def test_rapidly_vanishing_net_negligible(self):
+        net = _closed_form_net(lambda e: -1.0 / e, "exp(-1/e)")
+        assert classify_negligible(net, 2) == NegligibleVerdict(True)
+
+    def test_power_decay_fails_at_the_most_negative_s(self):
+        net = _closed_form_net(lambda e: 3.0 * math.log(e), "e^3")
+        assert classify_negligible(net, 2) == NegligibleVerdict(False, -10)
+
+    def test_power_growth_moderate(self):
+        net = _closed_form_net(lambda e: -2.0 * math.log(e), "e^-2")
+        assert classify_moderate(net, 2) == ModerateVerdict(True, 3)
 
 
 class TestModuleStructure:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from besovlab.besov import besov_norm
+from besovlab.besov import besov_norm, detect_regularity, detect_smooth
 from besovlab.errors import AliasingRisk, InvalidParameter, ScaleOutOfRange
 from besovlab.kernels import build_lp_pair, build_mollifier, kernel_space_norm
 from besovlab.scales import ScaleGrid, convergence_verdict, q_integral, synthetic_profile
@@ -275,13 +275,28 @@ def _exponent_entry_points():
         "besov_norm": lambda q: besov_norm(
             heaviside(torus), -0.5, 2, q, pair, ScaleGrid(0.02, 0.5, 16)
         ),
+        # the reports carry the parsed exponents, so aliases give equal reports
+        "detect_regularity.p": lambda p: detect_regularity(heaviside(torus), p, 2, 3, pair),
+        "detect_regularity.q": lambda q: detect_regularity(heaviside(torus), 2, q, 3, pair),
+        "detect_smooth.p": lambda p: detect_smooth(heaviside(torus), p, 2, pair, k_max=4),
+        "detect_smooth.q": lambda q: detect_smooth(heaviside(torus), 2, q, pair, k_max=4),
     }
 
 
 class TestExponentParsing:
     @pytest.mark.parametrize(
         "entry",
-        ["lp_norm", "kernel_space_norm", "q_integral", "convergence_verdict", "besov_norm"],
+        [
+            "lp_norm",
+            "kernel_space_norm",
+            "q_integral",
+            "convergence_verdict",
+            "besov_norm",
+            "detect_regularity.p",
+            "detect_regularity.q",
+            "detect_smooth.p",
+            "detect_smooth.q",
+        ],
     )
     def test_one_rule_at_every_entry_point(self, entry):
         # a number >= 1, "inf", or None read as inf; anything else raises
