@@ -20,8 +20,15 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InvalidParameter
-from .scales import ScaleGrid, ScaleProfile, convergence_verdict
-from .spectral import SpectralFunction, derivative_order, localize, sobolev_table, to_jsonable
+from .scales import ScaleGrid, ScaleProfile, _fit_verdict, critical_exponent
+from .spectral import (
+    SpectralFunction,
+    derivative_order,
+    localize,
+    parse_exponent,
+    sobolev_table,
+    to_jsonable,
+)
 
 __all__ = [
     "NetSpec",
@@ -307,10 +314,11 @@ def _convergence_test(net, q, k, p, window, eps_grid):
 
     SpikeNet inputs use the analytic per-spike sums, constant nets with a
     closed-form magnitude its fitted slope, and other nets the sampled norm
-    profile and the exponent-based verdict.  The integral at s converges
-    exactly when the decay exponent a satisfies a > -s.  None when the net
-    is moderate at no s: its magnitude overflows, its closed-form magnitude
-    is not finite, or its sampled norms grow superpolynomially.
+    profile, fitted once, and the exponent test of convergence_verdict.  The
+    integral at s converges exactly when the decay exponent a satisfies
+    a > -s.  None when the net is moderate at no s: its magnitude overflows,
+    its closed-form magnitude is not finite, or its sampled norms grow
+    superpolynomially.
     """
     if isinstance(net, SpikeNet):
         return lambda s: spike_integral(net, s, q, n_max=CLASSIFY_N_MAX).finite
@@ -324,7 +332,8 @@ def _convergence_test(net, q, k, p, window, eps_grid):
         return None if a is None else (lambda s: a > -s + 1e-9)
     if profile is None or _superpolynomial_growth(profile):
         return None
-    return lambda s: convergence_verdict(profile, -s, q) == "convergent"
+    fit, q = critical_exponent(profile), parse_exponent(q, "q")
+    return lambda s: _fit_verdict(fit, -s, q) == "convergent"
 
 
 def classify_moderate(net, q, k=0, p="inf", window=None, eps_grid=None):

@@ -235,7 +235,11 @@ def convergence_verdict(profile: ScaleProfile, s, q):
     distinguish q < inf from q = inf and finite data cannot resolve them.
     """
     q = parse_exponent(q, "q")
-    fit = critical_exponent(profile)
+    return _fit_verdict(critical_exponent(profile), s, q)
+
+
+def _fit_verdict(fit: ExponentFit, s, q):
+    """The exponent test of convergence_verdict for a fit already made (q parsed)."""
     if fit.is_sentinel:
         return "convergent"
     m = max(3.0 * fit.stderr, 1e-9)

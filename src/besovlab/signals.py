@@ -111,8 +111,9 @@ def lacunary(torus: Torus, alpha):
 def bump(torus: Torus, center=0.5, halfwidth=0.1):
     """Band-limited periodized Gaussian bump, peak value 1, values in [0, 1].
 
-    Coefficients are the exact Gaussian transform, cut once they decay below
-    1e-18 of the top; the result is smooth, effectively supported within a
+    Coefficients follow the Gaussian transform exp(-(xi h)^2 / 4), scaled to
+    sum to 1 (the peak value) and cut once they decay below 1e-18 of the
+    top; the result is smooth, effectively supported within a
     few halfwidths of the center, and safely inside the band for
     halfwidth >~ 10/N.
     """
@@ -122,7 +123,7 @@ def bump(torus: Torus, center=0.5, halfwidth=0.1):
         raise InvalidParameter("halfwidth must be positive")
     xi = torus.frequencies()
     h = float(halfwidth)
-    g = (h * np.sqrt(np.pi) / torus.length) * np.exp(-((xi * h) ** 2) / 4.0)
+    g = np.exp(-((xi * h) ** 2) / 4.0)
     g[np.abs(g) < 1e-18 * np.max(g)] = 0.0
     g[0] = g[-1] = 0.0
     # positive coefficients: the peak sits exactly at the center

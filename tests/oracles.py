@@ -16,6 +16,50 @@ def direct_mode_sum(coeffs, length, points):
     return np.array([np.sum(coeffs * np.exp(1j * xi * x)) for x in points])
 
 
+def trigonometric_l1(coeffs, length, density=64, steps=40):
+    """||f||_1 of a real trigonometric polynomial over one period (d=1).
+
+    f(x) = sum_m c_m exp(i xi_m x) is summed directly, by Horner in
+    exp(2 pi i x / L) over the modes 1..B up to its top nonzero mode B, on
+    density * B points.  Each sign change there is refined by bisection to
+    a zero z_k, and the integral is sum_k |F(z_k+1) - F(z_k)| over
+    consecutive zeros, F the exact antiderivative.  Zero pairs closer than
+    L / (density * B) count as none.
+    """
+    c = np.asarray(coeffs, dtype=complex)
+    mmax = (c.size - 1) // 2
+    mean = c[mmax].real
+    active = np.flatnonzero(c[mmax + 1 :])
+    if active.size == 0:
+        return abs(mean) * length
+    top = int(active[-1]) + 1
+    amp = 2.0 * c[mmax + 1 : mmax + top + 1]  # modes 1..top, with their mirrors
+    anti = amp / (2j * np.pi * np.arange(1, top + 1) / length)
+
+    def mode_sum(a, x):
+        z = np.exp(2j * np.pi * x / length)
+        acc = np.zeros(x.size, dtype=complex)
+        for am in a[::-1]:
+            acc += am
+            acc *= z
+        return acc.real
+
+    k = max(256, density * top)
+    x = np.arange(k) * (length / k)
+    pos = mean + mode_sum(amp, x) > 0
+    cells = np.flatnonzero(pos != np.roll(pos, -1))
+    if cells.size == 0:
+        return abs(mean) * length
+    lo, hi = x[cells], x[cells] + length / k
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        same = (mean + mode_sum(amp, mid) > 0) == pos[cells]
+        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+    z = 0.5 * (lo + hi)
+    z = np.append(z, z[0] + length)
+    return float(np.sum(np.abs(np.diff(mean * z + mode_sum(anti, z)))))
+
+
 def kernel_space_samples(kernel, x, resolution=512.0):
     """K(x) by direct cosine quadrature of the spectral profile (even, real)."""
     dxi = kernel.min_transition / resolution

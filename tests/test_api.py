@@ -16,7 +16,7 @@ from besovlab.kernels import build_lp_pair, verify_lp_conditions
 from besovlab.nets import SpikeNet, spike_integral
 from besovlab.scales import ScaleGrid, critical_exponent, synthetic_profile
 from besovlab.signals import constant, heaviside
-from besovlab.spectral import Torus, to_jsonable
+from besovlab.spectral import Torus, lp_norm, sobolev_norm, sobolev_table, to_jsonable
 
 MODULES = [
     importlib.import_module(f"besovlab.{info.name}")
@@ -37,6 +37,19 @@ def test_all_lists_every_public_definition(module):
         and obj.__module__ == module.__name__
     }
     assert sorted(defined - set(exported)) == []
+
+
+NORM_SIGNATURES = {
+    lp_norm: "(f: besovlab.spectral.SpectralFunction, p)",
+    sobolev_table: "(fields, orders, p)",
+    sobolev_norm: "(f: besovlab.spectral.SpectralFunction, k, p)",
+}
+
+
+@pytest.mark.parametrize("fn", list(NORM_SIGNATURES), ids=lambda fn: fn.__name__)
+def test_norms_take_no_quadrature_options(fn):
+    # the quadrature is chosen inside lp_norm; no switch or tolerance leaks out
+    assert str(inspect.signature(fn)) == NORM_SIGNATURES[fn]
 
 
 def _reports():

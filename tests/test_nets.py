@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from besovlab import nets
 from besovlab.besov import embed
 from besovlab.errors import InvalidParameter
 from besovlab.kernels import build_lp_pair
@@ -138,6 +139,28 @@ class TestClassifyModerate:
             log_magnitude=lambda e: 1.0 / e,
         )
         assert not classify_moderate(angry, 2).moderate
+
+
+class TestOneFitPerProfile:
+    def test_each_classifier_fits_its_profile_once(self, torus1k, pair32, monkeypatch):
+        fits = []
+
+        def counting(profile):
+            fits.append(profile)
+            return critical_exponent(profile)
+
+        monkeypatch.setattr(nets, "critical_exponent", counting)
+        net = embed(dirac(torus1k), pair32[0], ScaleGrid(0.01, 1.0, 48))
+        grid = ScaleGrid(0.013, 1.0, 48)
+        v = classify_moderate(net, 2, k=0, p="inf", eps_grid=grid)
+        assert len(fits) == 1
+        # the verdict of convergence_verdict, refitted at every s
+        profile = net_sobolev_profile(net, 0, "inf", eps_grid=grid)
+        scan = [convergence_verdict(profile, -s, 2) == "convergent" for s in range(-10, 11)]
+        assert v == ModerateVerdict(True, scan.index(True) - 10)
+        fits.clear()
+        assert classify_negligible(net, 2, eps_grid=grid) == NegligibleVerdict(False, -10)
+        assert len(fits) == 1
 
 
 class TestClassifyNegligible:

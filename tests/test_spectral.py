@@ -10,7 +10,7 @@ from besovlab.besov import besov_norm, detect_regularity, detect_smooth
 from besovlab.errors import AliasingRisk, InvalidParameter, ScaleOutOfRange
 from besovlab.kernels import build_lp_pair, build_mollifier, kernel_space_norm
 from besovlab.scales import ScaleGrid, convergence_verdict, q_integral, synthetic_profile
-from besovlab.signals import bump, constant, dirac, heaviside, sine
+from besovlab.signals import bump, constant, cosine, dirac, heaviside, kink, lacunary, sine
 from besovlab.spectral import (
     SpectralFunction,
     Torus,
@@ -23,7 +23,7 @@ from besovlab.spectral import (
     sobolev_norm,
     sobolev_table,
 )
-from oracles import antiderivative_lp, direct_mode_sum
+from oracles import antiderivative_lp, direct_mode_sum, trigonometric_l1
 
 
 def _complex_quadrature(f, p, oversample):
@@ -216,6 +216,13 @@ class TestLpNorm:
         f = _real_coefficients(np.random.default_rng(seed), t)
         assert f.is_real()
         over = 2 if p == "inf" else 16
+        if d == 1 and p == 1.0:
+            # the corrected rule of _l1_norm: never less accurate than the
+            # 16x rectangle rule, against the exact value
+            exact = trigonometric_l1(f.coefficients, t.length)
+            rectangle_error = abs(_complex_quadrature(f, p, over) - exact)
+            assert abs(lp_norm(f, p) - exact) <= rectangle_error + 1e-12 * exact
+            return
         assert lp_norm(f, p) == pytest.approx(_complex_quadrature(f, p, over), rel=1e-12)
 
     def test_transform_follows_is_real(self, torus64, monkeypatch):
@@ -435,6 +442,74 @@ class TestConvolveScaled:
         out = convolve_scaled(dirac(torus1k), moll32, 0.05)
         assert out.tag == "function"
         assert lp_norm(out, 2) > 0  # no aliasing guard fires
+
+
+class TestL1Rule:
+    """p = 1 on real 1-d inputs: the kink-corrected rule against exact values."""
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    @pytest.mark.parametrize("signal", [dirac, heaviside, kink], ids=lambda s: s.__name__)
+    def test_mollified_nets(self, torus1k, pair32, signal, k):
+        phi = pair32[0]
+        lo = min_scale(phi, torus1k)
+        for y in (1.05 * lo, 2.0 * lo, 0.05, 0.2):
+            f = convolve_scaled(signal(torus1k), phi, y).derivative(k)
+            exact = trigonometric_l1(f.coefficients, torus1k.length)
+            assert lp_norm(f, 1) == pytest.approx(exact, rel=1e-6)
+
+    def test_grid_sized_by_bandwidth_then_refined(self, torus1k, pair32, monkeypatch):
+        sizes = []
+        irfftn = np.fft.irfftn
+
+        def spy(*args, **kwargs):
+            sizes.append(kwargs["s"][0])
+            return irfftn(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "irfftn", spy)
+        # band 318: 8 times the next power of two >= 2 * 318
+        f = convolve_scaled(dirac(torus1k), pair32[0], 0.02).derivative(1)
+        assert f.active_bandwidth(rtol=0.0) == 318
+        lp_norm(f, 1)
+        assert sizes == [8 * 1024]
+        # the top mode of a lacunary series sits at the band edge; the error
+        # estimate on the first grid fails and the second one is kept
+        sizes.clear()
+        f = convolve_scaled(lacunary(torus1k, 0.5), pair32[0], 0.05).derivative(3)
+        exact = trigonometric_l1(f.coefficients, torus1k.length)
+        assert lp_norm(f, 1) == pytest.approx(exact, rel=1e-8)
+        assert sizes == [1024, 2048]
+
+    def test_zeros_on_grid_nodes(self, torus64):
+        # zeros at x = j/6, among them the nodes x = 0 and 1/2
+        assert lp_norm(sine(torus64, 3), 1) == pytest.approx(2.0 / np.pi, rel=1e-6)
+
+    def test_touching_zero_is_no_kink(self):
+        t = Torus(1, 2.0, 64)
+        assert lp_norm(constant(t) - cosine(t), 1) == pytest.approx(2.0, rel=1e-6)
+
+    def test_band_at_nyquist(self, torus64):
+        f = _real_coefficients(np.random.default_rng(3), torus64)
+        assert f.active_bandwidth(rtol=0.0) == torus64.mode_max
+        exact = trigonometric_l1(f.coefficients, torus64.length)
+        assert lp_norm(f, 1) == pytest.approx(exact, rel=1e-6)
+
+    def test_no_crossing(self, torus1k):
+        b = bump(torus1k, center=0.3, halfwidth=0.1)
+        assert lp_norm(b, 1) == pytest.approx(b.coefficients[torus1k.mode_max].real, rel=1e-12)
+
+    def test_two_zeros_between_samples(self):
+        # cos(2 pi delta) - cos(2 pi (x - h/2)), h = 1/64 the step of the grid
+        # the rule starts from on an 8-point torus: zeros at h/2 +- delta,
+        # both inside the cell [0, h]
+        t = Torus(1, 1.0, 8)
+        h, delta = 1.0 / 64, 0.3 / 64
+        c = np.zeros(9, dtype=complex)
+        c[4] = math.cos(2 * math.pi * delta)
+        c[5] = -0.5 * np.exp(-1j * math.pi * h)
+        c[3] = np.conj(c[5])
+        f = SpectralFunction(t, c)
+        exact = trigonometric_l1(c, t.length, density=1024)
+        assert lp_norm(f, 1) == pytest.approx(exact, rel=1e-6)
 
 
 class TestScalingLaw:
