@@ -19,7 +19,7 @@ import numpy as np
 from .errors import InvalidParameter
 from .scales import ScaleGrid, ScaleProfile, critical_exponent
 from .signals import bump
-from .spectral import SpectralFunction, pairing, to_jsonable
+from .spectral import SpectralFunction, pairing, parse_exponent, to_jsonable
 
 __all__ = [
     "AssociationReport",
@@ -85,7 +85,10 @@ def association_verdict(T, net, battery, q, eps_grid: ScaleGrid, seed=None):
     strong(b_hat): the worst fitted slope b_hat still exceeds the margin
     max(3 * its stderr, 0.05) (the weighted pairing integral at rate b
     converges iff the slope beats b); none: some pairing fails to decay.
+    q is parsed like the detectors' exponents and reported; the verdict
+    does not depend on it.
     """
+    q = parse_exponent(q, "q")
     if not battery:
         raise InvalidParameter("test-function battery is empty")
     ids, slopes, stderrs = [], [], []
@@ -107,10 +110,10 @@ def association_verdict(T, net, battery, q, eps_grid: ScaleGrid, seed=None):
             worst = fit.slope
             worst_err = fit.stderr
     if sentinels == len(battery):
-        return AssociationReport("rapid", np.inf, str(q), ids, slopes, stderrs, 0.0, seed)
+        return AssociationReport("rapid", np.inf, f"{q:g}", ids, slopes, stderrs, 0.0, seed)
     m = max(3.0 * worst_err, 0.05)
     verdict = "strong" if worst > m else "none"
-    return AssociationReport(verdict, float(worst), str(q), ids, slopes, stderrs, m, seed)
+    return AssociationReport(verdict, float(worst), f"{q:g}", ids, slopes, stderrs, m, seed)
 
 
 def holder_bound(s, b, k, d=1, k0=0):

@@ -190,7 +190,9 @@ def detect_smooth(T, p, q, pair, grid: ScaleGrid = None, k_max=8) -> SmoothEvide
     s_hat(k) ~ 0 for all k; finite smoothness r forces s_hat(k) = k - r.
     The growth rate of s_hat against k separates the regimes at 1/2.
     The witness s (a value making every per-k integral converge) is
-    reported alongside; the cap k_max is part of the claim.
+    reported alongside; the cap k_max is part of the claim.  q is
+    validated like every exponent, but no part of SmoothEvidence depends
+    on it.
     """
     p, q = parse_exponent(p), parse_exponent(q, "q")
     k_max = derivative_order(k_max, "k_max")

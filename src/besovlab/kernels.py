@@ -11,9 +11,11 @@ ball, of psi_hat on the annulus, and the moment cancellations) with margin,
 for every order.
 
 Space-domain quantities (moments, reference norms, sample values) are
-computed by synthesizing the kernel on a uniform grid fine enough that the
-rectangle rule is alias-free for band-limited integrands, with an adaptive
-window sized to the kernel's superpolynomial spatial decay.
+computed by synthesizing the kernel on a uniform 1-d grid fine enough that
+the rectangle rule is alias-free for band-limited integrands, with an
+adaptive window sized to the kernel's superpolynomial spatial decay.  A
+2-d moment of a radial kernel is a fixed multiple of a 1-d moment (see
+moment), so no 2-d grid is ever built.
 """
 
 import math
@@ -41,7 +43,6 @@ POSITIVITY_TOL = 1e-12
 MAX_MOMENT_ORDER = 16
 _SAMPLE_REL_FLOOR = 1e-14  # kernel_samples: |K| at the window edge over its peak
 _MAX_DOUBLINGS = 10  # kernel_samples: window doublings allowed to reach that floor
-_MOMENT_2D_MAX_GRID = 4096  # side of the largest 2-d moment quadrature grid
 _WITNESS_SAMPLES = 64  # verify_lp_conditions: samples per non-vanishing range
 
 # Fraction of sigma used for the outer roll-off of pair kernels; keeps the
@@ -237,9 +238,15 @@ def moment(kernel, alpha):
     |alpha| <= 16 where the quadrature accuracy is documented.  The grid
     extends to where the kernel has decayed below 1e-14 of its peak; a
     smooth taper controls both the oscillatory truncation tail and the
-    roundoff floor under the x^alpha weight.  For 2-d multi-indices the
-    kernel is radial, so the moment reduces to an angular factor times a
-    radial integral.
+    roundoff floor under the x^alpha weight.  A moment of order >= 1 that
+    changes by more than 1e-9 when the taper narrows raises
+    QuadratureInaccurate.
+
+    For a 2-multi-index (a, b) the kernel is radial, so the moment is an
+    angular factor times a radial integral: both it and the 1-d moment of
+    order n = a + b are derivatives of the same profile at xi = 0.  It is 0
+    for odd a or b, and a! b! (n/2)! / ((a/2)! (b/2)! n!) times the 1-d
+    moment of order n otherwise, so it raises exactly when that one does.
     """
     idx = tuple(derivative_order(a, "moment order") for a in np.atleast_1d(alpha))
     if sum(idx) > MAX_MOMENT_ORDER:
@@ -263,30 +270,10 @@ def moment(kernel, alpha):
         a, b = idx
         if a % 2 or b % 2:
             return 0.0  # radial kernel, odd angular factor
-        return _moment_2d(kernel, a, b)
+        f = math.factorial
+        angular = f(a) * f(b) * f((a + b) // 2) / (f(a // 2) * f(b // 2) * f(a + b))
+        return angular * moment(kernel, a + b)
     raise InvalidParameter("moment supports d = 1 or d = 2 multi-indices")
-
-
-def _moment_2d(kernel, a, b):
-    """Cartesian 2-d synthesis + rectangle rule (alias-free by band limit)."""
-    x1d, _, dx = kernel_samples(kernel)
-    n = x1d.size
-    if n > _MOMENT_2D_MAX_GRID:
-        raise QuadratureInaccurate(
-            f"2-d moment grid {n} exceeds the {_MOMENT_2D_MAX_GRID} budget for this kernel"
-        )
-    dxi = 2.0 * math.pi / (n * dx)
-    gi = np.arange(n) - n // 2
-    rad = np.hypot.outer(gi * dxi, gi * dxi)
-    prof = kernel.profile(rad)
-    phase = np.where(gi % 2 == 0, 1.0, -1.0)
-    ph2 = np.outer(phase, phase)
-    vals = (np.fft.ifft2(prof * ph2) * n**2 * ph2).real * (dxi / (2.0 * math.pi)) ** 2
-    x = gi * dx
-    taper = _taper(np.hypot.outer(x, x), kernel)
-    wa = x**a
-    wb = x**b
-    return float(np.einsum("i,j,ij,ij->", wa, wb, vals, taper) * dx * dx)
 
 
 def _taper(x, kernel, shrink=1.0):

@@ -60,8 +60,10 @@ class ScaleGrid:
             raise InvalidParameter(
                 f"need 0 < y_min < y_max <= 1, got [{self.y_min}, {self.y_max}]"
             )
-        if self.count < 16:
-            raise InvalidParameter(f"need at least 16 scales, got {self.count}")
+        if not isinstance(self.count, (int, np.integer)) or self.count < 16:
+            raise InvalidParameter(
+                f"need an integer count of at least 16 scales, got {self.count}"
+            )
 
     @property
     def ratio(self):

@@ -46,12 +46,15 @@ __all__ = [
 ]
 
 # Oversampling of the synthesis grid used by the norm quadratures.  The sup
-# at p = inf is taken at 2x (the grid on which |f|^2 is alias-free); other
-# finite p != 2 keep the second-order rectangle rule but on a grid fine
-# enough for kernel-scale oscillations.  p = 1 on a real 1-d field starts
-# instead from 8 nb points, nb the power of two >= twice its bandwidth (see
-# _l1_norm), and doubles up to the 16x grid.  p = 2 needs no grid (Parseval).
-_QUAD_OVERSAMPLE_P2 = 2
+# at p = inf is the maximum over the 2x grid.  That grid misses the peak by
+# up to a sub-cell phase, so the grid sup is biased low at the finest
+# scales (a jump's fitted exponent is off by up to 0.13 at N = 128); a
+# certified sup is still open.  Other finite p != 2 keep the second-order
+# rectangle rule but on a grid fine enough for kernel-scale oscillations.
+# p = 1 on a real 1-d field starts instead from 8 nb points, nb the power
+# of two >= twice its bandwidth (see _l1_norm), and doubles up to the 16x
+# grid.  p = 2 needs no grid (Parseval).
+_SUP_OVERSAMPLE = 2
 _QUAD_OVERSAMPLE_GEN = 16
 _L1_OVERSAMPLE = 8
 # Relative error the p = 1 rule's estimate must reach before the 16x cap.
@@ -82,7 +85,7 @@ _REAL_RTOL = 1e-10
 
 
 def _is_pow2(n):
-    return n >= 1 and (n & (n - 1)) == 0
+    return isinstance(n, (int, np.integer)) and n >= 1 and (n & (n - 1)) == 0
 
 
 @dataclass(frozen=True)
@@ -94,9 +97,9 @@ class Torus:
     dimension : int
         1 (fully supported) or 2.
     length : float
-        Period L in physical units of x.
+        Period L in physical units of x; positive and finite.
     grid_size : int
-        Points per axis; a power of two, at least 8.
+        Points per axis; an integer power of two, at least 8.
     """
 
     dimension: int = 1
@@ -104,11 +107,11 @@ class Torus:
     grid_size: int = 4096
 
     def __post_init__(self):
-        if self.dimension not in (1, 2):
+        if not isinstance(self.dimension, (int, np.integer)) or self.dimension not in (1, 2):
             raise InvalidParameter(f"dimension must be 1 or 2, got {self.dimension}")
-        if not (self.length > 0):
-            raise InvalidParameter(f"period must be positive, got {self.length}")
-        if self.grid_size < 8 or not _is_pow2(self.grid_size):
+        if not (0 < self.length < math.inf):
+            raise InvalidParameter(f"period must be positive and finite, got {self.length}")
+        if not _is_pow2(self.grid_size) or self.grid_size < 8:
             raise InvalidParameter(
                 f"grid size must be a power of two >= 8, got {self.grid_size}"
             )
@@ -428,7 +431,7 @@ def lp_norm(f: SpectralFunction, p):
     real = f.is_real()
     if p == 1.0 and real and d == 1:
         return _l1_norm(f)
-    over = _QUAD_OVERSAMPLE_P2 if math.isinf(p) else _QUAD_OVERSAMPLE_GEN
+    over = _SUP_OVERSAMPLE if math.isinf(p) else _QUAD_OVERSAMPLE_GEN
     vals = _synthesize(f, over, real)
     mags = np.abs(vals, out=vals if real else None)
     if math.isinf(p):

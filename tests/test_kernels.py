@@ -3,6 +3,7 @@ import pytest
 
 from besovlab.errors import InvalidParameter, QuadratureInaccurate
 from besovlab.kernels import (
+    MOMENT_TOL,
     build_lp_pair,
     build_mollifier,
     kernel_space_norm,
@@ -102,6 +103,14 @@ class TestVerifyConditions:
     def test_mollifier_self_pair_fails_positive(self, moll32):
         assert not verify_lp_conditions((moll32, moll32), 1).passed
 
+    def test_uncertifiable_moments_fail_without_raising(self):
+        diag = verify_lp_conditions(build_lp_pair(16.0, 0.25), 10)
+        assert not diag.passed
+        assert [a for a, _ in diag.moments] == list(range(7))
+        assert [f.split(" not certifiable")[0] for f in diag.failures] == [
+            f"moment {a} of psi" for a in range(7, 11)
+        ]
+
     @pytest.mark.parametrize(
         "sigma,eta",
         [(32.0, 0.5), (64.0, 0.25), (64.0, 0.5), (64.0, 0.75), (128.0, 0.5)],
@@ -124,6 +133,17 @@ class TestMomentOp:
         _, psi = build_lp_pair(16.0, 0.25)
         with pytest.raises(QuadratureInaccurate):
             moment(psi, 10)
+
+    def test_2d_inherits_1d_certification(self):
+        # every profile is flat at 0, so this moment is exactly zero; the
+        # order-10 1-d quadrature cannot certify it, nor can the 2-d one
+        _, psi = build_lp_pair(8.0, 0.5)
+        with pytest.raises(QuadratureInaccurate):
+            moment(psi, (10, 0))
+
+    def test_2d_narrow_kernel(self):
+        _, psi = build_lp_pair(16.0, 0.25)
+        assert abs(moment(psi, (2, 2))) < MOMENT_TOL
 
     def test_2d_mass(self, moll32):
         assert moment(moll32, (0, 0)) == pytest.approx(1.0, rel=1e-6)

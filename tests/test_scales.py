@@ -39,6 +39,8 @@ class TestScaleGrid:
             ScaleGrid(0.01, 1.0, 8)  # too few scales
         with pytest.raises(InvalidParameter):
             ScaleGrid(0.0, 1.0)
+        with pytest.raises(InvalidParameter):
+            ScaleGrid(0.01, 1.0, 16.5)  # not an integer count
 
 
 class TestSweep:

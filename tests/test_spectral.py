@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from besovlab.besov import besov_norm, detect_regularity, detect_smooth
+from besovlab.association import association_verdict, bump_battery
+from besovlab.besov import besov_norm, detect_regularity, detect_smooth, embed
 from besovlab.errors import AliasingRisk, InvalidParameter, ScaleOutOfRange
 from besovlab.kernels import build_lp_pair, build_mollifier, kernel_space_norm
 from besovlab.scales import ScaleGrid, convergence_verdict, q_integral, synthetic_profile
@@ -17,6 +18,7 @@ from besovlab.spectral import (
     convolve_scaled,
     dft_analyze,
     dft_synthesize,
+    localize,
     lp_norm,
     min_scale,
     pairing,
@@ -58,6 +60,12 @@ class TestTorus:
             Torus(1, -1.0, 64)
         with pytest.raises(InvalidParameter):
             Torus(3, 1.0, 64)
+        with pytest.raises(InvalidParameter):
+            Torus(1, 1.0, 64.0)  # not an integer
+        with pytest.raises(InvalidParameter):
+            Torus(1, math.inf, 64)  # nyquist would be 0
+        with pytest.raises(InvalidParameter):
+            Torus(2.0, 1.0, 64)  # not an integer dimension
 
     def test_nyquist(self):
         t = Torus(1, 2.0, 64)
@@ -75,6 +83,37 @@ class TestTorus:
         assert t.frequency_radius() is Torus(2, 2.0, 8).frequency_radius()
         with pytest.raises(ValueError):
             t.frequency_radius()[0, 0] = 1.0
+
+
+def _nyquist_window(torus):
+    """1/2 + cos(pi N x / L) / 2: values in [0, 1], band at Nyquist."""
+    c = np.zeros(torus.coeff_shape(), dtype=complex)
+    c[torus.mode_max] = 0.5
+    c[[0, -1]] = 0.25
+    return SpectralFunction(torus, c)
+
+
+_T8 = Torus(1, 1.0, 8)
+_TYPED_ERRORS = {  # case -> (error class, message fragment, call)
+    "wrong shape": (InvalidParameter, "shape", lambda: SpectralFunction(_T8, np.zeros(8))),
+    "non-finite": (InvalidParameter, "finite", lambda: SpectralFunction(_T8, np.full(9, np.inf))),
+    "unknown tag": (InvalidParameter, "tag", lambda: SpectralFunction(_T8, np.zeros(9), "x")),
+    "different toruses": (InvalidParameter, "toruses", lambda: sine(_T8) + sine(Torus(1, 2.0, 8))),
+    "multi-index length": (InvalidParameter, "multi-index", lambda: sine(_T8).derivative((1, 0))),
+    "dilate non-integer": (InvalidParameter, "integer", lambda: sine(_T8).dilate(2.0)),
+    "dilate 2-d": (InvalidParameter, "d = 1", lambda: dirac(Torus(2, 1.0, 8)).dilate(2)),
+    "analyze shape": (InvalidParameter, "sample shape", lambda: dft_analyze(np.zeros(16), _T8)),
+    "window at Nyquist": (
+        AliasingRisk, "Nyquist", lambda: localize(sine(_T8), _nyquist_window(_T8))
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TYPED_ERRORS))
+def test_typed_errors(case):
+    error, fragment, call = _TYPED_ERRORS[case]
+    with pytest.raises(error, match=fragment):
+        call()
 
 
 class TestSynthesize:
@@ -273,20 +312,23 @@ def _exponent_entry_points():
     torus = Torus(1, 1.0, 1024)
     pair = build_lp_pair(32.0, 0.5)
     power = synthetic_profile(ScaleGrid(1e-3, 1.0, 32), lambda y: y**0.5)
+    grid = ScaleGrid(0.02, 0.5, 16)
+    battery = bump_battery(torus, count=4, seed=7)
     return {
         "lp_norm": lambda p: lp_norm(sine(torus), p),
         "kernel_space_norm": lambda p: kernel_space_norm(pair[0], p),
         "q_integral": lambda q: q_integral(power, 0.0, q),
         # slope = s: borderline at finite q, convergent at q = inf
         "convergence_verdict": lambda q: convergence_verdict(power, 0.5, q),
-        "besov_norm": lambda q: besov_norm(
-            heaviside(torus), -0.5, 2, q, pair, ScaleGrid(0.02, 0.5, 16)
-        ),
+        "besov_norm": lambda q: besov_norm(heaviside(torus), -0.5, 2, q, pair, grid),
         # the reports carry the parsed exponents, so aliases give equal reports
         "detect_regularity.p": lambda p: detect_regularity(heaviside(torus), p, 2, 3, pair),
         "detect_regularity.q": lambda q: detect_regularity(heaviside(torus), 2, q, 3, pair),
         "detect_smooth.p": lambda p: detect_smooth(heaviside(torus), p, 2, pair, k_max=4),
         "detect_smooth.q": lambda q: detect_smooth(heaviside(torus), 2, q, pair, k_max=4),
+        "association_verdict": lambda q: association_verdict(
+            heaviside(torus), embed(heaviside(torus), pair[0], grid), battery, q, grid
+        ),
     }
 
 
@@ -303,6 +345,7 @@ class TestExponentParsing:
             "detect_regularity.q",
             "detect_smooth.p",
             "detect_smooth.q",
+            "association_verdict",
         ],
     )
     def test_one_rule_at_every_entry_point(self, entry):
