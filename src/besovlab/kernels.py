@@ -10,12 +10,14 @@ satisfies the two compatibility conditions (non-vanishing of phi_hat on the
 ball, of psi_hat on the annulus, and the moment cancellations) with margin,
 for every order.
 
-Space-domain quantities (moments, reference norms, sample values) are
+Every profile is thus constant near xi = 0 (Kernel refuses pieces that do
+not glue smoothly).  A moment of order alpha is i^|alpha| times the
+alpha-th derivative of the transform at 0, so moment reads the mass off
+profile(0) and returns exactly 0 for every higher order, with no
+quadrature.  Space-domain quantities (reference norms, sample values) are
 computed by synthesizing the kernel on a uniform 1-d grid fine enough that
 the rectangle rule is alias-free for band-limited integrands, with an
-adaptive window sized to the kernel's superpolynomial spatial decay.  A
-2-d moment of a radial kernel is a fixed multiple of a 1-d moment (see
-moment), so no 2-d grid is ever built.
+adaptive window sized to the kernel's superpolynomial spatial decay.
 """
 
 import math
@@ -95,20 +97,24 @@ class Kernel:
     positive_up_to: float = 0.0
     label: str = ""
 
+    def __post_init__(self):
+        lo, hi = self.plateau
+        inner = self.inner_support
+        if not ((inner == lo == 0.0 or 0.0 < inner < lo) and lo <= hi < self.outer_support):
+            raise InvalidParameter(
+                f"profile pieces do not glue smoothly: inner_support {inner}, "
+                f"plateau {self.plateau}, outer_support {self.outer_support}"
+            )
+
     def profile(self, xi):
-        """Evaluate the spectral profile at |xi| (vectorized, exact pieces)."""
+        """Evaluate the spectral profile at |xi| (vectorized, exact pieces):
+        the roll-off smoothstep times, when inner_support > 0, the rise."""
         r = np.abs(np.asarray(xi, dtype=float))
         lo, hi = self.plateau
-        out = np.zeros(r.shape)
-        out[(r >= lo) & (r <= hi)] = 1.0
+        out = smoothstep((self.outer_support - r) / (self.outer_support - hi))
         if self.inner_support > 0.0:
-            rise = (r > self.inner_support) & (r < lo)
-            out[rise] = smoothstep(
-                (r[rise] - self.inner_support) / (lo - self.inner_support)
-            )
-        fall = (r > hi) & (r < self.outer_support)
-        out[fall] = smoothstep((self.outer_support - r[fall]) / (self.outer_support - hi))
-        return out if out.shape else float(out)
+            out = out * smoothstep((r - self.inner_support) / (lo - self.inner_support))
+        return out
 
     @property
     def min_transition(self):
@@ -183,7 +189,7 @@ def build_lp_pair(sigma, eta):
 
 
 # ---------------------------------------------------------------------------
-# Space-domain synthesis and quadrature
+# Moments and space-domain synthesis
 # ---------------------------------------------------------------------------
 
 
@@ -221,67 +227,20 @@ def kernel_samples(kernel, oversample=2):
     )
 
 
-# Gaussian taper steepness for the moment quadrature.  The taper's transform
-# concentrates within |xi| <~ sqrt(4 g)/X_soft of zero, far inside the flat
-# region of the profile, so tapering leaves a vanishing moment vanishing
-# while a genuine moment defect (spectral mass at xi = 0) is measured
-# faithfully.  The taper also suppresses the x^alpha amplification of the
-# synthesis roundoff floor in the far field.
-_TAPER_G = 50.0
-_TAPER_SPAN = 220.0  # X_soft = span / narrowest spectral transition
-
-
 def moment(kernel, alpha):
-    """Space-domain moment: quadrature of x^alpha K(x) over a tapered window.
+    """Space-domain moment of x^alpha K(x), read off the profile at xi = 0.
 
-    alpha is a nonnegative integer (d = 1) or a 2-multi-index, limited to
-    |alpha| <= 16 where the quadrature accuracy is documented.  The grid
-    extends to where the kernel has decayed below 1e-14 of its peak; a
-    smooth taper controls both the oscillatory truncation tail and the
-    roundoff floor under the x^alpha weight.  A moment of order >= 1 that
-    changes by more than 1e-9 when the taper narrows raises
-    QuadratureInaccurate.
-
-    For a 2-multi-index (a, b) the kernel is radial, so the moment is an
-    angular factor times a radial integral: both it and the 1-d moment of
-    order n = a + b are derivatives of the same profile at xi = 0.  It is 0
-    for odd a or b, and a! b! (n/2)! / ((a/2)! (b/2)! n!) times the 1-d
-    moment of order n otherwise, so it raises exactly when that one does.
+    alpha is a nonnegative integer (d = 1) or a 2-multi-index, with
+    |alpha| <= 16.  The moment is i^|alpha| times the alpha-th derivative of
+    the transform at 0, where every profile is constant: it is profile(0)
+    for alpha = 0 and exactly 0 for every |alpha| >= 1, in 1-d and 2-d.
     """
     idx = tuple(derivative_order(a, "moment order") for a in np.atleast_1d(alpha))
     if sum(idx) > MAX_MOMENT_ORDER:
         raise InvalidParameter(f"moment order {alpha} outside [0, {MAX_MOMENT_ORDER}]")
-    if len(idx) == 1:
-        x, vals, dx = kernel_samples(kernel)
-        a = idx[0]
-        weighted = x**a * vals
-        est = float(np.sum(weighted * _taper(x, kernel)) * dx)
-        if a:
-            # window-sensitivity estimate: a genuine moment is insensitive to
-            # the taper width, truncation/roundoff junk is not
-            alt = float(np.sum(weighted * _taper(x, kernel, shrink=0.8)) * dx)
-            if abs(est - alt) > _WINDOW_SENSITIVITY_TOL:
-                raise QuadratureInaccurate(
-                    f"order-{a} moment varies by {abs(est - alt):.2e} under "
-                    "window change; kernel spectral transition too narrow"
-                )
-        return est
-    if len(idx) == 2:
-        a, b = idx
-        if a % 2 or b % 2:
-            return 0.0  # radial kernel, odd angular factor
-        f = math.factorial
-        angular = f(a) * f(b) * f((a + b) // 2) / (f(a // 2) * f(b // 2) * f(a + b))
-        return angular * moment(kernel, a + b)
-    raise InvalidParameter("moment supports d = 1 or d = 2 multi-indices")
-
-
-def _taper(x, kernel, shrink=1.0):
-    x_soft = shrink * _TAPER_SPAN / kernel.min_transition
-    return np.exp(-_TAPER_G * (x / x_soft) ** 2)
-
-
-_WINDOW_SENSITIVITY_TOL = 1e-9
+    if len(idx) not in (1, 2):
+        raise InvalidParameter("moment supports d = 1 or d = 2 multi-indices")
+    return 0.0 if sum(idx) else float(kernel.profile(0.0))
 
 
 def kernel_space_norm(kernel, p, oversample=256):
@@ -354,11 +313,7 @@ def verify_lp_conditions(pair, s):
     moments = []
     if s >= 0:
         for a in range(int(math.floor(s)) + 1):
-            try:
-                val = moment(psi, a)
-            except QuadratureInaccurate as exc:
-                failures.append(f"moment {a} of psi not certifiable: {exc}")
-                continue
+            val = moment(psi, a)
             moments.append((a, val))
             if abs(val) >= MOMENT_TOL:
                 failures.append(f"moment {a} of psi is {val:.3e} (tol {MOMENT_TOL:g})")

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InvalidParameter
-from .scales import ScaleGrid, ScaleProfile, _fit_verdict, critical_exponent
+from .scales import ExponentFit, ScaleGrid, ScaleProfile, _fit_verdict, critical_exponent
 from .spectral import (
     SpectralFunction,
     derivative_order,
@@ -54,7 +54,6 @@ CLASSIFY_N_MAX = 4096
 # spikes of a SpikeNet: n = SPIKE_N_MIN .. SPIKE_N_MAX
 SPIKE_N_MIN = 4
 SPIKE_N_MAX = 120
-_DEFAULT_EPS_GRID = ScaleGrid(1e-4, 1.0, 64)
 
 
 @dataclass(frozen=True)
@@ -146,8 +145,7 @@ class SpikeNet:
     def __post_init__(self):
         if self.variant not in ("remark1", "remark2"):
             raise InvalidParameter(f"unknown spike variant {self.variant!r}")
-        if not (self.q >= 1):
-            raise InvalidParameter("spike net parameter q must be >= 1")
+        object.__setattr__(self, "q", parse_exponent(self.q, "q"))
 
     def log_height(self, n):
         n = np.asarray(n, dtype=float)
@@ -212,6 +210,9 @@ def spike_integral(net: SpikeNet, s, q_test, n_max=SPIKE_N_MAX):
     still increasing at the horizon, or a tail power d(log term)/d(log n)
     of -1 or above (the series is cleanly geometric-versus-polynomial).
     """
+    q_test = parse_exponent(q_test, "q")
+    if math.isinf(q_test):
+        raise InvalidParameter("spike sums need a finite q: their terms are height^q x width")
     terms, n = _log_terms(net, s, q_test, n_max)
     # running logsumexp for the partial-sum diagnostics
     order = np.maximum.accumulate(terms)
@@ -265,10 +266,15 @@ def net_sobolev_profile(net: NetSpec, k, p, window=None, eps_grid=None):
     """
     if net.kind != "function":
         raise InvalidParameter("net_sobolev_profile needs a function net")
-    grid = eps_grid or _DEFAULT_EPS_GRID
+    grid = eps_grid or _default_eps_grid(net)
     fields = (net(e) if window is None else localize(net(e), window) for e in grid.values())
     norms = sobolev_table(fields, range(derivative_order(k) + 1), p).max(axis=1)
     return ScaleProfile(grid, norms, {"k": k, "p": str(p), "net": net.label})
+
+
+def _default_eps_grid(net: NetSpec):
+    """64 scales from just above the net's eps_min (at least 1e-4) to 1."""
+    return ScaleGrid(max(1.05 * net.eps_min, 1e-4), 1.0, 64)
 
 
 def _magnitude_profile(net: NetSpec, grid):
@@ -285,14 +291,18 @@ def _magnitude_profile(net: NetSpec, grid):
     return ScaleProfile(grid, np.asarray(vals), {"net": net.label})
 
 
-def _analytic_slope(net: NetSpec, grid):
-    """Tail-window log-log slope of a closed-form magnitude; None if not finite."""
-    t = np.log(grid.values())
-    logs = np.asarray([float(net.log_magnitude(e)) for e in grid.values()])
+def _analytic_fit(net: NetSpec, grid):
+    """Tail-window log-log fit of a closed-form magnitude, with zero stderr
+    (its values are exact); None if they are not finite."""
+    y = grid.values()
+    logs = np.asarray([float(net.log_magnitude(e)) for e in y])
     if not np.all(np.isfinite(logs)):
         return None
-    h = t.size // 2
-    return float(np.polyfit(t[-h:], logs[-h:], 1)[0])
+    h = y.size // 2
+    t, b = np.log(y[-h:]), logs[-h:]
+    slope, icept = np.polyfit(t, b, 1)
+    resid = float(np.max(np.abs(b - (slope * t + icept))))
+    return ExponentFit(float(slope), 0.0, (float(y[-1]), float(y[-h])), h, resid)
 
 
 def _superpolynomial_growth(profile):
@@ -312,27 +322,30 @@ def _superpolynomial_growth(profile):
 def _convergence_test(net, q, k, p, window, eps_grid):
     """s -> whether the eps^{qs}-weighted q-integral of the net's norms converges.
 
-    SpikeNet inputs use the analytic per-spike sums, constant nets with a
-    closed-form magnitude its fitted slope, and other nets the sampled norm
-    profile, fitted once, and the exponent test of convergence_verdict.  The
-    integral at s converges exactly when the decay exponent a satisfies
-    a > -s.  None when the net is moderate at no s: its magnitude overflows,
-    its closed-form magnitude is not finite, or its sampled norms grow
-    superpolynomially.
+    q is parsed first, for every net.  SpikeNet inputs use the analytic
+    per-spike sums.  Other nets are fitted once, a constant net with a
+    closed-form magnitude from that magnitude and the rest from its sampled
+    norm profile, and decided by the exponent test of convergence_verdict:
+    the integral at s converges when the decay exponent a satisfies a > -s
+    (a >= -s at q = inf).  None when the net is moderate at no s: its
+    magnitude overflows, its closed-form magnitude is not finite, or its
+    sampled norms grow superpolynomially.
     """
+    q = parse_exponent(q, "q")
     if isinstance(net, SpikeNet):
         return lambda s: spike_integral(net, s, q, n_max=CLASSIFY_N_MAX).finite
-    grid = eps_grid or _DEFAULT_EPS_GRID
-    if net.kind == "function":
-        profile = net_sobolev_profile(net, k, p, window, grid)
-    elif net.log_magnitude is None:
-        profile = _magnitude_profile(net, grid)
+    grid = eps_grid or _default_eps_grid(net)
+    if net.kind == "constant" and net.log_magnitude is not None:
+        fit = _analytic_fit(net, grid)
     else:
-        a = _analytic_slope(net, grid)
-        return None if a is None else (lambda s: a > -s + 1e-9)
-    if profile is None or _superpolynomial_growth(profile):
+        if net.kind == "function":
+            profile = net_sobolev_profile(net, k, p, window, grid)
+        else:
+            profile = _magnitude_profile(net, grid)
+        bad = profile is None or _superpolynomial_growth(profile)
+        fit = None if bad else critical_exponent(profile)
+    if fit is None:
         return None
-    fit, q = critical_exponent(profile), parse_exponent(q, "q")
     return lambda s: _fit_verdict(fit, -s, q) == "convergent"
 
 

@@ -446,15 +446,17 @@ def _l1_norm(f: SpectralFunction):
     """||f||_1 of a real 1-d f by _l1_rule, on a grid sized by its bandwidth.
 
     f is a trigonometric polynomial of degree B = active_bandwidth(rtol=0),
-    so its modes 0..nb/2, nb = min(N, max(8, next power of two >= 2B)),
-    synthesized on n = 8 nb points are exactly its values there.  The rule's
-    error is O(h^7), so |I_n - I_{n/2}| / (2^7 - 1), with I_{n/2} the rule
+    so its modes 0..nb/2, nb = min(N, max(8, smallest power of two > 2B)),
+    synthesized on n = 8 nb points are exactly its values there.  nb stays
+    above 2B: a top mode at nb/2, as a power-of-two band has, would fail
+    the error estimate below on the first grid and cost a second synthesis.
+    The rule's error is O(h^7), so |I_n - I_{n/2}| / (2^7 - 1), with I_{n/2} the rule
     on the even samples, estimates it at no extra transform; while that
     exceeds 1e-7 of the norm, n doubles, up to 16 N.
     """
     torus = f.torus
     m = torus.mode_max
-    nb = min(torus.grid_size, max(8, 1 << (2 * f.active_bandwidth(rtol=0.0) - 1).bit_length()))
+    nb = min(torus.grid_size, max(8, 1 << (2 * f.active_bandwidth(rtol=0.0)).bit_length()))
     n = _L1_OVERSAMPLE * nb
     coarse = None
     while True:

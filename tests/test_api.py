@@ -1,4 +1,5 @@
-"""The public surface: each module's __all__, and the reports' JSON form."""
+"""The public surface: each module's __all__, the reports' JSON form, and the
+typed errors of the argument checks."""
 
 import importlib
 import inspect
@@ -12,10 +13,11 @@ import pytest
 import besovlab
 from besovlab.association import AssociationReport
 from besovlab.besov import detect_regularity, detect_smooth
+from besovlab.errors import DegenerateProfile, InvalidParameter
 from besovlab.kernels import build_lp_pair, verify_lp_conditions
-from besovlab.nets import SpikeNet, spike_integral
-from besovlab.scales import ScaleGrid, critical_exponent, synthetic_profile
-from besovlab.signals import constant, heaviside
+from besovlab.nets import NetSpec, SpikeNet, constant_net, function_net, spike_integral
+from besovlab.scales import ScaleGrid, ScaleProfile, critical_exponent, synthetic_profile
+from besovlab.signals import bump, constant, cosine, heaviside, lacunary, sine
 from besovlab.spectral import Torus, lp_norm, sobolev_norm, sobolev_table, to_jsonable
 
 MODULES = [
@@ -135,3 +137,37 @@ class TestReportSerialization:
         got = to_jsonable({"t": (1, math.inf), "a": np.array([[0.5, np.nan]]), "i": np.arange(2)})
         assert got == {"t": [1, None], "a": [[0.5, None]], "i": [0, 1]}
         assert type(got["i"][1]) is int
+
+
+_T8 = Torus(1, 1.0, 8)
+_G16 = ScaleGrid(0.1, 1.0, 16)
+_ONE = constant_net(lambda e: 1.0, label="one")
+_SINE = function_net(lambda e: sine(_T8), label="sine")
+_TYPED_ERRORS = {  # case -> (error class, message fragment, call)
+    "net kind": (InvalidParameter, "unknown net kind", lambda: NetSpec("x", abs)),
+    "minus of a constant net": (InvalidParameter, "two function nets", lambda: _ONE.minus(_SINE)),
+    "scaled_by a function net": (InvalidParameter, "constant net", lambda: _SINE.scaled_by(_SINE)),
+    "profile length": (InvalidParameter, "profile length", lambda: ScaleProfile(_G16, np.ones(15))),
+    "non-finite norms": (
+        InvalidParameter, "finite and nonnegative", lambda: ScaleProfile(_G16, np.full(16, np.nan))
+    ),
+    "too few usable scales": (
+        DegenerateProfile,
+        "only 7 usable scales",
+        lambda: critical_exponent(ScaleProfile(_G16, np.r_[np.zeros(8), 1.0, 0.0, np.ones(6)])),
+    ),
+    "2-d heaviside": (InvalidParameter, "one-dimensional", lambda: heaviside(Torus(2, 1.0, 8))),
+    "sine mode": (InvalidParameter, "mode 4 out of range", lambda: sine(_T8, 4)),
+    "cosine mode": (InvalidParameter, "mode 0 out of range", lambda: cosine(_T8, 0)),
+    "lacunary exponent": (InvalidParameter, "lacunary exponent", lambda: lacunary(_T8, 1.0)),
+    "2-d bump": (InvalidParameter, "bump is one-dimensional", lambda: bump(Torus(2, 1.0, 8))),
+    "bump halfwidth": (InvalidParameter, "halfwidth", lambda: bump(_T8, halfwidth=0.0)),
+    "pair sigma": (InvalidParameter, "sigma must be positive", lambda: build_lp_pair(0.0, 0.5)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TYPED_ERRORS))
+def test_typed_errors(case):
+    error, fragment, call = _TYPED_ERRORS[case]
+    with pytest.raises(error, match=fragment):
+        call()

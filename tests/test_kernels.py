@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from besovlab.errors import InvalidParameter, QuadratureInaccurate
+from besovlab.errors import InvalidParameter
 from besovlab.kernels import (
     MOMENT_TOL,
+    Kernel,
     build_lp_pair,
     build_mollifier,
     kernel_space_norm,
@@ -56,6 +59,23 @@ class TestLpKernel:
             build_lp_pair(32.0, 1.0)
 
 
+class TestKernelGlue:
+    @pytest.mark.parametrize(
+        "inner,plateau,outer",
+        [
+            (0.0, (5.0, 10.0), 15.0),  # jumps from 0 to 1 at xi = 5: no moments exist
+            (5.0, (5.0, 10.0), 15.0),
+            (6.0, (5.0, 10.0), 15.0),
+            (1.0, (5.0, 4.0), 15.0),
+            (1.0, (5.0, 15.0), 15.0),
+            (0.0, (0.0, 0.0), 0.0),
+        ],
+    )
+    def test_pieces_that_do_not_glue_rejected(self, inner, plateau, outer):
+        with pytest.raises(InvalidParameter, match="glue"):
+            Kernel("lp", 10.0, 0.5, inner_support=inner, outer_support=outer, plateau=plateau)
+
+
 class TestSpectralSupports:
     def test_mollifier_profile_exact(self, moll32):
         assert moll32.profile(0.0) == 1.0
@@ -103,13 +123,31 @@ class TestVerifyConditions:
     def test_mollifier_self_pair_fails_positive(self, moll32):
         assert not verify_lp_conditions((moll32, moll32), 1).passed
 
-    def test_uncertifiable_moments_fail_without_raising(self):
+    def test_narrow_pair_passes_at_order_10(self):
         diag = verify_lp_conditions(build_lp_pair(16.0, 0.25), 10)
+        assert diag.passed, diag.failures
+        assert diag.moments == [(a, 0.0) for a in range(11)]
+
+    @pytest.mark.parametrize("sigma", [8.0, 16.0, 32.0, 64.0])
+    @pytest.mark.parametrize("eta", [0.25, 0.5, 0.75])
+    def test_every_built_pair_passes_at_order_16(self, sigma, eta):
+        diag = verify_lp_conditions(build_lp_pair(sigma, eta), 16)
+        assert diag.passed, diag.failures
+
+    @pytest.mark.parametrize(
+        "phi_change,psi_change,fragment",
+        [
+            ({}, {"positive_from": 40.0}, "no admissible annulus"),
+            ({"positive_up_to": 80.0}, {"positive_up_to": 80.0}, "phi profile vanishes"),
+            ({}, {"positive_from": 2.0}, "psi profile vanishes"),
+        ],
+    )
+    def test_failure_branches(self, pair32, phi_change, psi_change, fragment):
+        # witness radii moved off the plateaus of the built pair
+        pair = (replace(pair32[0], **phi_change), replace(pair32[1], **psi_change))
+        diag = verify_lp_conditions(pair, 3)
         assert not diag.passed
-        assert [a for a, _ in diag.moments] == list(range(7))
-        assert [f.split(" not certifiable")[0] for f in diag.failures] == [
-            f"moment {a} of psi" for a in range(7, 11)
-        ]
+        assert [f for f in diag.failures if fragment in f], diag.failures
 
     @pytest.mark.parametrize(
         "sigma,eta",
@@ -129,17 +167,25 @@ class TestMomentOp:
         with pytest.raises(InvalidParameter):
             moment(moll32, 1.5)  # not read as order 1
 
-    def test_narrow_transition_raises(self):
+    def test_narrow_transition_exact(self):
         _, psi = build_lp_pair(16.0, 0.25)
-        with pytest.raises(QuadratureInaccurate):
-            moment(psi, 10)
+        assert moment(psi, 10) == 0.0
 
-    def test_2d_inherits_1d_certification(self):
-        # every profile is flat at 0, so this moment is exactly zero; the
-        # order-10 1-d quadrature cannot certify it, nor can the 2-d one
+    def test_2d_moment_exact(self):
+        # every profile is flat at 0, so this moment is exactly zero
         _, psi = build_lp_pair(8.0, 0.5)
-        with pytest.raises(QuadratureInaccurate):
-            moment(psi, (10, 0))
+        assert moment(psi, (10, 0)) == 0.0
+
+    def test_runs_no_fft(self, pair32, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("moment ran an FFT")
+
+        for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"):
+            monkeypatch.setattr(np.fft, name, refuse)
+        phi, psi = pair32
+        assert [moment(phi, 0), moment(psi, 0), moment(psi, 16)] == [1.0, 0.0, 0.0]
+        assert [moment(phi, (0, 0)), moment(phi, (2, 4))] == [1.0, 0.0]
+        assert verify_lp_conditions(pair32, 16).passed
 
     def test_2d_narrow_kernel(self):
         _, psi = build_lp_pair(16.0, 0.25)

@@ -63,6 +63,13 @@ class TestSpikeNetGeometry:
         net = SpikeNet(q=2.0).as_net()
         assert net(0.5) == 0.0
 
+    def test_q_parsed(self):
+        assert SpikeNet(q="2") == SpikeNet(q=2.0)
+        assert SpikeNet(q="inf").q == SpikeNet(q=None).q == math.inf
+        for bad in (0.5, "two", [2]):
+            with pytest.raises(InvalidParameter, match="q must be"):
+                SpikeNet(q=bad)
+
     def test_rejects_unknown_variant(self):
         with pytest.raises(InvalidParameter):
             SpikeNet(q=2.0, variant="remark9")
@@ -110,6 +117,32 @@ class TestSpikeIntegral:
             assert not res.finite
 
 
+class TestSpikeExponents:
+    # the spike sums are built from height^q x width terms: q must be finite
+    @pytest.mark.parametrize("q", ["inf", None, math.inf])
+    def test_infinite_q_rejected(self, q):
+        net = SpikeNet(q=2.0)
+        for call in (
+            lambda: spike_integral(net, 0.0, q),
+            lambda: classify_moderate(net, q),
+            lambda: classify_negligible(net, q),
+        ):
+            with pytest.raises(InvalidParameter, match="finite q"):
+                call()
+
+    @pytest.mark.parametrize("q", [0, 0.5, "two"])
+    def test_invalid_q_rejected(self, q):
+        with pytest.raises(InvalidParameter, match="q must be"):
+            spike_integral(SpikeNet(q=2.0), 0.0, q)
+        with pytest.raises(InvalidParameter, match="q must be"):
+            classify_moderate(SpikeNet(q=2.0), q)
+
+    def test_string_q_reads_as_number(self):
+        net = SpikeNet(q=2.0)
+        assert spike_integral(net, 0.0, "2") == spike_integral(net, 0.0, 2.0)
+        assert classify_moderate(net, "2") == classify_moderate(net, 2.0)
+
+
 class TestClassifyModerate:
     def test_unit_constant_net(self):
         one = constant_net(lambda e: 1.0, label="one")
@@ -139,6 +172,20 @@ class TestClassifyModerate:
             log_magnitude=lambda e: 1.0 / e,
         )
         assert not classify_moderate(angry, 2).moderate
+
+
+class TestDefaultScaleGrid:
+    def test_embedded_net_evaluated_above_its_eps_min(self, torus1k, pair32):
+        # the net's eps_min (about 0.0124) lies above the fixed grid's 1e-4
+        net = embed(heaviside(torus1k), pair32[0])
+        assert classify_moderate(net, 2) == ModerateVerdict(True, 1)
+        assert classify_negligible(net, 2) == NegligibleVerdict(False, -10)
+        profile = net_sobolev_profile(net, 0, "inf")
+        assert profile.grid == ScaleGrid(1.05 * net.eps_min, 1.0, 64)
+
+    def test_nets_without_eps_min_keep_the_fixed_grid(self, torus1k):
+        net = function_net(lambda e: sine(torus1k, 3), label="sine")
+        assert net_sobolev_profile(net, 0, "inf").grid == ScaleGrid(1e-4, 1.0, 64)
 
 
 class TestOneFitPerProfile:
@@ -222,6 +269,13 @@ class TestClosedFormClassification:
     def test_power_growth_moderate(self):
         net = _closed_form_net(lambda e: -2.0 * math.log(e), "e^-2")
         assert classify_moderate(net, 2) == ModerateVerdict(True, 3)
+
+    def test_sup_norm_verdict_matches_sampled_net(self):
+        # sup of eps^(s-2) is finite iff s >= 2; the integral needs s > 2
+        net = _closed_form_net(lambda e: -2.0 * math.log(e), "e^-2")
+        sampled = constant_net(lambda e: e**-2.0, label="e^-2")
+        assert classify_moderate(net, "inf") == ModerateVerdict(True, 2)
+        assert classify_moderate(sampled, "inf") == ModerateVerdict(True, 2)
 
 
 class TestModuleStructure:

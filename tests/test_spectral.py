@@ -10,6 +10,7 @@ from besovlab.association import association_verdict, bump_battery
 from besovlab.besov import besov_norm, detect_regularity, detect_smooth, embed
 from besovlab.errors import AliasingRisk, InvalidParameter, ScaleOutOfRange
 from besovlab.kernels import build_lp_pair, build_mollifier, kernel_space_norm
+from besovlab.nets import classify_moderate, classify_negligible, constant_net
 from besovlab.scales import ScaleGrid, convergence_verdict, q_integral, synthetic_profile
 from besovlab.signals import bump, constant, cosine, dirac, heaviside, kink, lacunary, sine
 from besovlab.spectral import (
@@ -314,6 +315,7 @@ def _exponent_entry_points():
     power = synthetic_profile(ScaleGrid(1e-3, 1.0, 32), lambda y: y**0.5)
     grid = ScaleGrid(0.02, 0.5, 16)
     battery = bump_battery(torus, count=4, seed=7)
+    growth = constant_net(lambda e: e**-2.0, "e^-2", lambda e: -2.0 * math.log(e))
     return {
         "lp_norm": lambda p: lp_norm(sine(torus), p),
         "kernel_space_norm": lambda p: kernel_space_norm(pair[0], p),
@@ -329,6 +331,8 @@ def _exponent_entry_points():
         "association_verdict": lambda q: association_verdict(
             heaviside(torus), embed(heaviside(torus), pair[0], grid), battery, q, grid
         ),
+        "classify_moderate": lambda q: classify_moderate(growth, q),
+        "classify_negligible": lambda q: classify_negligible(growth, q),
     }
 
 
@@ -346,6 +350,8 @@ class TestExponentParsing:
             "detect_smooth.p",
             "detect_smooth.q",
             "association_verdict",
+            "classify_moderate",
+            "classify_negligible",
         ],
     )
     def test_one_rule_at_every_entry_point(self, entry):
@@ -509,18 +515,18 @@ class TestL1Rule:
             return irfftn(*args, **kwargs)
 
         monkeypatch.setattr(np.fft, "irfftn", spy)
-        # band 318: 8 times the next power of two >= 2 * 318
+        # band 318: 8 times the smallest power of two > 2 * 318
         f = convolve_scaled(dirac(torus1k), pair32[0], 0.02).derivative(1)
         assert f.active_bandwidth(rtol=0.0) == 318
         lp_norm(f, 1)
         assert sizes == [8 * 1024]
-        # the top mode of a lacunary series sits at the band edge; the error
-        # estimate on the first grid fails and the second one is kept
+        # band 64 (a lacunary series): the grid is sized above 2 * 64, so its
+        # top mode stays off the band edge and one synthesis suffices
         sizes.clear()
         f = convolve_scaled(lacunary(torus1k, 0.5), pair32[0], 0.05).derivative(3)
         exact = trigonometric_l1(f.coefficients, torus1k.length)
         assert lp_norm(f, 1) == pytest.approx(exact, rel=1e-8)
-        assert sizes == [1024, 2048]
+        assert sizes == [8 * 256]
 
     def test_zeros_on_grid_nodes(self, torus64):
         # zeros at x = j/6, among them the nodes x = 0 and 1/2
