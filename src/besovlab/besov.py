@@ -23,7 +23,14 @@ import numpy as np
 from .errors import InvalidParameter, InvalidPair
 from .kernels import verify_lp_conditions
 from .nets import NetSpec
-from .scales import ScaleGrid, ScaleProfile, critical_exponent, q_integral, sweep
+from .scales import (
+    ScaleGrid,
+    ScaleProfile,
+    _scale_convolutions,
+    critical_exponent,
+    q_integral,
+    sweep,
+)
 from .spectral import (
     SpectralFunction,
     convolve_scaled,
@@ -153,10 +160,14 @@ def detect_regularity(T, p, q, k, pair, grid: ScaleGrid = None) -> RegularityRep
 def _net_profiles(T, phi, grid, p):
     """k -> the W^{k,p} profile of the mollifier net, each order computed once.
 
-    The arithmetic is that of sweep(T, phi, grid, k, p); raising k computes
-    only the norm-table columns of the new orders.
+    The arithmetic is that of sweep(T, phi, grid, k, p): at p = 2 each
+    scale is convolved on its band torus, which holds the support of the
+    dilated kernel's transform and gives the same L^2 norms from fewer
+    modes; other p keep T's torus, which their quadratures sample on.
+    Raising k computes only the norm-table columns of the new orders, from
+    the convolutions kept here.
     """
-    convs = [convolve_scaled(T, phi, y) for y in grid.values()]
+    convs = list(_scale_convolutions(T, phi, grid, p))
     by_order = []  # by_order[j]: per-scale max over the multi-indices of order j
 
     def profile_at(k):

@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import DegenerateProfile, InvalidParameter, ScaleOutOfRange
 from .spectral import (
+    _band_restrict,
     convolve_scaled,
     derivative_order,
     min_scale,
@@ -108,15 +109,31 @@ class ScaleProfile:
 
 
 def sweep(T, kernel, grid: ScaleGrid, k=0, p=2):
-    """Profile N(y_j) = ||T * K_{y_j}||_{W^{k,p}} over the grid."""
+    """Profile N(y_j) = ||T * K_{y_j}||_{W^{k,p}} over the grid.
+
+    At p = 2 each scale is convolved on its band torus, the smallest
+    power-of-two torus that holds the support of K_y's transform: the
+    norms are those on T's torus (Parseval does not see the storage grid),
+    at a fraction of the modes for the coarse scales.  Other p keep T's
+    torus, because the grid sup and the rectangle rules sample on it.
+    """
+    convs = _scale_convolutions(T, kernel, grid, p)
+    norms = sobolev_table(convs, range(derivative_order(k) + 1), p).max(axis=1)
+    return ScaleProfile(grid, norms, {"k": k, "p": str(p), "kernel": kernel.label})
+
+
+def _scale_convolutions(T, kernel, grid: ScaleGrid, p):
+    """T * K_y for y over the grid, one convolve_scaled per scale (a
+    generator), on the band torus of spectral._band_restrict at p = 2 and on
+    T's torus otherwise (see sweep)."""
     lo = min_scale(kernel, T.torus)
     if grid.y_min < lo * (1.0 - 1e-12):
         raise ScaleOutOfRange(
             f"grid bottom {grid.y_min:.3g} below kernel minimum scale {lo:.3g}"
         )
-    convs = (convolve_scaled(T, kernel, y) for y in grid.values())
-    norms = sobolev_table(convs, range(derivative_order(k) + 1), p).max(axis=1)
-    return ScaleProfile(grid, norms, {"k": k, "p": str(p), "kernel": kernel.label})
+    if parse_exponent(p) != 2.0:
+        return (convolve_scaled(T, kernel, y) for y in grid.values())
+    return (convolve_scaled(_band_restrict(T, kernel, y), kernel, y) for y in grid.values())
 
 
 def synthetic_profile(grid: ScaleGrid, fn, meta=None):

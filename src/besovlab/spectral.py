@@ -10,6 +10,15 @@ samples: the grid sup at p = inf, the rectangle rule with closed-form kink
 terms at p = 1 for real 1-d inputs, and the plain rectangle rule
 otherwise.  Real-valued inputs are synthesized from the half spectrum.
 
+T * K_y is a trigonometric polynomial of degree below outer_support L /
+(2 pi y), so at a coarse scale most of T's modes are multiplied by 0.  A
+p = 2 scale sweep therefore convolves each scale on the band torus
+(_band_restrict): the smallest power-of-two torus holding K_y's support,
+with the same modes, frequencies and multipliers.  Parseval does not see
+the storage grid, so the L^2 norms are those of the full torus up to
+summation order.  Other p keep T's torus, because the grid sup and the
+rectangle rules sample on it and their errors depend on its size.
+
 Conventions
 -----------
 * Synthesis:  f(x) = sum_m c_m exp(i xi_m x).
@@ -82,6 +91,11 @@ _KINK_FLOOR = 1e-11
 _BAND_DECAY_RTOL = 1e-12
 # Relative asymmetry below which coefficients count as conjugate-symmetric.
 _REAL_RTOL = 1e-10
+# Entries of each per-torus cache (radial layout, derivative multipliers).
+# A p = 2 sweep visits up to log2(N/8) + 1 band tori (_band_restrict), each
+# with one multiplier per derivative order: detect_smooth at N = 16384 uses
+# about 8 tori x 8 orders, which must stay cached between analyses.
+_TORUS_CACHE_SIZE = 128
 
 
 def _is_pow2(n):
@@ -151,7 +165,7 @@ class Torus:
         return _radial_layout(self, True)
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=_TORUS_CACHE_SIZE)
 def _radial_layout(torus, euclidean):
     """The one place where the 1-d/2-d radial layout is decided."""
     r = np.abs(torus.frequencies() if euclidean else torus.modes())
@@ -186,7 +200,11 @@ class SpectralFunction:
             raise InvalidParameter(
                 f"coefficient shape {c.shape} does not match torus {self.torus.coeff_shape()}"
             )
-        if not np.all(np.isfinite(c)):
+        # any inf or nan makes the sum non-finite; a finite sum settles it
+        # in one pass, and only an overflowing sum needs the full check
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(c.sum()) or np.all(np.isfinite(c))
+        if not finite:
             raise InvalidParameter("coefficients must be finite")
         object.__setattr__(self, "coefficients", c)
         if self.tag not in ("function", "distribution"):
@@ -271,7 +289,7 @@ class SpectralFunction:
         return SpectralFunction(self.torus, out, self.tag)
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=_TORUS_CACHE_SIZE)
 def _derivative_multiplier(torus, a):
     """(i xi)^a over the torus's modes, read-only and cached per (torus, a).
 
@@ -647,6 +665,29 @@ def convolve_scaled(T: SpectralFunction, kernel, y):
         )
     mult = kernel.profile(y * T.torus.frequency_radius())
     return SpectralFunction(T.torus, T.coefficients * mult, "function")
+
+
+def _band_restrict(T: SpectralFunction, kernel, y):
+    """T's central (n+1)^d modes on Torus(d, L, n), for the smallest power of
+    two n in [8, N] at which convolve_scaled(., kernel, y) accepts y.
+
+    Every mode left out, and every kept mode on the band's edge, has
+    |xi| >= pi n / L, where K_hat(y xi) is exactly 0, so the convolution on
+    the band torus carries exactly the nonzero modes of
+    convolve_scaled(T, kernel, y).  A y that no smaller torus accepts gets
+    T itself.
+    """
+    torus = T.torus
+    # the n at which y sits on convolve_scaled's bound, min_scale * (1 - 1e-12)
+    edge = min_scale(kernel, torus) * (1.0 - 1e-12) * torus.grid_size / y
+    n = max(8, 1 << (math.ceil(edge) - 1).bit_length())
+    if n >= torus.grid_size:
+        return T
+    band = Torus(torus.dimension, torus.length, n)
+    if y < min_scale(kernel, band) * (1.0 - 1e-12):  # a rounding at the bound
+        return T
+    m, h = torus.mode_max, n // 2
+    return SpectralFunction(band, T.coefficients[(slice(m - h, m + h + 1),) * torus.dimension], T.tag)
 
 
 def localize(T: SpectralFunction, window: SpectralFunction) -> SpectralFunction:

@@ -162,6 +162,11 @@ class TestBesovNorm:
         v2 = besov_norm(dirac(torus16k), 0.0, "inf", "inf", pair512, ScaleGrid(0.0131, 0.1, 24))
         assert (v2 - first) / (v1 - first) == pytest.approx(2.0, rel=0.05)
 
+    def test_order_above_16_runs(self, torus1k, pair32):
+        # every psi moment is exact, so no order cap stops the pair check
+        grid = ScaleGrid(0.02, 0.5, 16)
+        assert math.isfinite(besov_norm(heaviside(torus1k), 17, 2, 2, pair32, grid))
+
     def test_invalid_pair_rejected(self, torus1k, moll32):
         grid = ScaleGrid(0.02, 0.5, 16)
         with pytest.raises(InvalidPair):

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -134,6 +135,19 @@ class TestVerifyConditions:
         diag = verify_lp_conditions(build_lp_pair(sigma, eta), 16)
         assert diag.passed, diag.failures
 
+    @pytest.mark.parametrize("s", [17, 40])
+    def test_orders_above_16_pass(self, pair32, s):
+        diag = verify_lp_conditions(pair32, s)
+        assert diag.passed, diag.failures
+        assert diag.moments == [(a, 0.0) for a in range(s + 1)]
+
+    @pytest.mark.parametrize("s", [math.inf, math.nan, "2"])
+    def test_non_finite_or_non_numeric_order_fails_without_raising(self, pair32, s):
+        diag = verify_lp_conditions(pair32, s)
+        assert not diag.passed
+        assert diag.moments == []
+        assert [f for f in diag.failures if "finite real number" in f], diag.failures
+
     @pytest.mark.parametrize(
         "phi_change,psi_change,fragment",
         [
@@ -160,8 +174,7 @@ class TestVerifyConditions:
 
 class TestMomentOp:
     def test_order_cap(self, moll32):
-        with pytest.raises(InvalidParameter):
-            moment(moll32, 17)
+        assert moment(moll32, 17) == 0.0
         with pytest.raises(InvalidParameter):
             moment(moll32, -1)
         with pytest.raises(InvalidParameter):

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from besovlab import spectral
+from besovlab.besov import default_grid, detect_regularity, detect_smooth
 from besovlab.errors import DegenerateProfile, InvalidParameter, ScaleOutOfRange
 from besovlab.scales import (
     ScaleGrid,
@@ -14,6 +16,7 @@ from besovlab.scales import (
     synthetic_profile,
 )
 from besovlab.signals import dirac, heaviside, lacunary, sine
+from besovlab.spectral import SpectralFunction, Torus, convolve_scaled, sobolev_table
 from oracles import antiderivative_lp, power_law_q_integral
 
 
@@ -77,6 +80,110 @@ class TestSweep:
     def test_metadata(self, heaviside_profile):
         assert heaviside_profile.meta["k"] == 0
         assert "lp-psi" in heaviside_profile.meta["kernel"]
+
+
+def _random_field(torus, seed=7):
+    rng = np.random.default_rng(seed)
+    shape = torus.coeff_shape()
+    return SpectralFunction(torus, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+
+
+def _oracle(T, kernel, grid, k):
+    """The p = 2 profile from convolutions on T's own torus."""
+    convs = (convolve_scaled(T, kernel, y) for y in grid.values())
+    return sobolev_table(convs, range(k + 1), 2).max(axis=1)
+
+
+def _boundary_grid(kernel, torus):
+    """Scales from outer_support L / (pi * 16) down to min_scale with ratio
+    2^(-1/j), at least 16 of them: every j-th sits on the bound of a band
+    torus, outer_support L / (pi n) for n = 16, 32, ..., N."""
+    doublings = int(math.log2(torus.grid_size // 16))
+    j = -(-15 // doublings)
+    y_max = kernel.outer_support * torus.length / (math.pi * 16)
+    return ScaleGrid(spectral.min_scale(kernel, torus), y_max, j * doublings + 1)
+
+
+@pytest.fixture
+def lp_torus_sizes(monkeypatch):
+    """Grid sizes of the fields lp_norm is called on, in call order."""
+    sizes = []
+    original = spectral.lp_norm
+
+    def spy(f, p):
+        sizes.append(f.torus.grid_size)
+        return original(f, p)
+
+    monkeypatch.setattr(spectral, "lp_norm", spy)
+    return sizes
+
+
+class TestBandTorus:
+    @pytest.mark.parametrize("which", [0, 1])  # phi, psi
+    @pytest.mark.parametrize("k", [0, 3])
+    @pytest.mark.parametrize("d,n", [(1, 4096), (1, 16384), (2, 128), (2, 256)])
+    def test_p2_sweep_matches_full_torus(self, pair32, which, k, d, n):
+        T = _random_field(Torus(d, 1.0, n))
+        kernel = pair32[which]
+        for grid in (default_grid(T.torus, kernel), _boundary_grid(kernel, T.torus)):
+            np.testing.assert_allclose(
+                sweep(T, kernel, grid, k, 2).norms, _oracle(T, kernel, grid, k), rtol=1e-13, atol=0
+            )
+
+    @pytest.mark.parametrize("d,n", [(1, 4096), (2, 128)])
+    def test_band_restrict_on_each_bound(self, pair32, d, n):
+        T = _random_field(Torus(d, 3.0, n))
+        phi = pair32[0]
+        sizes = 8 << np.arange(int(math.log2(n // 8)) + 1)
+        for size in sizes:
+            y = phi.outer_support * T.torus.length / (math.pi * size)
+            band = spectral._band_restrict(T, phi, y)
+            assert band.torus.grid_size == size
+            m, h = n // 2, int(size) // 2
+            full = convolve_scaled(T, phi, y).coefficients
+            inside = (slice(m - h, m + h + 1),) * d
+            np.testing.assert_array_equal(convolve_scaled(band, phi, y).coefficients, full[inside])
+            outside = full.copy()
+            outside[inside] = 0.0
+            assert not np.any(outside)
+            if size < n:  # just below the bound, the next torus up
+                assert spectral._band_restrict(T, phi, y * (1.0 - 1e-9)).torus.grid_size == 2 * size
+
+    def test_fields_live_on_band_tori_only_at_p2(self, torus4k, pair32, lp_torus_sizes):
+        phi = pair32[0]
+        T = dirac(torus4k)
+        grid = default_grid(torus4k, phi)
+        sweep(T, phi, grid, 1, 2)
+        want = [
+            max(8, 1 << math.ceil(math.log2(phi.outer_support / (math.pi * y)))) for y in grid.values()
+        ]
+        assert lp_torus_sizes == [min(4096, w) for w in want for _ in range(2)]
+        assert min(lp_torus_sizes) < 4096
+        for p in (1, "inf"):
+            lp_torus_sizes.clear()
+            sweep(T, phi, grid, 1, p)
+            assert lp_torus_sizes and set(lp_torus_sizes) == {4096}
+
+    def test_detectors_use_band_tori_only_at_p2(self, torus4k, pair32, lp_torus_sizes):
+        T = dirac(torus4k)
+        detect_regularity(T, 2, "inf", 1, pair32)
+        assert min(lp_torus_sizes) < 4096
+        for p in (1, "inf"):
+            lp_torus_sizes.clear()
+            detect_regularity(T, p, "inf", 1, pair32)
+            assert lp_torus_sizes and set(lp_torus_sizes) == {4096}
+        two_d = dirac(Torus(2, 1.0, 128))
+        lp_torus_sizes.clear()
+        detect_regularity(two_d, "inf", "inf", 1, pair32)
+        assert lp_torus_sizes and set(lp_torus_sizes) == {128}
+
+    def test_caches_hold_a_smooth_detection(self, torus16k, pair32):
+        T = heaviside(torus16k)
+        caches = (spectral._derivative_multiplier, spectral._radial_layout)
+        detect_smooth(T, 2, "inf", pair32, k_max=8)
+        misses = [c.cache_info().misses for c in caches]
+        detect_smooth(T, 2, "inf", pair32, k_max=8)
+        assert [c.cache_info().misses for c in caches] == misses
 
 
 class TestQIntegral:

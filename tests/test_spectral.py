@@ -366,6 +366,20 @@ class TestExponentParsing:
         assert call("2") == call(2) == call(2.0)
 
 
+class TestFinitenessCheck:
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0.0, np.inf), complex(np.nan, 1.0)])
+    def test_inf_or_nan_raises(self, bad):
+        c = np.ones(9, dtype=complex)
+        c[4] = bad
+        with pytest.raises(InvalidParameter, match="finite"):
+            SpectralFunction(_T8, c)
+
+    @pytest.mark.parametrize("values", [[1e308] * 9, [1e308, -1e308] * 4 + [1e308]])
+    def test_finite_modes_whose_sum_overflows_accepted(self, values):
+        f = SpectralFunction(_T8, np.asarray(values, dtype=complex))
+        assert np.all(f.coefficients.real == values)
+
+
 class TestSobolevTable:
     def test_columns_are_graded_multi_indices(self):
         t = Torus(2, 1.0, 16)
