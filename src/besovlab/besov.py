@@ -26,6 +26,7 @@ from .nets import NetSpec
 from .scales import (
     ScaleGrid,
     ScaleProfile,
+    _line_fits,
     _scale_convolutions,
     critical_exponent,
     q_integral,
@@ -219,7 +220,7 @@ def detect_smooth(T, p, q, pair, grid: ScaleGrid = None, k_max=8) -> SmoothEvide
     ks = np.arange(k_max + 1, dtype=float)
     finite = np.isfinite(s_hats)
     if finite.sum() >= 2:
-        growth = float(np.polyfit(ks[finite], np.asarray(s_hats)[finite], 1)[0])
+        growth = float(_line_fits(ks[finite], np.asarray(s_hats)[finite], finite.sum())[0][0])
     else:
         growth = 0.0
     witness = max((s for s in s_hats if math.isfinite(s)), default=0.0) + 0.5

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InvalidParameter
-from .scales import ExponentFit, ScaleGrid, ScaleProfile, _fit_verdict, critical_exponent
+from .scales import ExponentFit, ScaleGrid, ScaleProfile, _fit_verdict, _line_fits
+from .scales import critical_exponent  # by name: tests monkeypatch nets.critical_exponent
 from .spectral import (
     SpectralFunction,
     derivative_order,
@@ -299,10 +300,8 @@ def _analytic_fit(net: NetSpec, grid):
     if not np.all(np.isfinite(logs)):
         return None
     h = y.size // 2
-    t, b = np.log(y[-h:]), logs[-h:]
-    slope, icept = np.polyfit(t, b, 1)
-    resid = float(np.max(np.abs(b - (slope * t + icept))))
-    return ExponentFit(float(slope), 0.0, (float(y[-1]), float(y[-h])), h, resid)
+    slope, _, resid, _ = _line_fits(np.log(y[-h:]), logs[-h:], h)
+    return ExponentFit(float(slope[0]), 0.0, (float(y[-1]), float(y[-h])), h, float(resid[0]))
 
 
 def _superpolynomial_growth(profile):
@@ -312,10 +311,8 @@ def _superpolynomial_growth(profile):
     good = n > 0
     if good.sum() < 12:
         return False
-    t, b = np.log(y[good]), np.log(n[good])
-    full = np.polyfit(t, b, 1)[0]
-    halfn = t.size // 2
-    half = np.polyfit(t[-halfn:], b[-halfn:], 1)[0]
+    slope = _line_fits(np.log(y[good]), np.log(n[good]), good.sum() // 2)[0]
+    full, half = slope[0], slope[-1]
     return half < full - 1.0 and half < -S_CAP
 
 

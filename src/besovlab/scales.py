@@ -15,6 +15,7 @@ power-law test is "a > s".
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -150,6 +151,7 @@ def q_integral(profile: ScaleProfile, s, q):
     target for steep integrands); q = inf: max of y^s N(y).  May return inf
     when the weighted terms overflow.
     """
+    _check_order(s)
     q = parse_exponent(q, "q")
     y = profile.grid.values()
     n = profile.norms
@@ -216,32 +218,33 @@ def critical_exponent(profile: ScaleProfile):
     if m < MIN_WINDOW:
         raise DegenerateProfile(f"only {m} usable scales")
 
-    longest = None
-    for w in range(m, MIN_WINDOW - 1, -1):
-        tt, bb = t[-w:], b[-w:]
-        slope, icept = np.polyfit(tt, bb, 1)
-        resid = bb - (slope * tt + icept)
-        maxres = float(np.max(np.abs(resid)))
-        stderr = _slope_stderr(tt, resid)
-        fit = ExponentFit(
-            float(slope), stderr, (float(np.exp(tt[-1])), float(np.exp(tt[0]))), w, maxres
-        )
-        if longest is None:
-            longest = fit
-        if maxres <= WINDOW_RESIDUAL_TOL:
-            return fit
-    # no suffix is residual-clean (log-periodic wobble): the longest window
-    # averages the wobble out, short ones fit a single staircase tread
-    return longest
+    slope, _, maxres, stderr = _line_fits(t, b, MIN_WINDOW)
+    # the longest residual-clean suffix, else the longest: under log-periodic
+    # wobble it averages the wobble out, short ones fit a single staircase tread
+    clean = np.flatnonzero(maxres <= WINDOW_RESIDUAL_TOL)
+    i = int(clean[0]) if clean.size else 0
+    window = (float(np.exp(t[-1])), float(np.exp(t[i])))
+    return ExponentFit(float(slope[i]), float(stderr[i]), window, m - i, float(maxres[i]))
 
 
-def _slope_stderr(t, resid):
-    w = t.size
-    if w <= 2:
-        return 0.0
-    var = float(np.sum(resid**2)) / (w - 2)
-    sxx = float(np.sum((t - t.mean()) ** 2))
-    return math.sqrt(var / sxx) if sxx > 0 else math.inf
+def _line_fits(t, b, shortest):
+    """OLS fits b ~ slope t + icept of every suffix of (t, b) with at least
+    `shortest` points, longest first: the arrays (slope, icept, maxres,
+    stderr), entry i for the suffix t[i:].
+
+    Suffix sums give every window's means, and one (suffixes x points)
+    table of window-centred t and b gives every slope, residual and slope
+    stderr (0 for two points) at once, with the accuracy of a two-pass fit.
+    """
+    w = np.arange(t.size, shortest - 1, -1)
+    tb = np.stack([t, b])
+    mean_t, mean_b = means = np.cumsum(tb[:, ::-1], axis=1)[:, ::-1][:, : w.size] / w
+    tw, bw = (tb[:, None, :] - means[:, :, None]) * (np.arange(t.size) >= np.arange(w.size)[:, None])
+    sxx = np.einsum("ij,ij->i", tw, tw)
+    slope = np.einsum("ij,ij->i", tw, bw) / sxx
+    resid = bw - slope[:, None] * tw
+    stderr = np.sqrt(np.einsum("ij,ij->i", resid, resid) / np.maximum(w - 2, 1) / sxx) * (w > 2)
+    return slope, mean_b - slope * mean_t, np.max(np.abs(resid), axis=1), stderr
 
 
 def convergence_verdict(profile: ScaleProfile, s, q):
@@ -253,8 +256,14 @@ def convergence_verdict(profile: ScaleProfile, s, q):
     the verdict is "borderline": log corrections at the critical index
     distinguish q < inf from q = inf and finite data cannot resolve them.
     """
+    _check_order(s)
     q = parse_exponent(q, "q")
     return _fit_verdict(critical_exponent(profile), s, q)
+
+
+def _check_order(s):
+    if not (isinstance(s, numbers.Real) and math.isfinite(s)):
+        raise InvalidParameter(f"s must be a finite real number, got {s!r}")
 
 
 def _fit_verdict(fit: ExponentFit, s, q):

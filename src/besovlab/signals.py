@@ -7,6 +7,9 @@ Holder exponent, and band-limited smooth bumps used as windows and test
 functions.  All emit Nyquist-balanced coefficient arrays.
 """
 
+import math
+import numbers
+
 import numpy as np
 
 from .errors import InvalidParameter
@@ -70,22 +73,23 @@ def kink(torus: Torus):
 
 
 def sine(torus: Torus, mode=1):
-    c = _empty_1d(torus)
-    mmax = torus.mode_max
-    if not (0 < mode < mmax):
-        raise InvalidParameter(f"mode {mode} out of range")
-    c[mmax + mode] = -0.5j
-    c[mmax - mode] = 0.5j
-    return SpectralFunction(torus, c, "function")
+    return _mode_pair(torus, mode, -0.5j, 0.5j)
 
 
 def cosine(torus: Torus, mode=1):
+    return _mode_pair(torus, mode, 0.5, 0.5)
+
+
+def _mode_pair(torus, mode, plus, minus):
+    """Coefficients plus at +mode and minus at -mode, for an integer 0 < mode < mode_max."""
     c = _empty_1d(torus)
     mmax = torus.mode_max
+    if not isinstance(mode, (int, np.integer)):
+        raise InvalidParameter(f"mode must be an integer, got {mode!r}")
     if not (0 < mode < mmax):
         raise InvalidParameter(f"mode {mode} out of range")
-    c[mmax + mode] = 0.5
-    c[mmax - mode] = 0.5
+    c[mmax + mode] = plus
+    c[mmax - mode] = minus
     return SpectralFunction(torus, c, "function")
 
 
@@ -119,11 +123,14 @@ def bump(torus: Torus, center=0.5, halfwidth=0.1):
     """
     if torus.dimension != 1:
         raise InvalidParameter("bump is one-dimensional")
-    if not (0 < halfwidth):
-        raise InvalidParameter("halfwidth must be positive")
+    if not (isinstance(halfwidth, numbers.Real) and 0 < halfwidth < math.inf):
+        raise InvalidParameter(f"halfwidth must be positive and finite, got {halfwidth!r}")
+    if not (isinstance(center, numbers.Real) and math.isfinite(center)):
+        raise InvalidParameter(f"center must be a finite real number, got {center!r}")
     xi = torus.frequencies()
     h = float(halfwidth)
-    g = np.exp(-((xi * h) ** 2) / 4.0)
+    with np.errstate(over="ignore"):  # a huge halfwidth: exp(-inf) = 0 is exact
+        g = np.exp(-((xi * h) ** 2) / 4.0)
     g[np.abs(g) < 1e-18 * np.max(g)] = 0.0
     g[0] = g[-1] = 0.0
     # positive coefficients: the peak sits exactly at the center

@@ -142,3 +142,30 @@ def power_law_q_integral(a, s, q, y_min):
     if c <= 0:
         return np.inf
     return (1.0 - y_min**c) / c
+
+
+def suffix_line_fits(t, b, shortest):
+    """np.polyfit of every suffix t[i:], b[i:] with at least `shortest`
+    points, longest first: rows (slope, intercept, max |residual|, slope
+    stderr), the stderr 0 for two points."""
+    rows = []
+    for i in range(t.size - shortest + 1):
+        tt, bb = t[i:], b[i:]
+        slope, icept = np.polyfit(tt, bb, 1)
+        resid = bb - (slope * tt + icept)
+        dof = tt.size - 2
+        var = np.sum(resid**2) / dof if dof > 0 else 0.0
+        rows.append((slope, icept, np.max(np.abs(resid)), np.sqrt(var / np.sum((tt - tt.mean()) ** 2))))
+    return np.array(rows).T
+
+
+def longest_first_window(t, b, shortest, tol):
+    """Points of the suffix the longest-first rule fits: one np.polyfit per
+    suffix, longest first, stopping at the first whose max |residual| is
+    within tol; the longest suffix when none is."""
+    for w in range(t.size, shortest - 1, -1):
+        tt, bb = t[-w:], b[-w:]
+        slope, icept = np.polyfit(tt, bb, 1)
+        if np.max(np.abs(bb - (slope * tt + icept))) <= tol:
+            return w
+    return t.size

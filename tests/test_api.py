@@ -16,7 +16,14 @@ from besovlab.besov import detect_regularity, detect_smooth
 from besovlab.errors import DegenerateProfile, InvalidParameter
 from besovlab.kernels import build_lp_pair, verify_lp_conditions
 from besovlab.nets import NetSpec, SpikeNet, constant_net, function_net, spike_integral
-from besovlab.scales import ScaleGrid, ScaleProfile, critical_exponent, synthetic_profile
+from besovlab.scales import (
+    ScaleGrid,
+    ScaleProfile,
+    convergence_verdict,
+    critical_exponent,
+    q_integral,
+    synthetic_profile,
+)
 from besovlab.signals import bump, constant, cosine, heaviside, lacunary, sine
 from besovlab.spectral import Torus, lp_norm, sobolev_norm, sobolev_table, to_jsonable
 
@@ -141,6 +148,7 @@ class TestReportSerialization:
 
 _T8 = Torus(1, 1.0, 8)
 _G16 = ScaleGrid(0.1, 1.0, 16)
+_FLAT = ScaleProfile(_G16, np.ones(16))
 _ONE = constant_net(lambda e: 1.0, label="one")
 _SINE = function_net(lambda e: sine(_T8), label="sine")
 _TYPED_ERRORS = {  # case -> (error class, message fragment, call)
@@ -163,6 +171,14 @@ _TYPED_ERRORS = {  # case -> (error class, message fragment, call)
     "2-d bump": (InvalidParameter, "bump is one-dimensional", lambda: bump(Torus(2, 1.0, 8))),
     "bump halfwidth": (InvalidParameter, "halfwidth", lambda: bump(_T8, halfwidth=0.0)),
     "pair sigma": (InvalidParameter, "sigma must be positive", lambda: build_lp_pair(0.0, 0.5)),
+    "sine non-integer mode": (InvalidParameter, "mode must be an integer", lambda: sine(_T8, 1.5)),
+    "cosine non-integer mode": (InvalidParameter, "mode must be an integer", lambda: cosine(_T8, 1.5)),
+    "bump infinite halfwidth": (InvalidParameter, "halfwidth", lambda: bump(_T8, halfwidth=math.inf)),
+    "bump center": (InvalidParameter, "center", lambda: bump(_T8, center=math.nan)),
+    "q_integral nan s": (InvalidParameter, "s must be", lambda: q_integral(_FLAT, math.nan, 2)),
+    "q_integral string s": (InvalidParameter, "s must be", lambda: q_integral(_FLAT, "1", 2)),
+    "verdict nan s": (InvalidParameter, "s must be", lambda: convergence_verdict(_FLAT, math.nan, 2)),
+    "verdict string s": (InvalidParameter, "s must be", lambda: convergence_verdict(_FLAT, "1", 2)),
 }
 
 
@@ -171,3 +187,9 @@ def test_typed_errors(case):
     error, fragment, call = _TYPED_ERRORS[case]
     with pytest.raises(error, match=fragment):
         call()
+
+
+def test_bump_of_overflowing_halfwidth_is_the_constant_one():
+    # (xi h)^2 overflows to inf for every nonzero mode; exp(-inf) = 0 is exact
+    c = bump(Torus(1, 1.0, 64), halfwidth=1e200).coefficients
+    assert c[32] == 1.0 and np.count_nonzero(c) == 1

@@ -7,6 +7,9 @@ from besovlab import spectral
 from besovlab.besov import default_grid, detect_regularity, detect_smooth
 from besovlab.errors import DegenerateProfile, InvalidParameter, ScaleOutOfRange
 from besovlab.scales import (
+    MIN_WINDOW,
+    WINDOW_RESIDUAL_TOL,
+    ZERO_RTOL,
     ScaleGrid,
     ScaleProfile,
     convergence_verdict,
@@ -14,10 +17,11 @@ from besovlab.scales import (
     q_integral,
     sweep,
     synthetic_profile,
+    _line_fits,
 )
-from besovlab.signals import dirac, heaviside, lacunary, sine
+from besovlab.signals import dirac, heaviside, kink, lacunary, sine
 from besovlab.spectral import SpectralFunction, Torus, convolve_scaled, sobolev_table
-from oracles import antiderivative_lp, power_law_q_integral
+from oracles import antiderivative_lp, longest_first_window, power_law_q_integral, suffix_line_fits
 
 
 @pytest.fixture(scope="module")
@@ -273,6 +277,73 @@ class TestCriticalExponent:
         grid = ScaleGrid(1e-3, 1.0, 16)
         fit = critical_exponent(ScaleProfile(grid, np.zeros(16)))
         assert fit.is_sentinel
+
+
+_GRID48 = ScaleGrid(0.002, 0.25, 48)
+
+
+def _interior_zeros(y):
+    n = y**1.5 * (1.0 + 0.01 * np.sin(40.0 * y))
+    n[[5, 17, 30, 41]] = 0.0
+    return n
+
+
+_SYNTHETIC = {  # profile -> norms on _GRID48
+    # a wobble of 0.3 in log units over every octave: no window is clean
+    "log-periodic": lambda y: y**0.5 * np.exp(0.3 * np.sin(2.0 * np.pi * np.log2(y))),
+    # bent at the coarse scales: the clean window is a proper suffix
+    "bent": lambda y: y ** (-1.0) * (1.0 + 8.0 * y),
+    "interior zeros": _interior_zeros,
+}
+
+_SWEPT = {
+    "dirac": dirac,
+    "heaviside": heaviside,
+    "kink": kink,
+    "lacunary": lambda torus: lacunary(torus, 0.5),
+}
+
+
+class TestLineFits:
+    @pytest.mark.parametrize("shortest", [2, 8, 48])
+    def test_matches_polyfit_per_suffix(self, shortest):
+        rng = np.random.default_rng(11)
+        t = np.log(_GRID48.values())
+        for b in (1.5 * t + 0.2 * rng.standard_normal(t.size), -3.5 * t + 2.0 + np.sin(5.0 * t)):
+            got = np.array(_line_fits(t, b, shortest))
+            assert got.shape == (4, t.size - shortest + 1)
+            np.testing.assert_allclose(got, suffix_line_fits(t, b, shortest), rtol=0, atol=1e-12)
+
+    @staticmethod
+    def _assert_longest_first_window(profile):
+        n = profile.norms
+        usable = n > ZERO_RTOL * max(1.0, n.max())
+        t, b = np.log(profile.grid.values()[usable]), np.log(n[usable])
+        w = longest_first_window(t, b, MIN_WINDOW, WINDOW_RESIDUAL_TOL)
+        slope, _, maxres, stderr = suffix_line_fits(t, b, MIN_WINDOW)[:, t.size - w]
+        fit = critical_exponent(profile)
+        assert fit.points == w
+        assert fit.window == (np.exp(t[-1]), np.exp(t[-w]))
+        assert (fit.slope, fit.stderr, fit.residual) == pytest.approx((slope, stderr, maxres), abs=1e-12)
+        return fit, t.size
+
+    @pytest.mark.parametrize("signal", sorted(_SWEPT))
+    def test_window_of_the_longest_first_rule_on_sweeps(self, signal, torus16k, pair32):
+        _, psi = pair32
+        T = _SWEPT[signal](torus16k)
+        self._assert_longest_first_window(sweep(T, psi, default_grid(torus16k, psi), k=3, p=2))
+
+    @pytest.mark.parametrize("case", sorted(_SYNTHETIC))
+    def test_window_of_the_longest_first_rule_on_synthetic_profiles(self, case):
+        fit, usable = self._assert_longest_first_window(
+            ScaleProfile(_GRID48, _SYNTHETIC[case](_GRID48.values()))
+        )
+        if case == "log-periodic":
+            assert fit.points == usable and fit.residual > WINDOW_RESIDUAL_TOL
+        if case == "bent":
+            assert MIN_WINDOW < fit.points < usable
+        if case == "interior zeros":
+            assert usable == 44
 
 
 class TestConvergenceVerdict:
