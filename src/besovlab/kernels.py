@@ -85,6 +85,9 @@ class Kernel:
     positive_from, positive_up_to : float
         Radii between which the profile is provably >= 1/2 (witness range
         for the non-vanishing checks).
+
+    profile must depend only on these frozen fields: spectral caches the
+    multipliers it gives by kernel equality.
     """
 
     kind: str

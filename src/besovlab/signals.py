@@ -119,7 +119,8 @@ def bump(torus: Torus, center=0.5, halfwidth=0.1):
     sum to 1 (the peak value) and cut once they decay below 1e-18 of the
     top; the result is smooth, effectively supported within a
     few halfwidths of the center, and safely inside the band for
-    halfwidth >~ 10/N.
+    halfwidth >~ 10/N.  The center is taken modulo L, so a huge one does
+    not overflow the phase.
     """
     if torus.dimension != 1:
         raise InvalidParameter("bump is one-dimensional")
@@ -135,5 +136,5 @@ def bump(torus: Torus, center=0.5, halfwidth=0.1):
     g[0] = g[-1] = 0.0
     # positive coefficients: the peak sits exactly at the center
     g = g / np.sum(g)
-    c = g * np.exp(-1j * xi * center)
+    c = g * np.exp(-1j * xi * (center % torus.length))
     return SpectralFunction(torus, c, "function")

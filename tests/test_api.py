@@ -193,3 +193,9 @@ def test_bump_of_overflowing_halfwidth_is_the_constant_one():
     # (xi h)^2 overflows to inf for every nonzero mode; exp(-inf) = 0 is exact
     c = bump(Torus(1, 1.0, 64), halfwidth=1e200).coefficients
     assert c[32] == 1.0 and np.count_nonzero(c) == 1
+
+
+def test_bump_of_huge_center_is_reduced_modulo_the_period():
+    # xi * 1e306 would overflow; 1e306 is a whole number of periods
+    t = Torus(1, 1.0, 4096)
+    np.testing.assert_array_equal(bump(t, center=1e306).coefficients, bump(t, center=0.0).coefficients)

@@ -183,7 +183,12 @@ class TestBandTorus:
 
     def test_caches_hold_a_smooth_detection(self, torus16k, pair32):
         T = heaviside(torus16k)
-        caches = (spectral._derivative_multiplier, spectral._radial_layout)
+        caches = (
+            spectral._derivative_multiplier,
+            spectral._radial_layout,
+            spectral._distinct_radii,
+            spectral._kernel_multiplier,
+        )
         detect_smooth(T, 2, "inf", pair32, k_max=8)
         misses = [c.cache_info().misses for c in caches]
         detect_smooth(T, 2, "inf", pair32, k_max=8)

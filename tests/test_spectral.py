@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from besovlab import spectral
 from besovlab.association import association_verdict, bump_battery
-from besovlab.besov import besov_norm, detect_regularity, detect_smooth, embed
+from besovlab.besov import besov_norm, default_grid, detect_regularity, detect_smooth, embed
 from besovlab.errors import AliasingRisk, InvalidParameter, ScaleOutOfRange
 from besovlab.kernels import build_lp_pair, build_mollifier, kernel_space_norm
 from besovlab.nets import classify_moderate, classify_negligible, constant_net
-from besovlab.scales import ScaleGrid, convergence_verdict, q_integral, synthetic_profile
+from besovlab.scales import ScaleGrid, convergence_verdict, q_integral, sweep, synthetic_profile
 from besovlab.signals import bump, constant, cosine, dirac, heaviside, kink, lacunary, sine
 from besovlab.spectral import (
     SpectralFunction,
@@ -285,6 +286,24 @@ class TestLpNorm:
         lp_norm(SpectralFunction(torus64, c), 1)
         assert calls == ["irfftn", "ifftn"]
 
+    def test_one_p1_sweep_decides_realness_once(self, torus1k, pair32, monkeypatch):
+        calls = []
+        original = spectral._is_conjugate_symmetric
+
+        def spy(c):
+            calls.append(c.shape)
+            return original(c)
+
+        monkeypatch.setattr(spectral, "_is_conjugate_symmetric", spy)
+        sweep(heaviside(torus1k), pair32[1], ScaleGrid(0.02, 0.2, 16), k=3, p=1)
+        assert calls == [(1025,)]
+        # a complex input's convolutions and derivatives stay complex
+        c = np.zeros(1025, dtype=complex)
+        c[520] = 1.0
+        f = convolve_scaled(SpectralFunction(torus1k, c), pair32[0], 0.02).derivative(1)
+        assert not f.is_real()
+        assert len(calls) == 2
+
     def test_single_complex_mode_keeps_modulus(self):
         # e^{i xi_1 x} has modulus 1; its real part cos would give
         # a sup of 1 but an L^1 norm of 2L/pi
@@ -500,6 +519,46 @@ class TestConvolveScaled:
             convolve_scaled(dirac(torus64), moll32, min_scale(moll32, torus64) / 2)
         with pytest.raises(ScaleOutOfRange):
             convolve_scaled(dirac(torus64), moll32, -1.0)
+        for y in (math.inf, math.nan):
+            with pytest.raises(ScaleOutOfRange, match="positive and finite"):
+                convolve_scaled(dirac(torus64), moll32, y)
+
+    def test_array_scale_is_a_cache_key(self, torus1k, moll32):
+        want = convolve_scaled(dirac(torus1k), moll32, 0.05).coefficients
+        got = convolve_scaled(dirac(torus1k), moll32, np.array(0.05)).coefficients
+        np.testing.assert_array_equal(got, want)
+
+    def test_overflowing_scale_keeps_only_the_mean(self, pair32):
+        # y |xi| overflows to inf for every nonzero mode, where the profile
+        # is exactly 0; phi passes the mean and psi removes it
+        T = dirac(Torus(1, 1.0, 256))
+        phi, psi = pair32
+        out = convolve_scaled(T, phi, 1e308).coefficients
+        assert out[128] == T.coefficients[128] and np.count_nonzero(out) == 1
+        assert not np.any(convolve_scaled(T, psi, 1e308).coefficients)
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["phi", "psi"])
+    @pytest.mark.parametrize("d,n", [(1, 4096), (2, 128)])
+    def test_cached_multiplier_is_the_profile(self, pair32, which, d, n):
+        # bit for bit, on T's torus and on every band torus of the grid
+        kernel = pair32[which]
+        t = Torus(d, 1.0, n)
+        T = SpectralFunction(t, np.random.default_rng(5).standard_normal(t.coeff_shape()))
+        for y in default_grid(t, pair32[0]).values():
+            for S in (T, spectral._band_restrict(T, kernel, y)):
+                want = S.coefficients * kernel.profile(y * S.torus.frequency_radius())
+                np.testing.assert_array_equal(convolve_scaled(S, kernel, y).coefficients, want)
+
+    @pytest.mark.parametrize("y", [0.2, 1e308])
+    def test_2d_multiplier_holds_one_value_per_distinct_radius(self, pair32, y):
+        # up to the first radius past the support, where the profile is 0
+        t = Torus(2, 1.0, 128)
+        radii = spectral._distinct_radii(t)[0]
+        assert radii.shape == (1782,) and np.all(np.diff(radii) > 0)
+        with np.errstate(over="ignore"):
+            want = pair32[0].profile(y * radii)
+        got = spectral._kernel_multiplier(pair32[0], t, y)
+        np.testing.assert_array_equal(got, want[: np.flatnonzero(want)[-1] + 2])
 
     def test_result_is_function_tagged(self, torus1k, moll32):
         out = convolve_scaled(dirac(torus1k), moll32, 0.05)
