@@ -12,6 +12,8 @@ band-limited bumps with seeded random centers and widths; the seed is part
 of the report.
 """
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +21,7 @@ import numpy as np
 from .errors import InvalidParameter
 from .scales import ScaleGrid, ScaleProfile, critical_exponent
 from .signals import bump
-from .spectral import SpectralFunction, pairing, parse_exponent, to_jsonable
+from .spectral import SpectralFunction, derivative_order, pairing, parse_exponent, to_jsonable
 
 __all__ = [
     "AssociationReport",
@@ -121,12 +123,13 @@ def holder_bound(s, b, k, d=1, k0=0):
 
     A net in the k-th scale space at rate s, strongly associated to T at
     rate b with test constants of order k0, certifies T in the Zygmund
-    class of order k - s0.
+    class of order k - s0.  s and b must be positive and finite, k and k0
+    nonnegative integers, and d (the dimension) 1 or 2.
     """
-    if not (s > 0):
-        raise InvalidParameter(f"s must be positive, got {s}")
-    if not (b > 0):
-        raise InvalidParameter(f"b must be positive, got {b}")
-    if k < 0 or d < 1 or k0 < 0:
-        raise InvalidParameter("need k >= 0, d >= 1, k0 >= 0")
+    for name, rate in (("s", s), ("b", b)):
+        if not (isinstance(rate, numbers.Real) and 0 < rate < math.inf):
+            raise InvalidParameter(f"{name} must be positive and finite, got {rate!r}")
+    k, k0 = derivative_order(k, "k"), derivative_order(k0, "k0")
+    if not isinstance(d, (int, np.integer)) or d not in (1, 2):
+        raise InvalidParameter(f"dimension d must be 1 or 2, got {d!r}")
     return s * (k + d + k0) / (s + b)

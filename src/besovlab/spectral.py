@@ -28,6 +28,18 @@ per-torus index (_distinct_radii).  A result that keeps its input's conjugate sy
 convolve_scaled, _band_restrict) takes is_real from that input, so the
 realness of one input is decided once.
 
+lp_norm's grid sup and rectangle rules synthesize into buffers reused
+across calls (_thread_buffer): the scaled modes are copied into a fold
+buffer, the transforms write through numpy's out=, and |f| and the
+reduction run in place.  Allocating them afresh cost about 1 MiB of
+temporaries per sup on the 2-d 128^2 torus, which glibc handed back to
+the OS and faulted in again on the next call: 26,000 to 44,000 minor page
+faults per 2-d Dirac analysis, about half of its time.  The buffers are
+kept per thread, since another thread can run while the FFT holds no
+GIL, keyed by shape and dtype, and pin at most _THREAD_BUFFER_BYTES
+(4 MiB) per thread.  dft_synthesize and localize synthesize through the
+same routine into arrays the caller owns.
+
 Conventions
 -----------
 * Synthesis:  f(x) = sum_m c_m exp(i xi_m x).
@@ -39,7 +51,9 @@ Conventions
 """
 
 import functools
+import itertools
 import math
+import threading
 from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
@@ -71,10 +85,17 @@ __all__ = [
 # rectangle rule but on a grid fine enough for kernel-scale oscillations.
 # p = 1 on a real 1-d field starts instead from 8 nb points, nb the power
 # of two >= twice its bandwidth (see _l1_norm), and doubles up to the 16x
-# grid.  p = 2 needs no grid (Parseval).
+# grid.  p = 2 needs no grid (Parseval).  The grids of the sup and of the
+# rectangle rules, and their folded modes, are per-thread buffers reused
+# across calls (see the module docstring for the page faults this saves).
+# Together they pin at most _THREAD_BUFFER_BYTES per thread: the 2x grids
+# of the 1-d N = 4096 and 2-d 128^2 tori take 0.85 MiB; a larger array,
+# such as the 16x grid at 64^2 (8 MiB), is allocated per call and not kept.
 _SUP_OVERSAMPLE = 2
 _QUAD_OVERSAMPLE_GEN = 16
 _L1_OVERSAMPLE = 8
+_THREAD_BUFFER_BYTES = 4 << 20
+_thread_buffers = threading.local()
 # Relative error the p = 1 rule's estimate must reach before the 16x cap.
 _L1_RTOL = 1e-7
 # The quintic p through the samples at t = -2..3 around a node t = 0: its
@@ -349,41 +370,65 @@ def _derivative_multiplier(torus, a):
     return out
 
 
-def _fold_axis(coeffs, axis, n_out, mode_max):
-    """Place symmetric modes -M..M on an FFT layout of length n_out >= 2M.
+def _thread_buffer(shape, dtype):
+    """An array of this shape and dtype kept for later calls on this thread.
 
-    Modes 0..M fill bins 0..M and modes -M..-1 bins n_out-M..n_out-1; at
-    n_out == 2M the two Nyquist slots are summed onto bin M.
+    Its contents are undefined, and it is handed out again by the next call
+    with the same key on this thread.  The least recently used buffers are
+    dropped to keep the total within _THREAD_BUFFER_BYTES; a larger array
+    is never kept.
     """
-    m = mode_max
-    shape = list(coeffs.shape)
-    shape[axis] = n_out
-    out = np.zeros(shape, dtype=complex)
-    dst = np.moveaxis(out, axis, 0)
-    src = np.moveaxis(coeffs, axis, 0)
-    dst[: m + 1] = src[m:]
-    dst[n_out - m :] += src[:m]
-    return out
+    buffers = _thread_buffers.__dict__.setdefault("buffers", {})
+    key = (shape, np.dtype(dtype))
+    buf = buffers.pop(key, None)
+    if buf is None:
+        buf = np.empty(shape, dtype)
+        if buf.nbytes > _THREAD_BUFFER_BYTES:
+            return buf
+        while sum(b.nbytes for b in buffers.values()) + buf.nbytes > _THREAD_BUFFER_BYTES:
+            del buffers[next(iter(buffers))]
+    buffers[key] = buf  # the most recently used last
+    return buf
 
 
-def _synthesize(f: SpectralFunction, oversample, real):
-    """Grid samples of f on the oversample*N grid.
+def _synthesize(f: SpectralFunction, oversample, real, buffer=np.empty):
+    """Grid samples of f on the oversample*N grid, in arrays from buffer.
 
-    A real f is synthesized by irfftn from modes 0..M of its last axis, which
-    irfftn zero-pads to n/2 + 1 bins; mode -M, implied by symmetry, needs a
-    bin of its own, so the real path needs oversample >= 2.
+    The scaled modes are placed on the FFT layout in one array: per folded
+    axis, modes 0..M fill bins 0..M and modes -M..-1 bins n-M..n-1, with
+    zeros between; at n == 2M the two Nyquist slots are first summed onto
+    mode M.  A real f is synthesized by irfft from modes 0..M of its last
+    axis, which irfft zero-pads to n/2 + 1 bins; mode -M, implied by
+    symmetry, needs a bin of its own, so the real path needs oversample >= 2.
+    The transforms run in place, except the real one into a float grid.
     """
-    n = f.torus.grid_size * oversample
-    d = f.torus.dimension
-    axes = tuple(range(d))
-    a = f.coefficients * (n**d)  # exact: n is a power of two
-    if real:
-        a = a[..., f.torus.mode_max :]
-    for axis in axes[:-1] if real else axes:
-        a = _fold_axis(a, axis, n, f.torus.mode_max)
-    if real:
-        return np.fft.irfftn(a, s=(n,) * d, axes=axes)
-    return np.fft.ifftn(a, axes=axes)
+    torus = f.torus
+    n = torus.grid_size * oversample
+    m = torus.mode_max
+    axes = tuple(range(torus.dimension))
+    folded = axes[:-1] if real else axes
+    c = f.coefficients[..., m:] if real else f.coefficients
+    if n == 2 * m:
+        c = c.copy()
+        for axis in folded:
+            v = np.moveaxis(c, axis, 0)
+            v[-1] += v[0]
+        c = c[(slice(1, None),) * len(folded)]
+    lo = c.shape[0] - (m + 1)  # negative modes per folded axis
+    a = buffer((n,) * len(folded) + c.shape[len(folded) :], complex)
+    for axis in folded:
+        np.moveaxis(a, axis, 0)[m + 1 : n - lo] = 0.0
+    segments = ((slice(0, m + 1), slice(lo, None)), (slice(n - lo, n), slice(0, lo)))
+    for blocks in itertools.product(segments, repeat=len(folded)):
+        dst = tuple(block[0] for block in blocks)
+        src = tuple(block[1] for block in blocks)
+        np.copyto(a[dst], c[src])
+        a[dst] *= n**torus.dimension  # exact: n is a power of two
+    if not real:
+        return np.fft.ifftn(a, axes=axes, out=a)
+    for axis in folded:  # what irfftn does first, here in place
+        np.fft.ifft(a, axis=axis, out=a)
+    return np.fft.irfftn(a, s=(n,), axes=(-1,), out=buffer((n,) * len(axes), float))
 
 
 def dft_synthesize(f: SpectralFunction, oversample=1):
@@ -495,8 +540,8 @@ def lp_norm(f: SpectralFunction, p):
     if p == 1.0 and real and d == 1:
         return _l1_norm(f)
     over = _SUP_OVERSAMPLE if math.isinf(p) else _QUAD_OVERSAMPLE_GEN
-    vals = _synthesize(f, over, real)
-    mags = np.abs(vals, out=vals if real else None)
+    vals = _synthesize(f, over, real, _thread_buffer)
+    mags = np.abs(vals, out=vals if real else _thread_buffer(vals.shape, float))
     if math.isinf(p):
         return float(np.max(mags))
     if p != 1.0:

@@ -174,6 +174,31 @@ class TestHolderBound:
         with pytest.raises(InvalidParameter):
             holder_bound(1, 1, -2, 1, 0)
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (1, 1, np.nan),  # k not a number: was nan
+            (np.inf, 1, 2),  # infinite s: was nan
+            (1, np.inf, 2),
+            (np.nan, 1, 2),
+            (1, np.nan, 2),
+            ("1", 1, 2),
+            (1, 1, 1.5),  # non-integer k: was 1.25
+            (1, 1, 2, 1, 0.5),  # non-integer k0
+            (1, 1, 2, 1, -1),
+            (1, 1, 2, 3),  # d outside {1, 2}, as Torus
+            (1, 1, 2, 0),
+            (1, 1, 2, 1.5),
+        ],
+        ids=repr,
+    )
+    def test_malformed_input_raises(self, args):
+        with pytest.raises(InvalidParameter):
+            holder_bound(*args)
+
+    def test_integral_float_orders_and_2d(self):
+        assert holder_bound(1, 1, 2.0, 2, 1.0) == holder_bound(1, 1, 2, 2, 1) == 2.5
+
     def test_detector_consistency_on_zygmund_member(self, torus4k, pair32):
         # for the kink (exponent 1) the k = 1 net profile stays bounded, so
         # the Zygmund-criterion conclusion (smoothness up to k) must not

@@ -1,4 +1,8 @@
 import math
+import os
+import sys
+import threading
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -325,6 +329,133 @@ class TestLpNorm:
     def test_invalid_p(self, torus64):
         with pytest.raises(InvalidParameter):
             lp_norm(constant(torus64), 0.5)
+
+
+def _allocating_norm(f, p):
+    """lp_norm's synthesized quadrature from allocating numpy calls: the
+    scaled modes folded into fresh zero arrays, irfftn (real f, half
+    spectrum) or ifftn, then the grid sup or the rectangle rule."""
+    t = f.torus
+    d, m = t.dimension, t.mode_max
+    n = t.grid_size * (2 if p == "inf" else 16)
+    real = f.is_real()
+    a = f.coefficients * n**d
+    if real:
+        a = a[..., m:]
+    for axis in range(d - 1 if real else d):
+        folded = np.zeros(a.shape[:axis] + (n,) + a.shape[axis + 1 :], dtype=complex)
+        dst, src = np.moveaxis(folded, axis, 0), np.moveaxis(a, axis, 0)
+        dst[: m + 1] = src[m:]
+        dst[n - m :] = src[:m]
+        a = folded
+    axes = tuple(range(d))
+    mags = np.abs(np.fft.irfftn(a, s=(n,) * d, axes=axes) if real else np.fft.ifftn(a, axes=axes))
+    if p == "inf":
+        return float(mags.max())
+    if p != 1:
+        mags = mags**p
+    return float((np.sum(mags) * (t.length / n) ** d) ** (1.0 / p))
+
+
+def _fine_dirac_fields(d, n, pair32, count=4):
+    """The count finest-scale fields of the Dirac net on Torus(d, 1, n)."""
+    T = dirac(Torus(d, 1.0, n))
+    scales = sorted(default_grid(T.torus, pair32[0]).values())[:count]
+    return [convolve_scaled(T, pair32[0], y) for y in scales]
+
+
+class TestSynthesisBuffers:
+    """The grid sup and the rectangle rules synthesize into per-thread
+    buffers reused across calls; answers must not see them."""
+
+    @pytest.mark.parametrize("d, n", [(2, 128), (1, 4096)])
+    def test_warm_sup_allocates_less_than_one_grid(self, pair32, d, n):
+        fields = _fine_dirac_fields(d, n, pair32)
+        for f in fields:
+            lp_norm(f, "inf")  # warm-up
+        grid_bytes = (2 * n) ** d * 8
+        tracemalloc.start()
+        try:
+            for f in fields:
+                tracemalloc.reset_peak()
+                lp_norm(f, "inf")
+                assert tracemalloc.get_traced_memory()[1] < grid_bytes
+        finally:
+            tracemalloc.stop()
+
+    def test_bitwise_equal_to_allocating_calls_when_interleaved(self):
+        rng = np.random.default_rng(13)
+        fields = []
+        for d, n in [(1, 64), (2, 16), (1, 64), (2, 16), (1, 128), (2, 8)]:
+            t = Torus(d, 1.0, n)
+            shape = t.coeff_shape()
+            fields.append(_real_coefficients(rng, t))
+            z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            fields.append(SpectralFunction(t, z))
+        cases = [
+            (f, p) for p in ("inf", 1, 3) for f in fields
+            # the kink-corrected p = 1 rule of real 1-d inputs synthesizes apart
+            if not (p == 1 and f.torus.dimension == 1 and f.is_real())
+        ]
+        expected = [_allocating_norm(f, p) for f, p in cases]
+        # each pass alternates shapes, dimensions and realness, and meets
+        # each buffer again holding another field of its shape
+        order = list(range(len(cases)))
+        for i in order + order[::-1] + order[1::2] + order[::2]:
+            f, p = cases[i]
+            assert lp_norm(f, p) == expected[i]
+
+    def test_synthesized_samples_are_the_callers(self, torus64, pair32):
+        f = _real_coefficients(np.random.default_rng(5), torus64)
+        samples = [dft_synthesize(f, over) for over in (1, 2, 16)]
+        kept = [s.copy() for s in samples]
+        g = SpectralFunction(torus64, f.coefficients * 1j)
+        for h in (f, g, convolve_scaled(dirac(torus64), pair32[0], 0.25)):
+            for p in ("inf", 1, 3):
+                lp_norm(h, p)
+        for s, k in zip(samples, kept):
+            assert np.array_equal(s, k)
+
+    def test_pinned_bytes_stay_bounded(self):
+        rng = np.random.default_rng(2)
+        for d, n, p in [(1, 4096, 3), (2, 64, 3), (2, 128, "inf"), (1, 1024, "inf")]:
+            lp_norm(_real_coefficients(rng, Torus(d, 1.0, n)), p)
+        buffers = spectral._thread_buffers.buffers
+        assert sum(b.nbytes for b in buffers.values()) <= spectral._THREAD_BUFFER_BYTES
+        # the 8 MiB grid of the 16x rule at 64^2 is not kept
+        assert ((1024, 1024), np.dtype(float)) not in buffers
+
+    def test_threads_get_their_serial_answers(self, pair32):
+        # more threads than cores, each with its own fields of one 2-d shape,
+        # so that buffers shared between threads would mix their grids
+        workers = min((os.cpu_count() or 1) + 1, 8)
+        rng = np.random.default_rng(8)
+        base = _fine_dirac_fields(2, 128, pair32)
+        shares = [
+            [f + _real_coefficients(rng, f.torus) * (1e-3 * k) for f in base] for k in range(workers)
+        ]
+        serial = [[lp_norm(f, "inf") for f in share] for share in shares]
+        start = threading.Barrier(workers)
+        seen = [[] for _ in shares]
+
+        def loop(share, out):
+            start.wait()
+            for _ in range(25):
+                out.append([lp_norm(f, "inf") for f in share])
+
+        threads = [threading.Thread(target=loop, args=args) for args in zip(shares, seen)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for values, expected in zip(seen, serial):
+            assert values == [expected] * 25
 
 
 def _exponent_entry_points():
