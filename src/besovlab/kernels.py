@@ -1,23 +1,27 @@
 """Spectrally-defined convolution kernels: mollifiers and annular pairs.
 
-All kernels are closed-form, compactly supported, piecewise-smooth bumps in
-the frequency domain, glued with the standard C-infinity transition
-t -> exp(-1/t).  A "mollifier" profile equals 1 exactly on a neighborhood of
-xi = 0, which forces unit mass and makes every moment of order >= 1 vanish.
-An "lp" profile vanishes identically near 0 and sits at 1 on the annulus
-[eta*sigma, sigma], so all of its moments vanish; the pair (phi, psi) then
-satisfies the two compatibility conditions (non-vanishing of phi_hat on the
-ball, of psi_hat on the annulus, and the moment cancellations) with margin,
-for every order.
+A kernel is its profile pieces: an inner support, a plateau where the
+profile is exactly 1 and an outer support, glued with the standard
+C-infinity transition t -> exp(-1/t).  A "mollifier" (inner support 0)
+equals 1 near xi = 0, which forces unit mass and makes every moment of
+order >= 1 vanish.  An "lp" profile vanishes identically near 0 and sits at
+1 on the annulus [eta*sigma, sigma], so all of its moments vanish; the pair
+(phi, psi) then satisfies the two compatibility conditions (non-vanishing
+of phi_hat on the ball, of psi_hat on the annulus, and the moment
+cancellations) with margin, for every order.
 
-Every profile is thus constant near xi = 0 (Kernel refuses pieces that do
-not glue smoothly).  A moment of order alpha is i^|alpha| times the
-alpha-th derivative of the transform at 0, so moment reads the mass off
-profile(0) and returns exactly 0 for every higher order, with no
-quadrature.  Space-domain quantities (reference norms, sample values) are
-computed by synthesizing the kernel on a uniform 1-d grid fine enough that
-the rectangle rule is alias-free for band-limited integrands, with an
-adaptive window sized to the kernel's superpolynomial spatial decay.
+The pieces decide the rest.  The kind is read off the inner support, and
+the witness radii are the midpoints of the rise and of the roll-off, where
+the profile is 1/2.  A profile rises, then falls (Kernel refuses pieces
+that do not glue smoothly), so verify_lp_conditions reads its exact minimum
+on a range off the two ends.  A moment of order alpha is i^|alpha| times
+the alpha-th derivative of the transform at 0, where every profile is
+constant: moment reads the mass off profile(0) and returns exactly 0 for
+every higher order, with no quadrature.  Space-domain quantities
+(reference norms, sample values) are computed by synthesizing the kernel on
+a uniform 1-d grid fine enough that the rectangle rule is alias-free for
+band-limited integrands, with an adaptive window sized to the kernel's
+superpolynomial spatial decay.
 """
 
 import math
@@ -45,11 +49,10 @@ MOMENT_TOL = 1e-8
 POSITIVITY_TOL = 1e-12
 _SAMPLE_REL_FLOOR = 1e-14  # kernel_samples: |K| at the window edge over its peak
 _MAX_DOUBLINGS = 10  # kernel_samples: window doublings allowed to reach that floor
-_WITNESS_SAMPLES = 64  # verify_lp_conditions: samples per non-vanishing range
 
 # Fraction of sigma used for the outer roll-off of pair kernels; keeps the
-# declared annulus [eta*sigma, sigma] on the plateau where the profile is
-# exactly 1.
+# annulus [eta*sigma, sigma] on the plateau where the profile is exactly 1,
+# inside the derived witness range.
 _OUTER_PAD = 0.25
 
 
@@ -68,44 +71,33 @@ def smoothstep(t):
 
 @dataclass(frozen=True)
 class Kernel:
-    """A radial spectral profile with its support/plateau metadata.
+    """A radial spectral profile given by its pieces.
 
     Fields
     ------
-    kind : "mollifier" or "lp"
-    sigma : float
-        Declared compatibility radius.
-    eta : float
-        Declared annulus ratio (lp kind; 0 for mollifiers).
     inner_support, outer_support : float
         The profile is exactly 0 for |xi| <= inner_support and
         |xi| >= outer_support.
     plateau : (float, float)
         Closed interval on which the profile is exactly 1.
-    positive_from, positive_up_to : float
-        Radii between which the profile is provably >= 1/2 (witness range
-        for the non-vanishing checks).
 
+    Between them the profile rises (when inner_support > 0) and rolls off
+    by smoothstep; kind and the witness radii are derived from the pieces.
     profile must depend only on these frozen fields: spectral caches the
     multipliers it gives by kernel equality.
     """
 
-    kind: str
-    sigma: float
-    eta: float = 0.0
-    inner_support: float = 0.0
-    outer_support: float = 0.0
-    plateau: tuple = (0.0, 0.0)
-    positive_from: float = 0.0
-    positive_up_to: float = 0.0
+    inner_support: float
+    outer_support: float
+    plateau: tuple
     label: str = ""
 
     def __post_init__(self):
         lo, hi = self.plateau
         inner = self.inner_support
-        if not ((inner == lo == 0.0 or 0.0 < inner < lo) and lo <= hi < self.outer_support):
+        if not ((inner == lo == 0.0 or 0.0 < inner < lo) and lo <= hi < self.outer_support < math.inf):
             raise InvalidParameter(
-                f"profile pieces do not glue smoothly: inner_support {inner}, "
+                f"profile pieces must be finite and glue smoothly: inner_support {inner}, "
                 f"plateau {self.plateau}, outer_support {self.outer_support}"
             )
 
@@ -118,6 +110,21 @@ class Kernel:
         if self.inner_support > 0.0:
             out = out * smoothstep((r - self.inner_support) / (lo - self.inner_support))
         return out
+
+    @property
+    def kind(self):
+        """The kind: "lp" when the profile vanishes near 0, else "mollifier"."""
+        return "lp" if self.inner_support > 0.0 else "mollifier"
+
+    @property
+    def positive_from(self):
+        """Midpoint of the rise, where the profile is 1/2 (0 for a mollifier)."""
+        return (self.inner_support + self.plateau[0]) / 2.0 if self.inner_support > 0.0 else 0.0
+
+    @property
+    def positive_up_to(self):
+        """Midpoint of the roll-off, where the profile is 1/2."""
+        return (self.plateau[1] + self.outer_support) / 2.0
 
     @property
     def min_transition(self):
@@ -133,17 +140,12 @@ def build_mollifier(sigma):
 
     Unit mass and all moments of order >= 1 vanish, by spectral flatness.
     """
-    if not (sigma > 0):
-        raise InvalidParameter(f"sigma must be positive, got {sigma}")
+    if not (0.0 < sigma < math.inf):
+        raise InvalidParameter(f"sigma must be positive and finite, got {sigma}")
     return Kernel(
-        kind="mollifier",
-        sigma=float(sigma),
-        eta=0.0,
         inner_support=0.0,
         outer_support=float(sigma),
         plateau=(0.0, sigma / 2.0),
-        positive_from=0.0,
-        positive_up_to=0.75 * sigma,  # smoothstep midpoint of the roll-off
         label=f"mollifier(sigma={sigma:g})",
     )
 
@@ -154,38 +156,28 @@ def build_lp_pair(sigma, eta):
     phi is a wide-plateau mollifier equal to 1 on all of [0, sigma]; psi is
     an annular bump equal to 1 on [eta*sigma, sigma], vanishing identically
     for |xi| <= eta*sigma/2.  Both roll off to zero at (1+pad)*sigma, so the
-    declared non-vanishing ranges sit entirely on plateaus.
+    annulus [eta*sigma, sigma] sits on both plateaus.
 
     Being band-limited, phi is not compactly supported in space: its decay
     is superpolynomial but not exponential, and phi_eps keeps O(1) values at
     distances comparable to eps.  For sigma = 32 and eps = 0.5, phi_eps is
     -0.231 at x = 0.5, and its periodization on the unit torus is -0.457.
     """
-    if not (sigma > 0):
-        raise InvalidParameter(f"sigma must be positive, got {sigma}")
+    if not (0.0 < sigma < math.inf):
+        raise InvalidParameter(f"sigma must be positive and finite, got {sigma}")
     if not (0.0 < eta < 1.0):
         raise InvalidParameter(f"eta must lie in (0, 1), got {eta}")
     outer = (1.0 + _OUTER_PAD) * sigma
     phi = Kernel(
-        kind="mollifier",
-        sigma=float(sigma),
-        eta=0.0,
         inner_support=0.0,
         outer_support=outer,
         plateau=(0.0, float(sigma)),
-        positive_from=0.0,
-        positive_up_to=sigma * (1.0 + _OUTER_PAD / 2.0),
         label=f"lp-phi(sigma={sigma:g})",
     )
     psi = Kernel(
-        kind="lp",
-        sigma=float(sigma),
-        eta=float(eta),
         inner_support=eta * sigma / 2.0,
         outer_support=outer,
         plateau=(eta * sigma, float(sigma)),
-        positive_from=0.75 * eta * sigma,
-        positive_up_to=sigma * (1.0 + _OUTER_PAD / 2.0),
         label=f"lp-psi(sigma={sigma:g},eta={eta:g})",
     )
     return phi, psi
@@ -205,6 +197,8 @@ def kernel_samples(kernel, oversample=2):
     half-width doubles, at most 10 times, until |K| at the window edge drops
     below 1e-14 of its peak; QuadratureInaccurate is raised otherwise.
     """
+    if not (isinstance(oversample, numbers.Real) and 0.0 < oversample < math.inf):
+        raise InvalidParameter(f"oversample must be positive and finite, got {oversample!r}")
     dx = math.pi / (oversample * kernel.outer_support)
     # decay length ~ 1/min_transition; start a few e-foldings out
     half = max(64.0 * dx, 48.0 / kernel.min_transition)
@@ -282,12 +276,13 @@ class LPDiagnostics:
 def verify_lp_conditions(pair, s):
     """Check pair compatibility at order s; returns diagnostics, never raises.
 
-    Non-vanishing is sampled on the witness ranges derived from the kernels'
-    guaranteed-positive radii (the declared (sigma, eta) ranges of built
-    pairs are plateaus, so those pass with margin).  Moment cancellation
-    |m_alpha(psi)| < 1e-8 is checked for alpha <= floor(s); for s < 0 the
-    moment requirement is empty.  An s that is not a finite real number is
-    a failure, with no moments checked.
+    Non-vanishing is checked exactly: a profile rises, then falls, so its
+    minimum on a witness range is the smaller end value.  The ranges are
+    phi's [0, sigma_w] and psi's [eta_w sigma_w, sigma_w], from the derived
+    radii (sigma_w / 2 for a mollifier psi); built pairs read 1/2.
+    Moment cancellation |m_alpha(psi)| < 1e-8 is checked for alpha <=
+    floor(s); for s < 0 the moment requirement is empty.  An s that is not
+    a finite real number is a failure, with no moments checked.
     """
     phi, psi = pair
     failures = []
@@ -295,24 +290,20 @@ def verify_lp_conditions(pair, s):
     if not math.isfinite(order):
         failures.append(f"order must be a finite real number, got {s!r}")
     sigma_w = min(phi.positive_up_to, psi.positive_up_to)
-    if psi.positive_from > 0.0:
-        eta_w = psi.positive_from / sigma_w
-    else:
-        eta_w = 0.5
+    inner_w = psi.positive_from if psi.positive_from > 0.0 else 0.5 * sigma_w
+    eta_w = inner_w / sigma_w
     if not (0.0 < eta_w < 1.0):
         failures.append(f"no admissible annulus: eta witness {eta_w:.3g}")
         eta_w = min(max(eta_w, 1e-6), 1.0 - 1e-6)
+        inner_w = eta_w * sigma_w
 
-    xs = (np.arange(_WITNESS_SAMPLES) + 0.5) / _WITNESS_SAMPLES
-    phi_vals = phi.profile(xs * sigma_w)
-    psi_vals = psi.profile(eta_w * sigma_w + xs * (sigma_w - eta_w * sigma_w))
-    min_phi = float(np.min(np.abs(phi_vals)))
-    min_psi = float(np.min(np.abs(psi_vals)))
+    min_phi = float(np.min(np.abs(phi.profile([0.0, sigma_w]))))
+    min_psi = float(np.min(np.abs(psi.profile([inner_w, sigma_w]))))
     if min_phi <= POSITIVITY_TOL:
         failures.append(f"phi profile vanishes on [0, {sigma_w:.4g}]: min {min_phi:.3g}")
     if min_psi <= POSITIVITY_TOL:
         failures.append(
-            f"psi profile vanishes on [{eta_w * sigma_w:.4g}, {sigma_w:.4g}]: min {min_psi:.3g}"
+            f"psi profile vanishes on [{inner_w:.4g}, {sigma_w:.4g}]: min {min_psi:.3g}"
         )
 
     moments = []

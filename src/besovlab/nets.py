@@ -15,12 +15,13 @@ precision long before n reaches the default cap if handled naively.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import InvalidParameter
-from .scales import ExponentFit, ScaleGrid, ScaleProfile, _fit_verdict, _line_fits
+from .scales import ExponentFit, ScaleGrid, ScaleProfile, _check_order, _fit_verdict, _line_fits
 from .scales import critical_exponent  # by name: tests monkeypatch nets.critical_exponent
 from .spectral import (
     SpectralFunction,
@@ -146,6 +147,8 @@ class SpikeNet:
     def __post_init__(self):
         if self.variant not in ("remark1", "remark2"):
             raise InvalidParameter(f"unknown spike variant {self.variant!r}")
+        if not (isinstance(self.power, numbers.Integral) and self.power >= 1):
+            raise InvalidParameter(f"spike power must be a positive integer, got {self.power!r}")
         object.__setattr__(self, "q", parse_exponent(self.q, "q"))
 
     def log_height(self, n):
@@ -211,9 +214,12 @@ def spike_integral(net: SpikeNet, s, q_test, n_max=SPIKE_N_MAX):
     still increasing at the horizon, or a tail power d(log term)/d(log n)
     of -1 or above (the series is cleanly geometric-versus-polynomial).
     """
+    _check_order(s)
     q_test = parse_exponent(q_test, "q")
     if math.isinf(q_test):
         raise InvalidParameter("spike sums need a finite q: their terms are height^q x width")
+    if not (isinstance(n_max, numbers.Integral) and n_max > SPIKE_N_MIN):
+        raise InvalidParameter(f"n_max must be an integer above {SPIKE_N_MIN}, got {n_max!r}")
     terms, n = _log_terms(net, s, q_test, n_max)
     # running logsumexp for the partial-sum diagnostics
     order = np.maximum.accumulate(terms)

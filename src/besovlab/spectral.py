@@ -391,19 +391,19 @@ def _thread_buffer(shape, dtype):
     return buf
 
 
-def _synthesize(f: SpectralFunction, oversample, real, buffer=np.empty):
-    """Grid samples of f on the oversample*N grid, in arrays from buffer.
+def _synthesize(f: SpectralFunction, n, real, buffer=np.empty):
+    """Grid samples of f on n points per axis, in arrays from buffer.
 
     The scaled modes are placed on the FFT layout in one array: per folded
     axis, modes 0..M fill bins 0..M and modes -M..-1 bins n-M..n-1, with
     zeros between; at n == 2M the two Nyquist slots are first summed onto
     mode M.  A real f is synthesized by irfft from modes 0..M of its last
-    axis, which irfft zero-pads to n/2 + 1 bins; mode -M, implied by
-    symmetry, needs a bin of its own, so the real path needs oversample >= 2.
-    The transforms run in place, except the real one into a float grid.
+    axis, zero-padded or cropped to n/2 + 1 bins: mode -M, implied by
+    symmetry, needs a bin of its own, so a real f needs n > 2M, or, in 1-d,
+    its modes from n/2 up to be 0 (as _l1_norm's are).  The transforms run
+    in place, except the real one into a float grid.
     """
     torus = f.torus
-    n = torus.grid_size * oversample
     m = torus.mode_max
     axes = tuple(range(torus.dimension))
     folded = axes[:-1] if real else axes
@@ -437,7 +437,9 @@ def dft_synthesize(f: SpectralFunction, oversample=1):
     Returns a complex array of shape (oversample*N,)*d.  Round trip with
     dft_analyze is the identity for Nyquist-balanced coefficients.
     """
-    return _synthesize(f, oversample, real=False)
+    if not (isinstance(oversample, (int, np.integer)) and oversample >= 1):
+        raise InvalidParameter(f"oversample must be a positive integer, got {oversample!r}")
+    return _synthesize(f, oversample * f.torus.grid_size, real=False)
 
 
 def _gather_modes(a, mode_max):
@@ -540,7 +542,7 @@ def lp_norm(f: SpectralFunction, p):
     if p == 1.0 and real and d == 1:
         return _l1_norm(f)
     over = _SUP_OVERSAMPLE if math.isinf(p) else _QUAD_OVERSAMPLE_GEN
-    vals = _synthesize(f, over, real, _thread_buffer)
+    vals = _synthesize(f, over * f.torus.grid_size, real, _thread_buffer)
     mags = np.abs(vals, out=vals if real else _thread_buffer(vals.shape, float))
     if math.isinf(p):
         return float(np.max(mags))
@@ -563,12 +565,11 @@ def _l1_norm(f: SpectralFunction):
     exceeds 1e-7 of the norm, n doubles, up to 16 N.
     """
     torus = f.torus
-    m = torus.mode_max
     nb = min(torus.grid_size, max(8, 1 << (2 * f.active_bandwidth(rtol=0.0)).bit_length()))
     n = _L1_OVERSAMPLE * nb
     coarse = None
     while True:
-        vals = np.fft.irfftn(f.coefficients[m : m + nb // 2 + 1] * n, s=(n,), axes=(0,))
+        vals = _synthesize(f, n, real=True)  # modes above B < n/2 are 0
         if coarse is None:
             norm, coarse = _l1_rule(vals, torus.length / n, (1, 2))
         else:

@@ -14,7 +14,14 @@ import besovlab
 from besovlab.association import AssociationReport
 from besovlab.besov import detect_regularity, detect_smooth
 from besovlab.errors import DegenerateProfile, InvalidParameter
-from besovlab.kernels import build_lp_pair, verify_lp_conditions
+from besovlab.kernels import (
+    Kernel,
+    build_lp_pair,
+    build_mollifier,
+    kernel_samples,
+    kernel_space_norm,
+    verify_lp_conditions,
+)
 from besovlab.nets import NetSpec, SpikeNet, constant_net, function_net, spike_integral
 from besovlab.scales import (
     ScaleGrid,
@@ -25,7 +32,14 @@ from besovlab.scales import (
     synthetic_profile,
 )
 from besovlab.signals import bump, constant, cosine, heaviside, lacunary, sine
-from besovlab.spectral import Torus, lp_norm, sobolev_norm, sobolev_table, to_jsonable
+from besovlab.spectral import (
+    Torus,
+    dft_synthesize,
+    lp_norm,
+    sobolev_norm,
+    sobolev_table,
+    to_jsonable,
+)
 
 MODULES = [
     importlib.import_module(f"besovlab.{info.name}")
@@ -151,6 +165,7 @@ _G16 = ScaleGrid(0.1, 1.0, 16)
 _FLAT = ScaleProfile(_G16, np.ones(16))
 _ONE = constant_net(lambda e: 1.0, label="one")
 _SINE = function_net(lambda e: sine(_T8), label="sine")
+_PHI = build_lp_pair(32.0, 0.5)[0]
 _TYPED_ERRORS = {  # case -> (error class, message fragment, call)
     "net kind": (InvalidParameter, "unknown net kind", lambda: NetSpec("x", abs)),
     "minus of a constant net": (InvalidParameter, "two function nets", lambda: _ONE.minus(_SINE)),
@@ -179,6 +194,42 @@ _TYPED_ERRORS = {  # case -> (error class, message fragment, call)
     "q_integral string s": (InvalidParameter, "s must be", lambda: q_integral(_FLAT, "1", 2)),
     "verdict nan s": (InvalidParameter, "s must be", lambda: convergence_verdict(_FLAT, math.nan, 2)),
     "verdict string s": (InvalidParameter, "s must be", lambda: convergence_verdict(_FLAT, "1", 2)),
+    "synthesis oversample 0": (InvalidParameter, "oversample", lambda: dft_synthesize(sine(_T8), 0)),
+    "synthesis oversample -1": (InvalidParameter, "oversample", lambda: dft_synthesize(sine(_T8), -1)),
+    "synthesis oversample 1.5": (
+        InvalidParameter, "oversample", lambda: dft_synthesize(sine(_T8), 1.5)
+    ),
+    "kernel norm oversample 0": (
+        InvalidParameter, "oversample", lambda: kernel_space_norm(_PHI, 2, oversample=0)
+    ),
+    "kernel samples oversample -1": (
+        InvalidParameter, "oversample", lambda: kernel_samples(_PHI, oversample=-1)
+    ),
+    "kernel infinite outer support": (
+        InvalidParameter,
+        "must be finite",
+        lambda: Kernel(inner_support=0.0, outer_support=math.inf, plateau=(0.0, 1.0)),
+    ),
+    "mollifier infinite sigma": (
+        InvalidParameter, "positive and finite", lambda: build_mollifier(math.inf)
+    ),
+    "pair infinite sigma": (
+        InvalidParameter, "positive and finite", lambda: build_lp_pair(math.inf, 0.5)
+    ),
+    "spike nan s": (
+        InvalidParameter, "s must be", lambda: spike_integral(SpikeNet(2.0), math.nan, 2.0)
+    ),
+    "spike n_max 3": (
+        InvalidParameter, "n_max", lambda: spike_integral(SpikeNet(2.0), 0.0, 2.0, n_max=3)
+    ),
+    "spike n_max 4": (
+        InvalidParameter, "n_max", lambda: spike_integral(SpikeNet(2.0), 0.0, 2.0, n_max=4)
+    ),
+    "spike nan n_max": (
+        InvalidParameter, "n_max", lambda: spike_integral(SpikeNet(2.0), 0.0, 2.0, n_max=math.nan)
+    ),
+    "spike power 0": (InvalidParameter, "power", lambda: SpikeNet(2.0, power=0)),
+    "spike power -1.5": (InvalidParameter, "power", lambda: SpikeNet(2.0, power=-1.5)),
 }
 
 

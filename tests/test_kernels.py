@@ -1,5 +1,5 @@
+import dataclasses
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -74,7 +74,46 @@ class TestKernelGlue:
     )
     def test_pieces_that_do_not_glue_rejected(self, inner, plateau, outer):
         with pytest.raises(InvalidParameter, match="glue"):
-            Kernel("lp", 10.0, 0.5, inner_support=inner, outer_support=outer, plateau=plateau)
+            Kernel(inner_support=inner, outer_support=outer, plateau=plateau)
+
+
+class TestDerivedPieces:
+    """kind and the witness radii are derived from the profile pieces."""
+
+    def test_fields_are_the_pieces(self, pair32):
+        names = [f.name for f in dataclasses.fields(pair32[1])]
+        assert names == ["inner_support", "outer_support", "plateau", "label"]
+        for name in ("kind", "positive_from", "positive_up_to"):
+            assert isinstance(vars(Kernel)[name], property)
+            with pytest.raises(AttributeError):
+                setattr(pair32[1], name, 1.0)
+
+    @pytest.mark.parametrize("sigma", [8.0, 16.0, 32.0, 64.0, 128.0])
+    @pytest.mark.parametrize("eta", [0.25, 0.5, 0.75])
+    def test_kind_and_witness_radii(self, sigma, eta):
+        # the radii the builders used to declare, bitwise: smoothstep midpoints
+        phi, psi = build_lp_pair(sigma, eta)
+        moll = build_mollifier(sigma)
+        assert (moll.kind, phi.kind, psi.kind) == ("mollifier", "mollifier", "lp")
+        assert (moll.positive_from, moll.positive_up_to) == (0.0, 0.75 * sigma)
+        assert (phi.positive_from, phi.positive_up_to) == (0.0, sigma * 1.125)
+        assert (psi.positive_from, psi.positive_up_to) == (0.75 * eta * sigma, sigma * 1.125)
+        for kernel in (moll, phi, psi):
+            assert kernel.profile(kernel.positive_up_to) == 0.5
+        assert psi.profile(psi.positive_from) == 0.5
+
+    def test_witness_radii_within_an_ulp_off_powers_of_two(self):
+        phi, psi = build_lp_pair(3.7, 0.5)
+        assert abs(phi.positive_up_to - 3.7 * 1.125) <= math.ulp(3.7 * 1.125)
+        assert abs(psi.positive_from - 0.75 * 0.5 * 3.7) <= math.ulp(0.75 * 0.5 * 3.7)
+
+    def test_minimum_is_the_smaller_end_value(self, moll32):
+        # witness ranges [0, 24] and [12, 24] of the self-pair, against a dense scan
+        diag = verify_lp_conditions((moll32, moll32), -1)
+        assert (diag.sigma_witness, diag.eta_witness) == (24.0, 0.5)
+        assert diag.min_phi == diag.min_psi == 0.5
+        scan = moll32.profile(np.linspace(0.0, 24.0, 4097))
+        assert scan.min() == 0.5
 
 
 class TestSpectralSupports:
@@ -94,6 +133,12 @@ class TestSpectralSupports:
     def test_phi_of_pair_covers_ball(self, pair32):
         phi, _ = pair32
         assert np.all(phi.profile(np.linspace(0.0, 32.0, 100)) == 1.0)
+
+
+# real pairs that fail: phi's roll-off ends far inside psi's rise, and an
+# annular phi, which vanishes at 0
+_MISMATCHED = (build_lp_pair(8.0, 0.5)[0], build_lp_pair(64.0, 0.75)[1])
+_ANNULAR_PHI = (build_lp_pair(32.0, 0.5)[1],) * 2
 
 
 class TestVerifyConditions:
@@ -129,11 +174,12 @@ class TestVerifyConditions:
         assert diag.passed, diag.failures
         assert diag.moments == [(a, 0.0) for a in range(11)]
 
-    @pytest.mark.parametrize("sigma", [8.0, 16.0, 32.0, 64.0])
+    @pytest.mark.parametrize("sigma", [8.0, 16.0, 32.0, 64.0, 128.0])
     @pytest.mark.parametrize("eta", [0.25, 0.5, 0.75])
     def test_every_built_pair_passes_at_order_16(self, sigma, eta):
         diag = verify_lp_conditions(build_lp_pair(sigma, eta), 16)
         assert diag.passed, diag.failures
+        assert (diag.min_phi, diag.min_psi) == (0.5, 0.5)  # exact minima at the range ends
 
     @pytest.mark.parametrize("s", [17, 40])
     def test_orders_above_16_pass(self, pair32, s):
@@ -149,16 +195,14 @@ class TestVerifyConditions:
         assert [f for f in diag.failures if "finite real number" in f], diag.failures
 
     @pytest.mark.parametrize(
-        "phi_change,psi_change,fragment",
+        "pair,fragment",
         [
-            ({}, {"positive_from": 40.0}, "no admissible annulus"),
-            ({"positive_up_to": 80.0}, {"positive_up_to": 80.0}, "phi profile vanishes"),
-            ({}, {"positive_from": 2.0}, "psi profile vanishes"),
+            pytest.param(_MISMATCHED, "no admissible annulus", id="no admissible annulus"),
+            pytest.param(_ANNULAR_PHI, "phi profile vanishes", id="phi profile vanishes"),
+            pytest.param(_MISMATCHED, "psi profile vanishes", id="psi profile vanishes"),
         ],
     )
-    def test_failure_branches(self, pair32, phi_change, psi_change, fragment):
-        # witness radii moved off the plateaus of the built pair
-        pair = (replace(pair32[0], **phi_change), replace(pair32[1], **psi_change))
+    def test_failure_branches(self, pair, fragment):
         diag = verify_lp_conditions(pair, 3)
         assert not diag.passed
         assert [f for f in diag.failures if fragment in f], diag.failures
