@@ -12,8 +12,6 @@ band-limited bumps with seeded random centers and widths; the seed is part
 of the report.
 """
 
-import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +19,8 @@ import numpy as np
 from .errors import InvalidParameter
 from .scales import ScaleGrid, ScaleProfile, critical_exponent
 from .signals import bump
-from .spectral import SpectralFunction, derivative_order, pairing, parse_exponent, to_jsonable
+from .spectral import SpectralFunction, derivative_order, pairing, parse_exponent, real_parameter
+from .spectral import to_jsonable
 
 __all__ = [
     "AssociationReport",
@@ -39,7 +38,7 @@ def bump_battery(torus, count=DEFAULT_BATTERY_SIZE, seed=7):
     """Seeded battery of band-limited bumps: (label, function) pairs."""
     rng = np.random.default_rng(seed)
     out = []
-    for i in range(count):
+    for i in range(real_parameter(count, "battery count", at_least=0, integer=True)):
         center = float(rng.uniform(0.0, torus.length))
         halfwidth = float(rng.uniform(0.03, 0.12) * torus.length)
         out.append(
@@ -126,10 +125,7 @@ def holder_bound(s, b, k, d=1, k0=0):
     class of order k - s0.  s and b must be positive and finite, k and k0
     nonnegative integers, and d (the dimension) 1 or 2.
     """
-    for name, rate in (("s", s), ("b", b)):
-        if not (isinstance(rate, numbers.Real) and 0 < rate < math.inf):
-            raise InvalidParameter(f"{name} must be positive and finite, got {rate!r}")
+    s, b = real_parameter(s, "s", 0.0), real_parameter(b, "b", 0.0)
     k, k0 = derivative_order(k, "k"), derivative_order(k0, "k0")
-    if not isinstance(d, (int, np.integer)) or d not in (1, 2):
-        raise InvalidParameter(f"dimension d must be 1 or 2, got {d!r}")
+    d = real_parameter(d, "dimension d", at_least=1, at_most=2, integer=True)
     return s * (k + d + k0) / (s + b)

@@ -25,13 +25,12 @@ superpolynomial spatial decay.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidParameter, QuadratureInaccurate
-from .spectral import derivative_order, parse_exponent, to_jsonable
+from .spectral import derivative_order, parse_exponent, real_parameter, to_jsonable
 
 __all__ = [
     "Kernel",
@@ -83,6 +82,7 @@ class Kernel:
 
     Between them the profile rises (when inner_support > 0) and rolls off
     by smoothstep; kind and the witness radii are derived from the pieces.
+    Each piece must be a finite real, and is kept as a float.
     profile must depend only on these frozen fields: spectral caches the
     multipliers it gives by kernel equality.
     """
@@ -93,13 +93,20 @@ class Kernel:
     label: str = ""
 
     def __post_init__(self):
-        lo, hi = self.plateau
-        inner = self.inner_support
-        if not ((inner == lo == 0.0 or 0.0 < inner < lo) and lo <= hi < self.outer_support < math.inf):
+        try:
+            lo, hi = self.plateau
+        except (TypeError, ValueError):
+            raise InvalidParameter(f"plateau must be a pair, got {self.plateau!r}") from None
+        inner = real_parameter(self.inner_support, "inner_support")
+        lo, hi = real_parameter(lo, "plateau"), real_parameter(hi, "plateau")
+        outer = real_parameter(self.outer_support, "outer_support")
+        if not ((inner == lo == 0.0 or 0.0 < inner < lo) and lo <= hi < outer):
             raise InvalidParameter(
-                f"profile pieces must be finite and glue smoothly: inner_support {inner}, "
-                f"plateau {self.plateau}, outer_support {self.outer_support}"
+                f"profile pieces must glue smoothly: inner_support {inner}, "
+                f"plateau {self.plateau}, outer_support {outer}"
             )
+        for name, value in (("inner_support", inner), ("plateau", (lo, hi)), ("outer_support", outer)):
+            object.__setattr__(self, name, value)
 
     def profile(self, xi):
         """Evaluate the spectral profile at |xi| (vectorized, exact pieces):
@@ -140,11 +147,10 @@ def build_mollifier(sigma):
 
     Unit mass and all moments of order >= 1 vanish, by spectral flatness.
     """
-    if not (0.0 < sigma < math.inf):
-        raise InvalidParameter(f"sigma must be positive and finite, got {sigma}")
+    sigma = real_parameter(sigma, "sigma", 0.0)
     return Kernel(
         inner_support=0.0,
-        outer_support=float(sigma),
+        outer_support=sigma,
         plateau=(0.0, sigma / 2.0),
         label=f"mollifier(sigma={sigma:g})",
     )
@@ -163,21 +169,19 @@ def build_lp_pair(sigma, eta):
     distances comparable to eps.  For sigma = 32 and eps = 0.5, phi_eps is
     -0.231 at x = 0.5, and its periodization on the unit torus is -0.457.
     """
-    if not (0.0 < sigma < math.inf):
-        raise InvalidParameter(f"sigma must be positive and finite, got {sigma}")
-    if not (0.0 < eta < 1.0):
-        raise InvalidParameter(f"eta must lie in (0, 1), got {eta}")
+    sigma = real_parameter(sigma, "sigma", 0.0)
+    eta = real_parameter(eta, "eta", 0.0, 1.0)
     outer = (1.0 + _OUTER_PAD) * sigma
     phi = Kernel(
         inner_support=0.0,
         outer_support=outer,
-        plateau=(0.0, float(sigma)),
+        plateau=(0.0, sigma),
         label=f"lp-phi(sigma={sigma:g})",
     )
     psi = Kernel(
         inner_support=eta * sigma / 2.0,
         outer_support=outer,
-        plateau=(eta * sigma, float(sigma)),
+        plateau=(eta * sigma, sigma),
         label=f"lp-psi(sigma={sigma:g},eta={eta:g})",
     )
     return phi, psi
@@ -191,14 +195,14 @@ def build_lp_pair(sigma, eta):
 def kernel_samples(kernel, oversample=2):
     """Synthesize K(x) on a uniform grid reaching the kernel's decay floor.
 
-    Returns (x, values, dx).  The sample spacing dx <= pi / (oversample *
-    outer_support) keeps the rectangle rule alias-free for any integrand
-    whose transform is supported in [-outer_support, outer_support].  The
+    Returns (x, values, dx).  The sample spacing dx = pi / (oversample *
+    outer_support), with a finite oversample >= 1, keeps the rectangle rule
+    alias-free for any integrand whose transform is supported in
+    [-outer_support, outer_support]; a coarser grid aliases K itself.  The
     half-width doubles, at most 10 times, until |K| at the window edge drops
     below 1e-14 of its peak; QuadratureInaccurate is raised otherwise.
     """
-    if not (isinstance(oversample, numbers.Real) and 0.0 < oversample < math.inf):
-        raise InvalidParameter(f"oversample must be positive and finite, got {oversample!r}")
+    oversample = real_parameter(oversample, "oversample", at_least=1.0)
     dx = math.pi / (oversample * kernel.outer_support)
     # decay length ~ 1/min_transition; start a few e-foldings out
     half = max(64.0 * dx, 48.0 / kernel.min_transition)
@@ -243,6 +247,7 @@ def kernel_space_norm(kernel, p, oversample=256):
 
     Used as the scale-free side of dilation identities; the heavy
     oversampling controls the rectangle-rule error at the kinks of |K|^p.
+    oversample is that of kernel_samples, at least 1.
     """
     p = parse_exponent(p)
     x, vals, dx = kernel_samples(kernel, oversample=oversample)
@@ -286,8 +291,10 @@ def verify_lp_conditions(pair, s):
     """
     phi, psi = pair
     failures = []
-    order = float(s) if isinstance(s, numbers.Real) else math.nan
-    if not math.isfinite(order):
+    try:
+        order = real_parameter(s, "order")
+    except InvalidParameter:
+        order = math.nan
         failures.append(f"order must be a finite real number, got {s!r}")
     sigma_w = min(phi.positive_up_to, psi.positive_up_to)
     inner_w = psi.positive_from if psi.positive_from > 0.0 else 0.5 * sigma_w
@@ -307,7 +314,7 @@ def verify_lp_conditions(pair, s):
         )
 
     moments = []
-    if 0 <= order < math.inf:
+    if order >= 0:
         for a in range(int(math.floor(order)) + 1):
             val = moment(psi, a)
             moments.append((a, val))

@@ -15,19 +15,19 @@ precision long before n reaches the default cap if handled naively.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import InvalidParameter
-from .scales import ExponentFit, ScaleGrid, ScaleProfile, _check_order, _fit_verdict, _line_fits
+from .scales import ExponentFit, ScaleGrid, ScaleProfile, _fit_verdict, _line_fits
 from .scales import critical_exponent  # by name: tests monkeypatch nets.critical_exponent
 from .spectral import (
     SpectralFunction,
     derivative_order,
     localize,
     parse_exponent,
+    real_parameter,
     sobolev_table,
     to_jsonable,
 )
@@ -73,11 +73,7 @@ class NetSpec:
             raise InvalidParameter(f"unknown net kind {self.kind!r}")
 
     def __call__(self, eps):
-        if not (self.eps_min < eps <= 1.0):
-            raise InvalidParameter(
-                f"net evaluated at eps={eps:.3g} outside ({self.eps_min:.3g}, 1]"
-            )
-        return self.evaluator(eps)
+        return self.evaluator(real_parameter(eps, "net eps", self.eps_min, at_most=1.0))
 
     def minus(self, other):
         if self.kind != "function" or other.kind != "function":
@@ -147,8 +143,7 @@ class SpikeNet:
     def __post_init__(self):
         if self.variant not in ("remark1", "remark2"):
             raise InvalidParameter(f"unknown spike variant {self.variant!r}")
-        if not (isinstance(self.power, numbers.Integral) and self.power >= 1):
-            raise InvalidParameter(f"spike power must be a positive integer, got {self.power!r}")
+        real_parameter(self.power, "spike power", at_least=1, integer=True)
         object.__setattr__(self, "q", parse_exponent(self.q, "q"))
 
     def log_height(self, n):
@@ -214,12 +209,11 @@ def spike_integral(net: SpikeNet, s, q_test, n_max=SPIKE_N_MAX):
     still increasing at the horizon, or a tail power d(log term)/d(log n)
     of -1 or above (the series is cleanly geometric-versus-polynomial).
     """
-    _check_order(s)
+    s = real_parameter(s, "s")
     q_test = parse_exponent(q_test, "q")
     if math.isinf(q_test):
         raise InvalidParameter("spike sums need a finite q: their terms are height^q x width")
-    if not (isinstance(n_max, numbers.Integral) and n_max > SPIKE_N_MIN):
-        raise InvalidParameter(f"n_max must be an integer above {SPIKE_N_MIN}, got {n_max!r}")
+    n_max = real_parameter(n_max, "n_max", SPIKE_N_MIN, integer=True)
     terms, n = _log_terms(net, s, q_test, n_max)
     # running logsumexp for the partial-sum diagnostics
     order = np.maximum.accumulate(terms)

@@ -15,7 +15,6 @@ power-law test is "a > s".
 """
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +26,7 @@ from .spectral import (
     derivative_order,
     min_scale,
     parse_exponent,
+    real_parameter,
     sobolev_table,
     to_jsonable,
 )
@@ -51,21 +51,18 @@ MIN_WINDOW = 8
 
 @dataclass(frozen=True)
 class ScaleGrid:
-    """Geometric grid y_j = y_max * rho^j, j = 0..count-1, descending."""
+    """Geometric grid y_j = y_max * rho^j, j = 0..count-1, descending, for
+    0 < y_min < y_max <= 1 (kept as floats) and an integer count >= 16."""
 
     y_min: float
     y_max: float = 1.0
     count: int = 48
 
     def __post_init__(self):
-        if not (0.0 < self.y_min < self.y_max <= 1.0):
-            raise InvalidParameter(
-                f"need 0 < y_min < y_max <= 1, got [{self.y_min}, {self.y_max}]"
-            )
-        if not isinstance(self.count, (int, np.integer)) or self.count < 16:
-            raise InvalidParameter(
-                f"need an integer count of at least 16 scales, got {self.count}"
-            )
+        y_max = real_parameter(self.y_max, "y_max", 0.0, at_most=1.0)
+        object.__setattr__(self, "y_min", real_parameter(self.y_min, "y_min", 0.0, y_max))
+        object.__setattr__(self, "y_max", y_max)
+        real_parameter(self.count, "scale count", at_least=16, integer=True)
 
     @property
     def ratio(self):
@@ -127,11 +124,8 @@ def _scale_convolutions(T, kernel, grid: ScaleGrid, p):
     """T * K_y for y over the grid, one convolve_scaled per scale (a
     generator), on the band torus of spectral._band_restrict at p = 2 and on
     T's torus otherwise (see sweep)."""
-    lo = min_scale(kernel, T.torus)
-    if grid.y_min < lo * (1.0 - 1e-12):
-        raise ScaleOutOfRange(
-            f"grid bottom {grid.y_min:.3g} below kernel minimum scale {lo:.3g}"
-        )
+    lo = min_scale(kernel, T.torus) * (1.0 - 1e-12)  # convolve_scaled's bound
+    real_parameter(grid.y_min, "grid bottom", at_least=lo, error=ScaleOutOfRange)
     if parse_exponent(p) != 2.0:
         return (convolve_scaled(T, kernel, y) for y in grid.values())
     return (convolve_scaled(_band_restrict(T, kernel, y), kernel, y) for y in grid.values())
@@ -151,7 +145,7 @@ def q_integral(profile: ScaleProfile, s, q):
     target for steep integrands); q = inf: max of y^s N(y).  May return inf
     when the weighted terms overflow.
     """
-    _check_order(s)
+    s = real_parameter(s, "s")
     q = parse_exponent(q, "q")
     y = profile.grid.values()
     n = profile.norms
@@ -195,7 +189,7 @@ def critical_exponent(profile: ScaleProfile):
     """
     y = profile.grid.values()
     n = profile.norms
-    zero_tol = ZERO_RTOL * max(1.0, float(n.max()) if n.size else 1.0)
+    zero_tol = ZERO_RTOL * max(1.0, float(n.max()))
     nonzero = n > zero_tol
 
     if not nonzero.any():
@@ -256,14 +250,9 @@ def convergence_verdict(profile: ScaleProfile, s, q):
     the verdict is "borderline": log corrections at the critical index
     distinguish q < inf from q = inf and finite data cannot resolve them.
     """
-    _check_order(s)
+    s = real_parameter(s, "s")
     q = parse_exponent(q, "q")
     return _fit_verdict(critical_exponent(profile), s, q)
-
-
-def _check_order(s):
-    if not (isinstance(s, numbers.Real) and math.isfinite(s)):
-        raise InvalidParameter(f"s must be a finite real number, got {s!r}")
 
 
 def _fit_verdict(fit: ExponentFit, s, q):

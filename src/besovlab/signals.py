@@ -7,13 +7,10 @@ Holder exponent, and band-limited smooth bumps used as windows and test
 functions.  All emit Nyquist-balanced coefficient arrays.
 """
 
-import math
-import numbers
-
 import numpy as np
 
 from .errors import InvalidParameter
-from .spectral import SpectralFunction, Torus
+from .spectral import SpectralFunction, Torus, real_parameter
 
 __all__ = [
     "dirac",
@@ -99,8 +96,7 @@ def lacunary(torus: Torus, alpha):
     Holder exponent alpha in (0, 1); dyadic modes capped at N/4 so the top
     term stays well inside the band.
     """
-    if not (0.0 < alpha < 1.0):
-        raise InvalidParameter(f"lacunary exponent must be in (0, 1), got {alpha}")
+    alpha = real_parameter(alpha, "lacunary exponent", 0.0, 1.0)
     c = _empty_1d(torus)
     mmax = torus.mode_max
     n = 0
@@ -124,12 +120,9 @@ def bump(torus: Torus, center=0.5, halfwidth=0.1):
     """
     if torus.dimension != 1:
         raise InvalidParameter("bump is one-dimensional")
-    if not (isinstance(halfwidth, numbers.Real) and 0 < halfwidth < math.inf):
-        raise InvalidParameter(f"halfwidth must be positive and finite, got {halfwidth!r}")
-    if not (isinstance(center, numbers.Real) and math.isfinite(center)):
-        raise InvalidParameter(f"center must be a finite real number, got {center!r}")
+    h = real_parameter(halfwidth, "halfwidth", 0.0)
+    center = real_parameter(center, "center")
     xi = torus.frequencies()
-    h = float(halfwidth)
     with np.errstate(over="ignore"):  # a huge halfwidth: exp(-inf) = 0 is exact
         g = np.exp(-((xi * h) ** 2) / 4.0)
     g[np.abs(g) < 1e-18 * np.max(g)] = 0.0

@@ -68,6 +68,7 @@ __all__ = [
     "parse_exponent",
     "to_jsonable",
     "derivative_order",
+    "real_parameter",
     "lp_norm",
     "sobolev_table",
     "sobolev_norm",
@@ -134,10 +135,6 @@ _REAL_RTOL = 1e-10
 _TORUS_CACHE_SIZE = 128
 
 
-def _is_pow2(n):
-    return isinstance(n, (int, np.integer)) and n >= 1 and (n & (n - 1)) == 0
-
-
 @dataclass(frozen=True)
 class Torus:
     """Computational domain: a d-dimensional torus with N grid points per axis.
@@ -147,7 +144,7 @@ class Torus:
     dimension : int
         1 (fully supported) or 2.
     length : float
-        Period L in physical units of x; positive and finite.
+        Period L in physical units of x; positive and finite, kept as a float.
     grid_size : int
         Points per axis; an integer power of two, at least 8.
     """
@@ -157,14 +154,11 @@ class Torus:
     grid_size: int = 4096
 
     def __post_init__(self):
-        if not isinstance(self.dimension, (int, np.integer)) or self.dimension not in (1, 2):
-            raise InvalidParameter(f"dimension must be 1 or 2, got {self.dimension}")
-        if not (0 < self.length < math.inf):
-            raise InvalidParameter(f"period must be positive and finite, got {self.length}")
-        if not _is_pow2(self.grid_size) or self.grid_size < 8:
-            raise InvalidParameter(
-                f"grid size must be a power of two >= 8, got {self.grid_size}"
-            )
+        real_parameter(self.dimension, "dimension", at_least=1, at_most=2, integer=True)
+        object.__setattr__(self, "length", real_parameter(self.length, "period", 0.0))
+        n = real_parameter(self.grid_size, "grid size", at_least=8, integer=True)
+        if n & (n - 1):
+            raise InvalidParameter(f"grid size must be a power of two >= 8, got {n}")
 
     @property
     def nyquist(self):
@@ -259,14 +253,10 @@ class SpectralFunction:
     # -- small algebra, used by nets and perturbations ---------------------
 
     def __add__(self, other):
-        self._check_same_torus(other)
-        tag = "distribution" if "distribution" in (self.tag, other.tag) else "function"
-        return SpectralFunction(self.torus, self.coefficients + other.coefficients, tag)
+        return self._combine(other, np.add)
 
     def __sub__(self, other):
-        self._check_same_torus(other)
-        tag = "distribution" if "distribution" in (self.tag, other.tag) else "function"
-        return SpectralFunction(self.torus, self.coefficients - other.coefficients, tag)
+        return self._combine(other, np.subtract)
 
     def __mul__(self, scalar):
         return SpectralFunction(self.torus, self.coefficients * scalar, self.tag)
@@ -276,6 +266,12 @@ class SpectralFunction:
     def _check_same_torus(self, other):
         if other.torus != self.torus:
             raise InvalidParameter("operands live on different toruses")
+
+    def _combine(self, other, op):
+        """op of the two coefficient arrays: a distribution if either operand is."""
+        self._check_same_torus(other)
+        tag = "distribution" if "distribution" in (self.tag, other.tag) else "function"
+        return SpectralFunction(self.torus, op(self.coefficients, other.coefficients), tag)
 
     # -- structure queries --------------------------------------------------
 
@@ -337,8 +333,7 @@ class SpectralFunction:
 
     def dilate(self, factor=2):
         """Reindex to T(factor * x): mode m moves to factor*m, rest truncated."""
-        if not (isinstance(factor, (int, np.integer)) and factor >= 1):
-            raise InvalidParameter("dilation factor must be a positive integer")
+        factor = real_parameter(factor, "dilation factor", at_least=1, integer=True)
         if self.torus.dimension != 1:
             raise InvalidParameter("dilate is implemented for d = 1")
         mmax = self.torus.mode_max
@@ -437,8 +432,7 @@ def dft_synthesize(f: SpectralFunction, oversample=1):
     Returns a complex array of shape (oversample*N,)*d.  Round trip with
     dft_analyze is the identity for Nyquist-balanced coefficients.
     """
-    if not (isinstance(oversample, (int, np.integer)) and oversample >= 1):
-        raise InvalidParameter(f"oversample must be a positive integer, got {oversample!r}")
+    oversample = real_parameter(oversample, "oversample", at_least=1, integer=True)
     return _synthesize(f, oversample * f.torus.grid_size, real=False)
 
 
@@ -500,6 +494,32 @@ def to_jsonable(obj):
     if isinstance(obj, float) and not math.isfinite(obj):
         return None
     return obj
+
+
+def real_parameter(x, name, above=-math.inf, below=math.inf, *, at_least=None, at_most=None,
+                   integer=False, error=InvalidParameter):
+    """x as a float (an int if integer) when it is a real in its range, else error.
+
+    The range is above < x < below, with at_least <= x or x <= at_most in
+    place of an open end when given: by default every finite real.  Strings,
+    None, complex numbers, arrays other than 0-d, nan, infinities and, if
+    integer, non-integer types raise.  Comparing under try costs less than a
+    numbers.Real test, on the convolution's hot path.
+    """
+    try:
+        if isinstance(x, (int, np.integer)) if integer else not isinstance(x, np.complexfloating):
+            ok = (above < x if at_least is None else at_least <= x) and (
+                x < below if at_most is None else x <= at_most
+            )
+            if ok is True or ok is np.True_:  # an array of one value compares to an array
+                return int(x) if integer else float(x)
+    except (TypeError, ValueError, OverflowError):  # e.g. strings, None, arrays, 10**400
+        pass
+    lo = f"({above:g}" if at_least is None else f"[{at_least:g}"
+    hi = f"{below:g})" if at_most is None else f"{at_most:g}]"
+    span = {"(0, inf)": "positive and finite", "(-inf, inf)": "finite and real"}
+    span = span.get(f"{lo}, {hi}", f"in {lo}, {hi}")
+    raise error(f"{name} must be {'an integer ' * integer}{span}, got {x!r}")
 
 
 def derivative_order(k, name="derivative order"):
@@ -750,15 +770,12 @@ def convolve_scaled(T: SpectralFunction, kernel, y):
     distinct radius |xi| of the torus inside K_hat(y .)'s support
     (_kernel_multiplier).
     """
-    if not (0 < y < math.inf):
-        raise ScaleOutOfRange(f"scale must be positive and finite, got {y}")
+    y = real_parameter(y, "scale", 0.0, error=ScaleOutOfRange)
     lo = min_scale(kernel, T.torus)
     if y < lo * (1.0 - 1e-12):
-        raise ScaleOutOfRange(
-            f"scale {y:.6g} below minimum {lo:.6g} for this kernel/torus"
-        )
+        raise ScaleOutOfRange(f"scale {y:.6g} below minimum {lo:.6g} for this kernel/torus")
     # radii past the entry's end take its last value, 0
-    mult = _kernel_multiplier(kernel, T.torus, float(y)).take(_distinct_radii(T.torus)[1], mode="clip")
+    mult = _kernel_multiplier(kernel, T.torus, y).take(_distinct_radii(T.torus)[1], mode="clip")
     return T._keeps_symmetry(SpectralFunction(T.torus, T.coefficients * mult, "function"))
 
 

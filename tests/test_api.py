@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 import besovlab
-from besovlab.association import AssociationReport
-from besovlab.besov import detect_regularity, detect_smooth
-from besovlab.errors import DegenerateProfile, InvalidParameter
+from besovlab.association import AssociationReport, bump_battery
+from besovlab.besov import detect_regularity, detect_smooth, embed
+from besovlab.errors import BesovlabError, DegenerateProfile, InvalidParameter
 from besovlab.kernels import (
     Kernel,
     build_lp_pair,
@@ -31,9 +31,10 @@ from besovlab.scales import (
     q_integral,
     synthetic_profile,
 )
-from besovlab.signals import bump, constant, cosine, heaviside, lacunary, sine
+from besovlab.signals import bump, constant, cosine, dirac, heaviside, lacunary, sine
 from besovlab.spectral import (
     Torus,
+    convolve_scaled,
     dft_synthesize,
     lp_norm,
     sobolev_norm,
@@ -250,3 +251,51 @@ def test_bump_of_huge_center_is_reduced_modulo_the_period():
     # xi * 1e306 would overflow; 1e306 is a whole number of periods
     t = Torus(1, 1.0, 4096)
     np.testing.assert_array_equal(bump(t, center=1e306).coefficients, bump(t, center=0.0).coefficients)
+
+
+# every scalar argument is checked by spectral.real_parameter: junk raises a
+# BesovlabError, never numpy's or Python's own TypeError or ValueError
+_SCALAR_ARGUMENTS = {  # argument -> (call with the argument set to v, real-valued)
+    "Torus length": (lambda v: Torus(1, v, 64), True),
+    "ScaleGrid y_min": (lambda v: ScaleGrid(v, 1.0, 16), True),
+    "ScaleGrid y_max": (lambda v: ScaleGrid(0.01, v, 16), True),
+    "Kernel inner_support": (lambda v: Kernel(v, 40.0, (16.0, 32.0)), True),
+    "Kernel plateau start": (lambda v: Kernel(8.0, 40.0, (v, 32.0)), True),
+    "Kernel plateau end": (lambda v: Kernel(0.0, 40.0, (0.0, v)), True),
+    "Kernel outer_support": (lambda v: Kernel(0.0, v, (0.0, 32.0)), True),
+    "build_mollifier sigma": (build_mollifier, True),
+    "build_lp_pair sigma": (lambda v: build_lp_pair(v, 0.5), True),
+    "build_lp_pair eta": (lambda v: build_lp_pair(32.0, v), True),
+    "kernel_samples oversample": (lambda v: kernel_samples(_PHI, oversample=v), True),
+    "lacunary alpha": (lambda v: lacunary(_T8, v), True),
+    "bump halfwidth": (lambda v: bump(_T8, halfwidth=v), True),
+    "bump center": (lambda v: bump(_T8, center=v), True),
+    "convolve_scaled y": (lambda v: convolve_scaled(dirac(_T8), _PHI, v), True),
+    "NetSpec eps": (lambda v: embed(dirac(_T8), _PHI)(v), True),
+    "bump_battery count": (lambda v: bump_battery(_T8, v), False),
+}
+_JUNK = ["0.5", None, 1j, np.array([0.5, 0.6])]
+
+
+@pytest.mark.parametrize(
+    "argument,junk",
+    [
+        pytest.param(argument, junk, id=f"{argument}={junk!r}")
+        for argument, (_, real) in _SCALAR_ARGUMENTS.items()
+        for junk in _JUNK + [math.nan] * real
+    ],
+)
+def test_junk_scalar_raises_a_typed_error(argument, junk):
+    call, _ = _SCALAR_ARGUMENTS[argument]
+    with pytest.raises(BesovlabError):
+        call(junk)
+
+
+def test_kernel_pieces_are_kept_as_floats():
+    kernel = Kernel(np.float64(16), 40, np.array([24.0, 32.0]))
+    assert kernel == Kernel(16.0, 40.0, (24.0, 32.0))
+    assert [type(v) for v in (kernel.inner_support, kernel.outer_support, *kernel.plateau)] == [float] * 4
+    hash(kernel)  # spectral caches multipliers by kernel
+    for plateau in (None, 24.0, (24.0,), "ab"):
+        with pytest.raises(InvalidParameter, match="plateau"):
+            Kernel(16.0, 40.0, plateau)

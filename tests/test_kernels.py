@@ -224,6 +224,10 @@ class TestMomentOp:
         with pytest.raises(InvalidParameter):
             moment(moll32, 1.5)  # not read as order 1
 
+    def test_three_index_alpha_refused(self, moll32):
+        with pytest.raises(InvalidParameter, match="d = 1 or d = 2"):
+            moment(moll32, (0, 0, 0))
+
     def test_narrow_transition_exact(self):
         _, psi = build_lp_pair(16.0, 0.25)
         assert moment(psi, 10) == 0.0
@@ -259,6 +263,16 @@ class TestMomentOp:
 
 
 class TestSpaceNorms:
+    @pytest.mark.parametrize("oversample", [256, 2, 1])
+    def test_l2_norm_settled_from_oversample_1(self, moll32, oversample):
+        assert kernel_space_norm(moll32, 2, oversample=oversample) == pytest.approx(2.67567, abs=5e-6)
+
+    @pytest.mark.parametrize("oversample", [0.5, 0.1])
+    def test_aliasing_oversample_refused(self, moll32, oversample):
+        # the parent read 2.25676 and 1.00925: K's own samples alias below 1
+        with pytest.raises(InvalidParameter, match="oversample"):
+            kernel_space_norm(moll32, 2, oversample=oversample)
+
     def test_peak_matches_direct_synthesis(self, moll32):
         direct = kernel_space_samples(moll32, np.array([0.0]))[0]
         assert kernel_space_norm(moll32, "inf") == pytest.approx(direct, rel=1e-9)

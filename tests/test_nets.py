@@ -278,6 +278,30 @@ class TestClosedFormClassification:
         assert classify_moderate(sampled, "inf") == ModerateVerdict(True, 2)
 
 
+class TestUnrepresentableNets:
+    """Nets moderate at no s, refused before any exponent is fitted."""
+
+    @pytest.mark.parametrize(
+        "net",
+        [
+            # math.exp overflows below eps = 1/709.8, inside the default grid
+            constant_net(lambda e: math.exp(1.0 / e), label="exp(1/e)"),
+            constant_net(lambda e: math.inf, label="inf"),
+            constant_net(lambda e: 1.0, label="log inf", log_magnitude=lambda e: math.inf),
+        ],
+        ids=["overflowing magnitude", "infinite magnitude", "infinite closed form"],
+    )
+    def test_neither_moderate_nor_negligible(self, net):
+        assert classify_moderate(net, 2) == ModerateVerdict(False)
+        assert classify_negligible(net, 2) == NegligibleVerdict(False, -nets.S_CAP)
+
+    def test_verdicts_read_as_text(self):
+        assert str(ModerateVerdict(True, 3)) == "moderate(s*=3)"
+        assert str(ModerateVerdict(False)) == "not-moderate"
+        assert str(NegligibleVerdict(True)) == "negligible"
+        assert str(NegligibleVerdict(False, -10)) == "not-negligible(s_fail=-10)"
+
+
 class TestModuleStructure:
     def test_moderate_times_moderate_constant(self, torus1k, pair32):
         grid = ScaleGrid(0.013, 1.0, 32)

@@ -28,6 +28,7 @@ from besovlab.spectral import (
     lp_norm,
     min_scale,
     pairing,
+    real_parameter,
     sobolev_norm,
     sobolev_table,
 )
@@ -514,6 +515,64 @@ class TestExponentParsing:
         for alias in ("inf", "Infinity", "INF", None):
             assert call(alias) == want
         assert call("2") == call(2) == call(2.0)
+
+
+class TestAlgebra:
+    def test_sum_and_difference_tags(self):
+        f, g = sine(_T8), dirac(_T8)
+        assert (f + g).tag == (g - f).tag == "distribution"
+        assert (f - f).tag == "function" and not np.any((f - f).coefficients)
+        np.testing.assert_array_equal((f + g).coefficients, f.coefficients + g.coefficients)
+
+    def test_operands_on_different_grids_refused(self):
+        # the torus is checked before the coefficients are combined
+        for op in (lambda a, b: a + b, lambda a, b: a - b):
+            with pytest.raises(InvalidParameter, match="toruses"):
+                op(sine(_T8), sine(Torus(1, 1.0, 16)))
+
+
+class TestRealParameter:
+    @pytest.mark.parametrize("x", [0.25, np.float64(0.25), np.float32(0.25), np.array(0.25)], ids=repr)
+    def test_reals_read_as_floats(self, x):
+        got = real_parameter(x, "x", 0.0, 1.0)
+        assert type(got) is float and got == 0.25
+
+    def test_integers_read_as_ints(self):
+        assert real_parameter(3, "x", at_least=1) == 3.0
+        got = real_parameter(np.int64(3), "n", at_least=1, integer=True)
+        assert type(got) is int and got == 3
+
+    @pytest.mark.parametrize(
+        "x",
+        ["0.25", None, 1j, np.complex128(0.25), np.array([0.25]), np.array([0.25, 0.5]), [0.25],
+         math.nan, math.inf, -math.inf, 10**400],
+        ids=repr,
+    )
+    def test_non_reals_and_non_finite_values_raise(self, x):
+        with pytest.raises(InvalidParameter, match=r"^x must be finite and real, got "):
+            real_parameter(x, "x")
+
+    @pytest.mark.parametrize(
+        "x,bounds,text",
+        [
+            (0.0, {"above": 0.0}, "positive and finite"),
+            (1.0, {"above": 0.0, "below": 1.0}, "in (0, 1)"),
+            (1.5, {"above": 0.0, "at_most": 1.0}, "in (0, 1]"),
+            (0.5, {"at_least": 1.0}, "in [1, inf)"),
+            (3.0, {"at_least": 1, "at_most": 2, "integer": True}, "an integer in [1, 2]"),
+            (2.0, {"at_least": 1, "integer": True}, "an integer in [1, inf)"),
+        ],
+    )
+    def test_range_ends_and_message(self, x, bounds, text):
+        with pytest.raises(InvalidParameter) as caught:
+            real_parameter(x, "x", **bounds)
+        assert str(caught.value) == f"x must be {text}, got {x!r}"
+        ends = {"above": 0.0, "at_most": 1.0}
+        assert real_parameter(1.0, "x", **ends) == 1.0  # a closed end belongs to the range
+
+    def test_error_class_is_the_callers(self):
+        with pytest.raises(ScaleOutOfRange, match="scale must be positive and finite"):
+            real_parameter(None, "scale", 0.0, error=ScaleOutOfRange)
 
 
 class TestFinitenessCheck:
