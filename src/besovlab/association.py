@@ -36,7 +36,7 @@ RAPID_SLOPE = 8.0
 
 def bump_battery(torus, count=DEFAULT_BATTERY_SIZE, seed=7):
     """Seeded battery of band-limited bumps: (label, function) pairs."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(real_parameter(seed, "battery seed", at_least=0, integer=True))
     out = []
     for i in range(real_parameter(count, "battery count", at_least=0, integer=True)):
         center = float(rng.uniform(0.0, torus.length))

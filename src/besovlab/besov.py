@@ -25,9 +25,8 @@ from .kernels import verify_lp_conditions
 from .nets import NetSpec
 from .scales import (
     ScaleGrid,
-    ScaleProfile,
     _line_fits,
-    _scale_convolutions,
+    _profiles,
     critical_exponent,
     q_integral,
     sweep,
@@ -39,7 +38,6 @@ from .spectral import (
     lp_norm,
     min_scale,
     parse_exponent,
-    sobolev_table,
     to_jsonable,
 )
 
@@ -143,7 +141,7 @@ def detect_regularity(T, p, q, k, pair, grid: ScaleGrid = None) -> RegularityRep
         "grid": [grid.y_min, grid.y_max, grid.count],
     }
     escalations = 0
-    profile_at = _net_profiles(T, phi, grid, p)
+    profile_at = _profiles(T, phi, grid, p)
     while True:
         fit = critical_exponent(profile_at(k))
         r_hat = k + fit.slope  # inf for the vanishing-profile sentinel
@@ -156,28 +154,6 @@ def detect_regularity(T, p, q, k, pair, grid: ScaleGrid = None) -> RegularityRep
         r_hat, -fit.slope, k, f"{p:g}", f"{q:g}", fit.stderr, fit.window, fit.points,
         fit.residual, "besov" if trusted else "inconclusive", escalations, settings,
     )
-
-
-def _net_profiles(T, phi, grid, p):
-    """k -> the W^{k,p} profile of the mollifier net, each order computed once.
-
-    The arithmetic is that of sweep(T, phi, grid, k, p): at p = 2 each
-    scale is convolved on its band torus, which holds the support of the
-    dilated kernel's transform and gives the same L^2 norms from fewer
-    modes; other p keep T's torus, which their quadratures sample on.
-    Raising k computes only the norm-table columns of the new orders, from
-    the convolutions kept here.
-    """
-    convs = list(_scale_convolutions(T, phi, grid, p))
-    by_order = []  # by_order[j]: per-scale max over the multi-indices of order j
-
-    def profile_at(k):
-        for j in range(len(by_order), k + 1):
-            by_order.append(sobolev_table(convs, [j], p).max(axis=1))
-        norms = np.max(by_order[: k + 1], axis=0)
-        return ScaleProfile(grid, norms, {"k": k, "p": str(p), "kernel": phi.label})
-
-    return profile_at
 
 
 @dataclass(frozen=True)
@@ -212,7 +188,7 @@ def detect_smooth(T, p, q, pair, grid: ScaleGrid = None, k_max=8) -> SmoothEvide
         raise InvalidParameter("k_max must be at least 4")
     phi = pair[0]
     grid = grid or default_grid(T.torus, phi)
-    profile_at = _net_profiles(T, phi, grid, p)
+    profile_at = _profiles(T, phi, grid, p)
     s_hats = []
     for k in range(k_max + 1):
         fit = critical_exponent(profile_at(k))

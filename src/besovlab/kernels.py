@@ -17,11 +17,7 @@ that do not glue smoothly), so verify_lp_conditions reads its exact minimum
 on a range off the two ends.  A moment of order alpha is i^|alpha| times
 the alpha-th derivative of the transform at 0, where every profile is
 constant: moment reads the mass off profile(0) and returns exactly 0 for
-every higher order, with no quadrature.  Space-domain quantities
-(reference norms, sample values) are computed by synthesizing the kernel on
-a uniform 1-d grid fine enough that the rectangle rule is alias-free for
-band-limited integrands, with an adaptive window sized to the kernel's
-superpolynomial spatial decay.
+every higher order, with no quadrature.
 """
 
 import math
@@ -29,8 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParameter, QuadratureInaccurate
-from .spectral import derivative_order, parse_exponent, real_parameter, to_jsonable
+from .errors import InvalidParameter
+from .spectral import derivative_order, real_parameter, to_jsonable
 
 __all__ = [
     "Kernel",
@@ -40,14 +36,10 @@ __all__ = [
     "verify_lp_conditions",
     "LPDiagnostics",
     "moment",
-    "kernel_samples",
-    "kernel_space_norm",
 ]
 
 MOMENT_TOL = 1e-8
 POSITIVITY_TOL = 1e-12
-_SAMPLE_REL_FLOOR = 1e-14  # kernel_samples: |K| at the window edge over its peak
-_MAX_DOUBLINGS = 10  # kernel_samples: window doublings allowed to reach that floor
 
 # Fraction of sigma used for the outer roll-off of pair kernels; keeps the
 # annulus [eta*sigma, sigma] on the plateau where the profile is exactly 1,
@@ -133,14 +125,6 @@ class Kernel:
         """Midpoint of the roll-off, where the profile is 1/2."""
         return (self.plateau[1] + self.outer_support) / 2.0
 
-    @property
-    def min_transition(self):
-        """Narrowest spectral transition; sets the spatial decay rate."""
-        widths = [self.outer_support - self.plateau[1]]
-        if self.inner_support > 0.0:
-            widths.append(self.plateau[0] - self.inner_support)
-        return min(widths)
-
 
 def build_mollifier(sigma):
     """Flat-top mollifier: profile 1 on [0, sigma/2], supported in [0, sigma].
@@ -188,44 +172,8 @@ def build_lp_pair(sigma, eta):
 
 
 # ---------------------------------------------------------------------------
-# Moments and space-domain synthesis
+# Moments
 # ---------------------------------------------------------------------------
-
-
-def kernel_samples(kernel, oversample=2):
-    """Synthesize K(x) on a uniform grid reaching the kernel's decay floor.
-
-    Returns (x, values, dx).  The sample spacing dx = pi / (oversample *
-    outer_support), with a finite oversample >= 1, keeps the rectangle rule
-    alias-free for any integrand whose transform is supported in
-    [-outer_support, outer_support]; a coarser grid aliases K itself.  The
-    half-width doubles, at most 10 times, until |K| at the window edge drops
-    below 1e-14 of its peak; QuadratureInaccurate is raised otherwise.
-    """
-    oversample = real_parameter(oversample, "oversample", at_least=1.0)
-    dx = math.pi / (oversample * kernel.outer_support)
-    # decay length ~ 1/min_transition; start a few e-foldings out
-    half = max(64.0 * dx, 48.0 / kernel.min_transition)
-    for _ in range(_MAX_DOUBLINGS + 1):
-        n = 1 << max(8, math.ceil(math.log2(2.0 * half / dx)))
-        dxi = 2.0 * math.pi / (n * dx)
-        grid_idx = np.arange(n) - n // 2
-        xi = grid_idx * dxi
-        prof = kernel.profile(xi)
-        # F_j = (dxi/2pi) sum_m P_m exp(i xi_m x_j) with centered grids
-        phase = np.where(grid_idx % 2 == 0, 1.0, -1.0)
-        vals = np.fft.ifft(prof * phase) * n
-        vals = (vals * phase).real * (dxi / (2.0 * math.pi))
-        x = grid_idx * dx
-        mag = np.abs(vals)
-        edge = max(2, n // 32)
-        tail = max(mag[:edge].max(), mag[-edge:].max())
-        if tail <= _SAMPLE_REL_FLOOR * mag.max():
-            return x, vals, dx
-        half *= 2.0
-    raise QuadratureInaccurate(
-        "kernel tail mass did not decay below tolerance within the window budget"
-    )
 
 
 def moment(kernel, alpha):
@@ -240,20 +188,6 @@ def moment(kernel, alpha):
     if len(idx) not in (1, 2):
         raise InvalidParameter("moment supports d = 1 or d = 2 multi-indices")
     return 0.0 if sum(idx) else float(kernel.profile(0.0))
-
-
-def kernel_space_norm(kernel, p, oversample=256):
-    """Reference L^p(R) norm of the synthesized kernel (d = 1).
-
-    Used as the scale-free side of dilation identities; the heavy
-    oversampling controls the rectangle-rule error at the kinks of |K|^p.
-    oversample is that of kernel_samples, at least 1.
-    """
-    p = parse_exponent(p)
-    x, vals, dx = kernel_samples(kernel, oversample=oversample)
-    if math.isinf(p):
-        return float(np.max(np.abs(vals)))
-    return float((np.sum(np.abs(vals) ** p) * dx) ** (1.0 / p))
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import DegenerateProfile, InvalidParameter, ScaleOutOfRange
 from .spectral import (
     _band_restrict,
+    _multi_indices,
     convolve_scaled,
     derivative_order,
     min_scale,
@@ -39,7 +40,6 @@ __all__ = [
     "q_integral",
     "critical_exponent",
     "convergence_verdict",
-    "synthetic_profile",
 ]
 
 # Norms below max(1, profile peak) * this are treated as exact zeros.
@@ -115,26 +115,38 @@ def sweep(T, kernel, grid: ScaleGrid, k=0, p=2):
     at a fraction of the modes for the coarse scales.  Other p keep T's
     torus, because the grid sup and the rectangle rules sample on it.
     """
-    convs = _scale_convolutions(T, kernel, grid, p)
-    norms = sobolev_table(convs, range(derivative_order(k) + 1), p).max(axis=1)
-    return ScaleProfile(grid, norms, {"k": k, "p": str(p), "kernel": kernel.label})
+    k = derivative_order(k)
+    return _profiles(T, kernel, grid, p)(k)
 
 
-def _scale_convolutions(T, kernel, grid: ScaleGrid, p):
-    """T * K_y for y over the grid, one convolve_scaled per scale (a
-    generator), on the band torus of spectral._band_restrict at p = 2 and on
-    T's torus otherwise (see sweep)."""
+def _profiles(T, kernel, grid: ScaleGrid, p):
+    """k -> sweep(T, kernel, grid, k, p), each norm computed once: the engine
+    of sweep and of the detectors.
+
+    The per-scale convolutions are made once, as sweep describes, and kept.
+    A call for a higher k extends one norm table by the columns of the new
+    orders, in one sobolev_table pass.  Its columns are graded, so profile k
+    is the max over the prefix of the orders <= k.
+    """
+    p = parse_exponent(p)
     lo = min_scale(kernel, T.torus) * (1.0 - 1e-12)  # convolve_scaled's bound
     real_parameter(grid.y_min, "grid bottom", at_least=lo, error=ScaleOutOfRange)
-    if parse_exponent(p) != 2.0:
-        return (convolve_scaled(T, kernel, y) for y in grid.values())
-    return (convolve_scaled(_band_restrict(T, kernel, y), kernel, y) for y in grid.values())
+    convs = [
+        convolve_scaled(_band_restrict(T, kernel, y) if p == 2.0 else T, kernel, y)
+        for y in grid.values()
+    ]
+    table, top = np.empty((grid.count, 0)), -1  # top: the highest order in table
 
+    def profile_at(k):
+        nonlocal table, top
+        if k > top:
+            table = np.hstack([table, sobolev_table(convs, range(top + 1, k + 1), p)])
+            top = k
+        columns = len(_multi_indices(range(k + 1), T.torus.dimension))
+        meta = {"k": k, "p": f"{p:g}", "kernel": kernel.label}
+        return ScaleProfile(grid, table[:, :columns].max(axis=1), meta)
 
-def synthetic_profile(grid: ScaleGrid, fn, meta=None):
-    """Profile from a closed-form N(y); used by calibration tests."""
-    y = grid.values()
-    return ScaleProfile(grid, np.asarray([fn(v) for v in y], dtype=float), meta or {})
+    return profile_at
 
 
 def q_integral(profile: ScaleProfile, s, q):

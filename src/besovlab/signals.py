@@ -32,7 +32,7 @@ def dirac(torus: Torus):
 
 def constant(torus: Torus, value=1.0):
     c = np.zeros(torus.coeff_shape(), dtype=complex)
-    c[(torus.mode_max,) * torus.dimension] = value
+    c[(torus.mode_max,) * torus.dimension] = real_parameter(value, "constant value")
     return SpectralFunction(torus, c, "function")
 
 

@@ -259,6 +259,7 @@ class SpectralFunction:
         return self._combine(other, np.subtract)
 
     def __mul__(self, scalar):
+        scalar = real_parameter(scalar, "scalar factor")
         return SpectralFunction(self.torus, self.coefficients * scalar, self.tag)
 
     __rmul__ = __mul__
@@ -331,17 +332,6 @@ class SpectralFunction:
                 c = c * _derivative_multiplier(self.torus, a).reshape(shape)
         return self._keeps_symmetry(SpectralFunction(self.torus, c, self.tag))
 
-    def dilate(self, factor=2):
-        """Reindex to T(factor * x): mode m moves to factor*m, rest truncated."""
-        factor = real_parameter(factor, "dilation factor", at_least=1, integer=True)
-        if self.torus.dimension != 1:
-            raise InvalidParameter("dilate is implemented for d = 1")
-        mmax = self.torus.mode_max
-        out = np.zeros_like(self.coefficients)
-        src = np.arange(-(mmax // factor), mmax // factor + 1)
-        out[src * factor + mmax] = self.coefficients[src + mmax]
-        return SpectralFunction(self.torus, out, self.tag)
-
 
 def _is_conjugate_symmetric(c):
     """max |c_m - conj(c_-m)| <= _REAL_RTOL * max |c| (SpectralFunction.is_real)."""
@@ -354,13 +344,17 @@ def _is_conjugate_symmetric(c):
 def _derivative_multiplier(torus, a):
     """(i xi)^a over the torus's modes, read-only and cached per (torus, a).
 
-    Built as i^a * xi^a with xi^a by repeated real multiplication.
+    Built as i^a * xi^a with xi^a by repeated real multiplication.  An order
+    whose multiplier overflows raises InvalidParameter, with no warning.
     """
     xi = torus.frequencies()
     power = xi
-    for _ in range(a - 1):
-        power = power * xi
-    out = power * (1j**a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(a - 1):
+            power = power * xi
+        out = power * (1j**a)
+    if not np.all(np.isfinite(out)):
+        raise InvalidParameter(f"derivative of order {a} overflows on {torus}")
     out.flags.writeable = False
     return out
 
@@ -449,6 +443,8 @@ def dft_analyze(values, torus: Torus):
     result is Nyquist-balanced (real input yields conjugate-symmetric output).
     """
     v = np.asarray(values)
+    if v.dtype.kind not in "biufc":
+        raise InvalidParameter(f"samples must be numeric, got dtype {v.dtype}")
     if v.shape != (torus.grid_size,) * torus.dimension:
         raise InvalidParameter(
             f"sample shape {v.shape} does not match torus grid {torus.grid_size}^{torus.dimension}"

@@ -2,10 +2,93 @@
 
 Everything here deliberately avoids the package's FFT synthesis and torus
 quadrature paths: direct mode summation, direct cosine quadrature of
-spectral profiles, and sampled difference quotients.
+spectral profiles, space-domain kernel synthesis on R, and sampled
+difference quotients.
 """
 
+import math
+
 import numpy as np
+
+from besovlab.errors import QuadratureInaccurate
+from besovlab.scales import ScaleProfile
+from besovlab.spectral import SpectralFunction, parse_exponent, real_parameter
+
+_SAMPLE_REL_FLOOR = 1e-14  # kernel_samples: |K| at the window edge over its peak
+_MAX_DOUBLINGS = 10  # kernel_samples: window doublings allowed to reach that floor
+
+
+def min_transition(kernel):
+    """Narrowest spectral transition of a kernel; sets its spatial decay rate."""
+    widths = [kernel.outer_support - kernel.plateau[1]]
+    if kernel.inner_support > 0.0:
+        widths.append(kernel.plateau[0] - kernel.inner_support)
+    return min(widths)
+
+
+def kernel_samples(kernel, oversample=2):
+    """Synthesize K(x) on a uniform grid of R reaching the kernel's decay floor.
+
+    Returns (x, values, dx).  The sample spacing dx = pi / (oversample *
+    outer_support), with a finite oversample >= 1, keeps the rectangle rule
+    alias-free for any integrand whose transform is supported in
+    [-outer_support, outer_support]; a coarser grid aliases K itself.  The
+    half-width doubles, at most 10 times, until |K| at the window edge drops
+    below 1e-14 of its peak; QuadratureInaccurate is raised otherwise.
+    """
+    oversample = real_parameter(oversample, "oversample", at_least=1.0)
+    dx = math.pi / (oversample * kernel.outer_support)
+    # decay length ~ 1/min_transition; start a few e-foldings out
+    half = max(64.0 * dx, 48.0 / min_transition(kernel))
+    for _ in range(_MAX_DOUBLINGS + 1):
+        n = 1 << max(8, math.ceil(math.log2(2.0 * half / dx)))
+        dxi = 2.0 * math.pi / (n * dx)
+        grid_idx = np.arange(n) - n // 2
+        xi = grid_idx * dxi
+        prof = kernel.profile(xi)
+        # F_j = (dxi/2pi) sum_m P_m exp(i xi_m x_j) with centered grids
+        phase = np.where(grid_idx % 2 == 0, 1.0, -1.0)
+        vals = np.fft.ifft(prof * phase) * n
+        vals = (vals * phase).real * (dxi / (2.0 * math.pi))
+        x = grid_idx * dx
+        mag = np.abs(vals)
+        edge = max(2, n // 32)
+        tail = max(mag[:edge].max(), mag[-edge:].max())
+        if tail <= _SAMPLE_REL_FLOOR * mag.max():
+            return x, vals, dx
+        half *= 2.0
+    raise QuadratureInaccurate(
+        "kernel tail mass did not decay below tolerance within the window budget"
+    )
+
+
+def kernel_space_norm(kernel, p, oversample=256):
+    """Reference L^p(R) norm of the synthesized kernel (d = 1).
+
+    The scale-free side of dilation identities; the heavy oversampling
+    controls the rectangle-rule error at the kinks of |K|^p.  oversample is
+    that of kernel_samples, at least 1.
+    """
+    p = parse_exponent(p)
+    x, vals, dx = kernel_samples(kernel, oversample=oversample)
+    if math.isinf(p):
+        return float(np.max(np.abs(vals)))
+    return float((np.sum(np.abs(vals) ** p) * dx) ** (1.0 / p))
+
+
+def dilate(f, factor):
+    """f(factor x) for a 1-d f and an integer factor >= 1: mode m moves to
+    factor * m, and the modes that would leave the torus's range are dropped."""
+    mmax = f.torus.mode_max
+    out = np.zeros_like(f.coefficients)
+    src = np.arange(-(mmax // factor), mmax // factor + 1)
+    out[src * factor + mmax] = f.coefficients[src + mmax]
+    return SpectralFunction(f.torus, out, f.tag)
+
+
+def synthetic_profile(grid, fn, meta=None):
+    """Profile of a closed-form N(y) over the grid."""
+    return ScaleProfile(grid, np.asarray([fn(v) for v in grid.values()], dtype=float), meta or {})
 
 
 def direct_mode_sum(coeffs, length, points):
@@ -62,7 +145,7 @@ def trigonometric_l1(coeffs, length, density=64, steps=40):
 
 def kernel_space_samples(kernel, x, resolution=512.0):
     """K(x) by direct cosine quadrature of the spectral profile (even, real)."""
-    dxi = kernel.min_transition / resolution
+    dxi = min_transition(kernel) / resolution
     xi = np.arange(0.0, kernel.outer_support + dxi, dxi)
     w = np.ones_like(xi)
     w[0] = 0.5
@@ -85,7 +168,7 @@ def periodized_kernel_samples(kernel, y, x, length, resolution=512.0):
     """
     x = np.asarray(x, dtype=float)
     peak = abs(kernel_space_samples(kernel, np.zeros(1), resolution)[0]) / y
-    alias_free = np.pi * resolution / kernel.min_transition
+    alias_free = np.pi * resolution / min_transition(kernel)
     out = kernel_space_samples(kernel, x / y, resolution) / y
     k = 0
     while True:

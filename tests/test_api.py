@@ -18,8 +18,6 @@ from besovlab.kernels import (
     Kernel,
     build_lp_pair,
     build_mollifier,
-    kernel_samples,
-    kernel_space_norm,
     verify_lp_conditions,
 )
 from besovlab.nets import NetSpec, SpikeNet, constant_net, function_net, spike_integral
@@ -29,7 +27,6 @@ from besovlab.scales import (
     convergence_verdict,
     critical_exponent,
     q_integral,
-    synthetic_profile,
 )
 from besovlab.signals import bump, constant, cosine, dirac, heaviside, lacunary, sine
 from besovlab.spectral import (
@@ -41,6 +38,7 @@ from besovlab.spectral import (
     sobolev_table,
     to_jsonable,
 )
+from oracles import synthetic_profile
 
 MODULES = [
     importlib.import_module(f"besovlab.{info.name}")
@@ -200,12 +198,6 @@ _TYPED_ERRORS = {  # case -> (error class, message fragment, call)
     "synthesis oversample 1.5": (
         InvalidParameter, "oversample", lambda: dft_synthesize(sine(_T8), 1.5)
     ),
-    "kernel norm oversample 0": (
-        InvalidParameter, "oversample", lambda: kernel_space_norm(_PHI, 2, oversample=0)
-    ),
-    "kernel samples oversample -1": (
-        InvalidParameter, "oversample", lambda: kernel_samples(_PHI, oversample=-1)
-    ),
     "kernel infinite outer support": (
         InvalidParameter,
         "must be finite",
@@ -229,6 +221,7 @@ _TYPED_ERRORS = {  # case -> (error class, message fragment, call)
     "spike nan n_max": (
         InvalidParameter, "n_max", lambda: spike_integral(SpikeNet(2.0), 0.0, 2.0, n_max=math.nan)
     ),
+    "battery negative seed": (InvalidParameter, "seed", lambda: bump_battery(_T8, 1, -1)),
     "spike power 0": (InvalidParameter, "power", lambda: SpikeNet(2.0, power=0)),
     "spike power -1.5": (InvalidParameter, "power", lambda: SpikeNet(2.0, power=-1.5)),
 }
@@ -266,13 +259,15 @@ _SCALAR_ARGUMENTS = {  # argument -> (call with the argument set to v, real-valu
     "build_mollifier sigma": (build_mollifier, True),
     "build_lp_pair sigma": (lambda v: build_lp_pair(v, 0.5), True),
     "build_lp_pair eta": (lambda v: build_lp_pair(32.0, v), True),
-    "kernel_samples oversample": (lambda v: kernel_samples(_PHI, oversample=v), True),
     "lacunary alpha": (lambda v: lacunary(_T8, v), True),
     "bump halfwidth": (lambda v: bump(_T8, halfwidth=v), True),
     "bump center": (lambda v: bump(_T8, center=v), True),
     "convolve_scaled y": (lambda v: convolve_scaled(dirac(_T8), _PHI, v), True),
     "NetSpec eps": (lambda v: embed(dirac(_T8), _PHI)(v), True),
     "bump_battery count": (lambda v: bump_battery(_T8, v), False),
+    "bump_battery seed": (lambda v: bump_battery(_T8, 1, v), False),
+    "SpectralFunction scalar factor": (lambda v: sine(_T8) * v, True),
+    "constant value": (lambda v: constant(_T8, v), True),
 }
 _JUNK = ["0.5", None, 1j, np.array([0.5, 0.6])]
 

@@ -10,11 +10,10 @@ from besovlab.kernels import (
     Kernel,
     build_lp_pair,
     build_mollifier,
-    kernel_space_norm,
     moment,
     verify_lp_conditions,
 )
-from oracles import kernel_space_samples
+from oracles import kernel_space_norm, kernel_space_samples
 
 
 class TestMollifier:

@@ -16,12 +16,17 @@ from besovlab.scales import (
     critical_exponent,
     q_integral,
     sweep,
-    synthetic_profile,
     _line_fits,
 )
 from besovlab.signals import dirac, heaviside, kink, lacunary, sine
 from besovlab.spectral import SpectralFunction, Torus, convolve_scaled, sobolev_table
-from oracles import antiderivative_lp, longest_first_window, power_law_q_integral, suffix_line_fits
+from oracles import (
+    antiderivative_lp,
+    longest_first_window,
+    power_law_q_integral,
+    suffix_line_fits,
+    synthetic_profile,
+)
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +89,11 @@ class TestSweep:
     def test_metadata(self, heaviside_profile):
         assert heaviside_profile.meta["k"] == 0
         assert "lp-psi" in heaviside_profile.meta["kernel"]
+
+    @pytest.mark.parametrize("p,read", [(None, "inf"), ("inf", "inf"), (2.0, "2"), ("1", "1")])
+    def test_metadata_carries_p_as_the_reports_do(self, torus1k, pair32, p, read):
+        prof = sweep(dirac(torus1k), pair32[0], ScaleGrid(0.02, 0.5, 16), k=0, p=p)
+        assert prof.meta["p"] == read == detect_regularity(dirac(torus1k), p, 2, 1, pair32).p
 
 
 def _random_field(torus, seed=7):

@@ -14,9 +14,9 @@ from besovlab import spectral
 from besovlab.association import association_verdict, bump_battery
 from besovlab.besov import besov_norm, default_grid, detect_regularity, detect_smooth, embed
 from besovlab.errors import AliasingRisk, InvalidParameter, ScaleOutOfRange
-from besovlab.kernels import build_lp_pair, build_mollifier, kernel_space_norm
+from besovlab.kernels import build_lp_pair, build_mollifier
 from besovlab.nets import classify_moderate, classify_negligible, constant_net
-from besovlab.scales import ScaleGrid, convergence_verdict, q_integral, sweep, synthetic_profile
+from besovlab.scales import ScaleGrid, convergence_verdict, q_integral, sweep
 from besovlab.signals import bump, constant, cosine, dirac, heaviside, kink, lacunary, sine
 from besovlab.spectral import (
     SpectralFunction,
@@ -32,7 +32,13 @@ from besovlab.spectral import (
     sobolev_norm,
     sobolev_table,
 )
-from oracles import antiderivative_lp, direct_mode_sum, trigonometric_l1
+from oracles import (
+    antiderivative_lp,
+    direct_mode_sum,
+    kernel_space_norm,
+    synthetic_profile,
+    trigonometric_l1,
+)
 
 
 def _complex_quadrature(f, p, oversample):
@@ -107,9 +113,10 @@ _TYPED_ERRORS = {  # case -> (error class, message fragment, call)
     "unknown tag": (InvalidParameter, "tag", lambda: SpectralFunction(_T8, np.zeros(9), "x")),
     "different toruses": (InvalidParameter, "toruses", lambda: sine(_T8) + sine(Torus(1, 2.0, 8))),
     "multi-index length": (InvalidParameter, "multi-index", lambda: sine(_T8).derivative((1, 0))),
-    "dilate non-integer": (InvalidParameter, "integer", lambda: sine(_T8).dilate(2.0)),
-    "dilate 2-d": (InvalidParameter, "d = 1", lambda: dirac(Torus(2, 1.0, 8)).dilate(2)),
     "analyze shape": (InvalidParameter, "sample shape", lambda: dft_analyze(np.zeros(16), _T8)),
+    "analyze non-numeric": (
+        InvalidParameter, "numeric", lambda: dft_analyze(np.array(["a"] * 8), _T8)
+    ),
     "window at Nyquist": (
         AliasingRisk, "Nyquist", lambda: localize(sine(_T8), _nyquist_window(_T8))
     ),
@@ -670,6 +677,14 @@ class TestSobolevNorm:
             with pytest.raises(InvalidParameter):
                 f.derivative(bad)
 
+    def test_overflowing_derivative_order_raises_a_typed_error(self, torus64):
+        # (i xi)^a overflows at this torus's top mode from a = 134 on: the
+        # error names the order, and no numpy RuntimeWarning comes first
+        with pytest.raises(InvalidParameter, match="order 200"):
+            sine(torus64).derivative(200)
+        with pytest.raises(InvalidParameter, match="order 134"):
+            detect_regularity(heaviside(torus64), 2, 2, 140, build_lp_pair(8.0, 0.5))
+
     def test_derivative_multi_index_2d(self):
         t = Torus(2, 1.0, 16)
         rng = np.random.default_rng(6)
@@ -822,6 +837,26 @@ class TestL1Rule:
         f = SpectralFunction(t, c)
         exact = trigonometric_l1(c, t.length, density=1024)
         assert lp_norm(f, 1) == pytest.approx(exact, rel=1e-6)
+
+
+class TestLineFieldNorms:
+    """2-d p = 1 and p = 4 on a line field f (x) 1, which has the norms of f
+    on the unit torus: ||f (x) 1||_p = L^(1/p) ||f||_p."""
+
+    @pytest.mark.parametrize(
+        "signal", [heaviside, kink, lambda t: lacunary(t, 0.5)], ids=["heaviside", "kink", "lacunary"]
+    )
+    def test_against_the_1d_references(self, torus64, moll32, signal):
+        f = convolve_scaled(signal(torus64), moll32, 0.2)
+        c = np.zeros(Torus(2, 1.0, 64).coeff_shape(), dtype=complex)
+        c[:, torus64.mode_max] = f.coefficients  # f on the modes (m, 0)
+        line = SpectralFunction(Torus(2, 1.0, 64), c)
+        # the 16x rectangle rule reads within 3.9e-6; ROADMAP item 8's
+        # band-sized rule should tighten this bound to 1e-6
+        exact = trigonometric_l1(f.coefficients, torus64.length)
+        assert lp_norm(line, 1) == pytest.approx(exact, rel=1e-5)
+        # |f|^4 is a trigonometric polynomial the grid integrates exactly
+        assert lp_norm(line, 4) == pytest.approx(lp_norm(f, 4), rel=1e-12)
 
 
 class TestScalingLaw:
