@@ -19,13 +19,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateProfile, InvalidParameter, ScaleOutOfRange
+from .errors import DegenerateProfile, InvalidParameter
 from .spectral import (
     _band_restrict,
     _multi_indices,
     convolve_scaled,
     derivative_order,
-    min_scale,
     parse_exponent,
     real_parameter,
     sobolev_table,
@@ -129,8 +128,6 @@ def _profiles(T, kernel, grid: ScaleGrid, p):
     is the max over the prefix of the orders <= k.
     """
     p = parse_exponent(p)
-    lo = min_scale(kernel, T.torus) * (1.0 - 1e-12)  # convolve_scaled's bound
-    real_parameter(grid.y_min, "grid bottom", at_least=lo, error=ScaleOutOfRange)
     convs = [
         convolve_scaled(_band_restrict(T, kernel, y) if p == 2.0 else T, kernel, y)
         for y in grid.values()

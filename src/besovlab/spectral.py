@@ -14,10 +14,10 @@ T * K_y is a trigonometric polynomial of degree below outer_support L /
 (2 pi y), so at a coarse scale most of T's modes are multiplied by 0.  A
 p = 2 scale sweep therefore convolves each scale on the band torus
 (_band_restrict): the smallest power-of-two torus holding K_y's support,
-with the same modes, frequencies and multipliers.  Parseval does not see
-the storage grid, so the L^2 norms are those of the full torus up to
-summation order.  Other p keep T's torus, because the grid sup and the
-rectangle rules sample on it and their errors depend on its size.
+with the same modes, frequencies and multipliers, cached per (kernel,
+torus, y) (_band_torus).  Parseval does not see the storage grid, so the
+L^2 norms are those of the full torus up to summation order.  Other p keep
+T's torus, whose size sets the errors of the grid sup and rectangle rules.
 
 Every detector and study applies the same multipliers K_hat(y |xi|) on the
 same grids and tori, so each is evaluated once per (kernel, torus, y) and
@@ -122,12 +122,12 @@ _KINK_FLOOR = 1e-11
 _BAND_DECAY_RTOL = 1e-12
 # Relative asymmetry below which coefficients count as conjugate-symmetric.
 _REAL_RTOL = 1e-10
-# Entries of each per-torus cache (radial layout, distinct radii, derivative
-# and kernel multipliers).  A p = 2 sweep visits up to log2(N/8) + 1 band
-# tori (_band_restrict), each with one multiplier per derivative order:
+# Entries of each per-torus cache (radial layout, distinct radii, band tori,
+# derivative and kernel multipliers).  A p = 2 sweep visits up to
+# log2(N/8) + 1 band tori, each with one multiplier per derivative order:
 # detect_smooth at N = 16384 uses about 8 tori x 8 orders.  A kernel
-# multiplier is one entry per scale: the detect-lp mix needs 48 on its 1-d
-# torus and 48 on its 2-d one.  These must stay cached between analyses.
+# multiplier or band torus is one entry per scale: the detect-lp mix needs
+# 48 on its 1-d torus and 48 on its 2-d one.  These must stay cached.
 # An entry holds at most one array of the torus's coefficient shape (the
 # layouts, the radius index, a derivative multiplier); a kernel multiplier
 # holds at most one float per distinct radius: N/2 + 1 in 1-d, at most
@@ -240,11 +240,9 @@ class SpectralFunction:
             raise InvalidParameter(
                 f"coefficient shape {c.shape} does not match torus {self.torus.coeff_shape()}"
             )
-        # any inf or nan makes the sum non-finite; a finite sum settles it
-        # in one pass, and only an overflowing sum needs the full check
-        with np.errstate(over="ignore", invalid="ignore"):
-            finite = np.isfinite(c.sum()) or np.all(np.isfinite(c))
-        if not finite:
+        # any inf or nan makes sum |c|^2 non-finite: one BLAS pass, with no numpy
+        # warning, settles a finite sum, and only an overflowing one needs more
+        if not (np.isfinite(np.vdot(c, c)) or np.all(np.isfinite(c))):
             raise InvalidParameter("coefficients must be finite")
         object.__setattr__(self, "coefficients", c)
         if self.tag not in ("function", "distribution"):
@@ -260,7 +258,9 @@ class SpectralFunction:
 
     def __mul__(self, scalar):
         scalar = real_parameter(scalar, "scalar factor")
-        return SpectralFunction(self.torus, self.coefficients * scalar, self.tag)
+        with np.errstate(over="ignore", invalid="ignore"):  # __post_init__ refuses inf
+            c = self.coefficients * scalar
+        return SpectralFunction(self.torus, c, self.tag)
 
     __rmul__ = __mul__
 
@@ -272,7 +272,9 @@ class SpectralFunction:
         """op of the two coefficient arrays: a distribution if either operand is."""
         self._check_same_torus(other)
         tag = "distribution" if "distribution" in (self.tag, other.tag) else "function"
-        return SpectralFunction(self.torus, op(self.coefficients, other.coefficients), tag)
+        with np.errstate(over="ignore", invalid="ignore"):  # __post_init__ refuses inf
+            c = op(self.coefficients, other.coefficients)
+        return SpectralFunction(self.torus, c, tag)
 
     # -- structure queries --------------------------------------------------
 
@@ -329,15 +331,15 @@ class SpectralFunction:
             if a:
                 shape = [1] * d
                 shape[axis] = -1
-                c = c * _derivative_multiplier(self.torus, a).reshape(shape)
+                with np.errstate(over="ignore", invalid="ignore"):  # __post_init__ refuses inf
+                    c = c * _derivative_multiplier(self.torus, a).reshape(shape)
         return self._keeps_symmetry(SpectralFunction(self.torus, c, self.tag))
 
 
 def _is_conjugate_symmetric(c):
     """max |c_m - conj(c_-m)| <= _REAL_RTOL * max |c| (SpectralFunction.is_real)."""
-    rev = c[tuple(slice(None, None, -1) for _ in range(c.ndim))]
     scale = np.max(np.abs(c)) or 1.0
-    return bool(np.max(np.abs(c - np.conj(rev))) <= _REAL_RTOL * scale)
+    return bool(np.max(np.abs(c - np.conj(np.flip(c)))) <= _REAL_RTOL * scale)
 
 
 @functools.lru_cache(maxsize=_TORUS_CACHE_SIZE)
@@ -755,6 +757,11 @@ def min_scale(kernel, torus: Torus):
     return kernel.outer_support / torus.nyquist
 
 
+def _scale_floor(kernel, torus: Torus):
+    """The smallest scale convolve_scaled accepts: min_scale less a rounding."""
+    return min_scale(kernel, torus) * (1.0 - 1e-12)
+
+
 def convolve_scaled(T: SpectralFunction, kernel, y):
     """Convolve T with the y-dilate of a spectrally-defined kernel.
 
@@ -767,8 +774,8 @@ def convolve_scaled(T: SpectralFunction, kernel, y):
     (_kernel_multiplier).
     """
     y = real_parameter(y, "scale", 0.0, error=ScaleOutOfRange)
-    lo = min_scale(kernel, T.torus)
-    if y < lo * (1.0 - 1e-12):
+    if y < _scale_floor(kernel, T.torus):
+        lo = min_scale(kernel, T.torus)
         raise ScaleOutOfRange(f"scale {y:.6g} below minimum {lo:.6g} for this kernel/torus")
     # radii past the entry's end take its last value, 0
     mult = _kernel_multiplier(kernel, T.torus, y).take(_distinct_radii(T.torus)[1], mode="clip")
@@ -793,8 +800,7 @@ def _kernel_multiplier(kernel, torus, y):
 
 
 def _band_restrict(T: SpectralFunction, kernel, y):
-    """T's central (n+1)^d modes on Torus(d, L, n), for the smallest power of
-    two n in [8, N] at which convolve_scaled(., kernel, y) accepts y.
+    """T's central (n+1)^d modes on the band torus _band_torus(kernel, T.torus, y).
 
     Every mode left out, and every kept mode on the band's edge, has
     |xi| >= pi n / L, where K_hat(y xi) is exactly 0, so the convolution on
@@ -802,18 +808,22 @@ def _band_restrict(T: SpectralFunction, kernel, y):
     convolve_scaled(T, kernel, y).  A y that no smaller torus accepts gets
     T itself.
     """
-    torus = T.torus
-    # the n at which y sits on convolve_scaled's bound, min_scale * (1 - 1e-12)
-    edge = min_scale(kernel, torus) * (1.0 - 1e-12) * torus.grid_size / y
-    n = max(8, 1 << (math.ceil(edge) - 1).bit_length())
-    if n >= torus.grid_size:
+    band = _band_torus(kernel, T.torus, y)
+    if band == T.torus:
         return T
-    band = Torus(torus.dimension, torus.length, n)
-    if y < min_scale(kernel, band) * (1.0 - 1e-12):  # a rounding at the bound
-        return T
-    m, h = torus.mode_max, n // 2
-    band_modes = T.coefficients[(slice(m - h, m + h + 1),) * torus.dimension]
+    m, h = T.torus.mode_max, band.mode_max
+    band_modes = T.coefficients[(slice(m - h, m + h + 1),) * band.dimension]
     return T._keeps_symmetry(SpectralFunction(band, band_modes, T.tag))
+
+
+@functools.lru_cache(maxsize=_TORUS_CACHE_SIZE)
+def _band_torus(kernel, torus, y):
+    """The first Torus(d, L, n), n = 8, 16, ..., on which convolve_scaled takes y, else torus."""
+    for j in range(torus.grid_size.bit_length() - 4):  # n = 8, 16, ..., N/2
+        band = Torus(torus.dimension, torus.length, 8 << j)
+        if y >= _scale_floor(kernel, band):
+            return band
+    return torus
 
 
 def localize(T: SpectralFunction, window: SpectralFunction) -> SpectralFunction:
@@ -859,6 +869,5 @@ def pairing(f: SpectralFunction, g: SpectralFunction):
     represented truncations.
     """
     f._check_same_torus(g)
-    rev = tuple(slice(None, None, -1) for _ in range(g.coefficients.ndim))
     d = f.torus.dimension
-    return complex(np.sum(f.coefficients * g.coefficients[rev]) * f.torus.length ** d)
+    return complex(np.sum(f.coefficients * np.flip(g.coefficients)) * f.torus.length ** d)

@@ -246,6 +246,22 @@ class TestDetectRegularity:
         assert rep.r_hat == pytest.approx(want, abs=0.1)
         assert rep.k_used > rep.r_hat + 1.0
 
+    @pytest.mark.parametrize("p", [2.0, "inf"])
+    @pytest.mark.parametrize("maker", [heaviside, kink, dirac], ids=lambda m: m.__name__)
+    def test_2d_line_signal_reads_as_its_1d_profile(self, pair32, maker, p):
+        # the kernels are radial, so K_y * (f (x) 1) = (K_y * f) (x) 1 and no
+        # derivative across the line survives: each 2-d norm is L^(1/p)
+        # times the 1-d one, and the fitted exponent is the same
+        line = Torus(1, 1.0, 128)
+        f = maker(line)
+        tensor = np.outer(f.coefficients, constant(line).coefficients)
+        plane = SpectralFunction(Torus(2, 1.0, 128), tensor, f.tag)
+        want = detect_regularity(f, p, "inf", "auto", pair32)
+        got = detect_regularity(plane, p, "inf", "auto", pair32)
+        assert (got.k_used, got.verdict, got.window) == (want.k_used, want.verdict, want.window)
+        assert got.r_hat == pytest.approx(want.r_hat, rel=0, abs=1e-12)
+        assert got.stderr == pytest.approx(want.stderr, rel=1e-9)
+
 
 class TestDetectSmooth:
     def test_bandlimited_inputs_are_smooth(self, torus4k, pair32):

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from besovlab import spectral
-from besovlab.besov import default_grid, detect_regularity, detect_smooth
+from besovlab.besov import default_grid, detect_regularity, detect_smooth, embed
 from besovlab.errors import DegenerateProfile, InvalidParameter, ScaleOutOfRange
+from besovlab.kernels import build_mollifier
+from besovlab.nets import net_sobolev_profile
 from besovlab.scales import (
     MIN_WINDOW,
     WINDOW_RESIDUAL_TOL,
@@ -94,6 +96,15 @@ class TestSweep:
     def test_metadata_carries_p_as_the_reports_do(self, torus1k, pair32, p, read):
         prof = sweep(dirac(torus1k), pair32[0], ScaleGrid(0.02, 0.5, 16), k=0, p=p)
         assert prof.meta["p"] == read == detect_regularity(dirac(torus1k), p, 2, 1, pair32).p
+
+    @pytest.mark.parametrize("p,read", [(None, "inf"), ("inf", "inf"), (2.0, "2"), ("1", "1")])
+    def test_net_profile_metadata_carries_p_as_sweep_does(self, p, read):
+        net = embed(heaviside(Torus(1, 1.0, 256)), build_mollifier(32.0))
+        assert net_sobolev_profile(net, 0, p, eps_grid=ScaleGrid(0.05, 0.5, 16)).meta["p"] == read
+
+    def test_too_fine_grid_gets_the_convolution_message(self, torus64, moll32):
+        with pytest.raises(ScaleOutOfRange, match=r"scale .* below minimum .* for this kernel/torus"):
+            sweep(dirac(torus64), moll32, ScaleGrid(0.001, 0.1, 16))
 
 
 def _random_field(torus, seed=7):
@@ -203,6 +214,18 @@ class TestBandTorus:
         misses = [c.cache_info().misses for c in caches]
         detect_smooth(T, 2, "inf", pair32, k_max=8)
         assert [c.cache_info().misses for c in caches] == misses
+
+
+def test_warm_p2_sweep_builds_no_torus(torus4k, pair32, monkeypatch):
+    # the band tori are cached per (kernel, torus, y), not built per scale
+    T, phi = dirac(torus4k), pair32[0]
+    grid = default_grid(torus4k, phi)
+    sweep(T, phi, grid, 1, 2)
+    built = []
+    post_init = Torus.__post_init__
+    monkeypatch.setattr(Torus, "__post_init__", lambda self: built.append(self) or post_init(self))
+    sweep(T, phi, grid, 1, 2)
+    assert built == []
 
 
 class TestQIntegral:

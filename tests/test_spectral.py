@@ -596,6 +596,26 @@ class TestFinitenessCheck:
         assert np.all(f.coefficients.real == values)
 
 
+_HUGE = SpectralFunction(Torus(1, 1.0, 64), np.full(65, 1e308 + 0j))
+
+
+class TestOverflowingArithmetic:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: (sine(Torus(1, 1.0, 64)) * 1e300).derivative(60),
+            lambda: sine(Torus(1, 1.0, 64)) * 1e308 * 10.0,
+            lambda: _HUGE + _HUGE,
+            lambda: _HUGE - _HUGE * -1.0,
+        ],
+        ids=["derivative", "mul", "add", "sub"],
+    )
+    def test_finite_inputs_overflowing_raise_invalid_parameter(self, make):
+        # finite operands, infinite result: the typed error, not numpy's warning
+        with pytest.raises(InvalidParameter, match="coefficients must be finite"):
+            make()
+
+
 class TestSobolevTable:
     def test_columns_are_graded_multi_indices(self):
         t = Torus(2, 1.0, 16)
