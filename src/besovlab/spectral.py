@@ -15,9 +15,18 @@ T * K_y is a trigonometric polynomial of degree below outer_support L /
 p = 2 scale sweep therefore convolves each scale on the band torus
 (_band_restrict): the smallest power-of-two torus holding K_y's support,
 with the same modes, frequencies and multipliers, cached per (kernel,
-torus, y) (_band_torus).  Parseval does not see the storage grid, so the
-L^2 norms are those of the full torus up to summation order.  Other p keep
-T's torus, whose size sets the errors of the grid sup and rectangle rules.
+torus, y) (_band_torus).  The scales of a grid share few band tori (8 for
+the 48 scales of a default grid at N = 16384), and a sweep restricts T
+once to each.  Parseval does not see the storage grid, so the L^2 norms
+are those of the full torus up to summation order.  Other p keep T's
+torus, whose size sets the errors of the grid sup and rectangle rules.
+
+Every SpectralFunction keeps sum_m |c_m|^2, the one BLAS pass of its
+finiteness check, so lp_norm at p = 2 is sqrt(L^d * that sum) with no pass
+of its own.  The sum also bounds every modulus, |c_m| <= sqrt(sum): the
+arithmetic that derives one object from another (derivative, a scalar
+multiple, a sum or difference) reads from it whether its result can
+overflow, and only if it can runs under np.errstate (_overflow_guarded).
 
 Every detector and study applies the same multipliers K_hat(y |xi|) on the
 same grids and tori, so each is evaluated once per (kernel, torus, y) and
@@ -28,8 +37,8 @@ per-torus index (_distinct_radii).  A result that keeps its input's conjugate sy
 convolve_scaled, _band_restrict) takes is_real from that input, so the
 realness of one input is decided once.
 
-lp_norm's grid sup and rectangle rules synthesize into buffers reused
-across calls (_thread_buffer): the scaled modes are copied into a fold
+lp_norm's grid sup and its plain rectangle rule synthesize into buffers
+reused across calls (_thread_buffer): the scaled modes are copied into a fold
 buffer, the transforms write through numpy's out=, and |f| and the
 reduction run in place.  Allocating them afresh cost about 1 MiB of
 temporaries per sup on the 2-d 128^2 torus, which glibc handed back to
@@ -37,8 +46,9 @@ the OS and faulted in again on the next call: 26,000 to 44,000 minor page
 faults per 2-d Dirac analysis, about half of its time.  The buffers are
 kept per thread, since another thread can run while the FFT holds no
 GIL, keyed by shape and dtype, and pin at most _THREAD_BUFFER_BYTES
-(4 MiB) per thread.  dft_synthesize and localize synthesize through the
-same routine into arrays the caller owns.
+(4 MiB) per thread.  The p = 1 rule of real 1-d inputs (_l1_norm),
+dft_synthesize and localize synthesize through the same routine into
+arrays allocated per call.
 
 Conventions
 -----------
@@ -53,6 +63,7 @@ Conventions
 import functools
 import itertools
 import math
+import sys
 import threading
 from dataclasses import dataclass, field, fields, is_dataclass
 
@@ -87,8 +98,9 @@ __all__ = [
 # p = 1 on a real 1-d field starts instead from 8 nb points, nb the power
 # of two >= twice its bandwidth (see _l1_norm), and doubles up to the 16x
 # grid.  p = 2 needs no grid (Parseval).  The grids of the sup and of the
-# rectangle rules, and their folded modes, are per-thread buffers reused
-# across calls (see the module docstring for the page faults this saves).
+# plain rectangle rule, and their folded modes, are per-thread buffers reused
+# across calls (see the module docstring for the page faults this saves);
+# _l1_norm allocates its grids per call.
 # Together they pin at most _THREAD_BUFFER_BYTES per thread: the 2x grids
 # of the 1-d N = 4096 and 2-d 128^2 tori take 0.85 MiB; a larger array,
 # such as the 16x grid at 64^2 (8 MiB), is allocated per call and not kept.
@@ -122,6 +134,10 @@ _KINK_FLOOR = 1e-11
 _BAND_DECAY_RTOL = 1e-12
 # Relative asymmetry below which coefficients count as conjugate-symmetric.
 _REAL_RTOL = 1e-10
+# A result whose moduli are bounded below this cannot overflow.  The bounds
+# are products and sums of a few rounded factors, so half the float range
+# leaves ample room for their rounding.
+_NO_OVERFLOW = sys.float_info.max / 2
 # Entries of each per-torus cache (radial layout, distinct radii, band tori,
 # derivative and kernel multipliers).  A p = 2 sweep visits up to
 # log2(N/8) + 1 band tori, each with one multiplier per derivative order:
@@ -241,10 +257,13 @@ class SpectralFunction:
                 f"coefficient shape {c.shape} does not match torus {self.torus.coeff_shape()}"
             )
         # any inf or nan makes sum |c|^2 non-finite: one BLAS pass, with no numpy
-        # warning, settles a finite sum, and only an overflowing one needs more
-        if not (np.isfinite(np.vdot(c, c)) or np.all(np.isfinite(c))):
+        # warning, settles a finite sum, and only an overflowing one needs more.
+        # The sum is kept: lp_norm at p = 2 and the overflow bounds read it.
+        sq = float(np.vdot(c, c).real)
+        if not (math.isfinite(sq) or np.all(np.isfinite(c))):
             raise InvalidParameter("coefficients must be finite")
         object.__setattr__(self, "coefficients", c)
+        object.__setattr__(self, "_sum_sq", sq)
         if self.tag not in ("function", "distribution"):
             raise InvalidParameter(f"unknown tag {self.tag!r}")
 
@@ -258,8 +277,8 @@ class SpectralFunction:
 
     def __mul__(self, scalar):
         scalar = real_parameter(scalar, "scalar factor")
-        with np.errstate(over="ignore", invalid="ignore"):  # __post_init__ refuses inf
-            c = self.coefficients * scalar
+        bound = abs(scalar) * math.sqrt(self._sum_sq)
+        c = _overflow_guarded(bound, np.multiply, self.coefficients, scalar)
         return SpectralFunction(self.torus, c, self.tag)
 
     __rmul__ = __mul__
@@ -272,8 +291,8 @@ class SpectralFunction:
         """op of the two coefficient arrays: a distribution if either operand is."""
         self._check_same_torus(other)
         tag = "distribution" if "distribution" in (self.tag, other.tag) else "function"
-        with np.errstate(over="ignore", invalid="ignore"):  # __post_init__ refuses inf
-            c = op(self.coefficients, other.coefficients)
+        bound = math.sqrt(self._sum_sq) + math.sqrt(other._sum_sq)
+        c = _overflow_guarded(bound, op, self.coefficients, other.coefficients)
         return SpectralFunction(self.torus, c, tag)
 
     # -- structure queries --------------------------------------------------
@@ -325,14 +344,15 @@ class SpectralFunction:
         alpha = (order,) if np.isscalar(order) else tuple(order)
         if len(alpha) != d:
             raise InvalidParameter(f"multi-index {alpha} does not match dimension {d}")
-        c = self.coefficients
+        c, bound = self.coefficients, math.sqrt(self._sum_sq)
         for axis, a in enumerate(alpha):
             a = derivative_order(a)
             if a:
                 shape = [1] * d
                 shape[axis] = -1
-                with np.errstate(over="ignore", invalid="ignore"):  # __post_init__ refuses inf
-                    c = c * _derivative_multiplier(self.torus, a).reshape(shape)
+                mult, peak = _derivative_multiplier(self.torus, a)
+                bound *= peak
+                c = _overflow_guarded(bound, np.multiply, c, mult.reshape(shape))
         return self._keeps_symmetry(SpectralFunction(self.torus, c, self.tag))
 
 
@@ -342,9 +362,24 @@ def _is_conjugate_symmetric(c):
     return bool(np.max(np.abs(c - np.conj(np.flip(c)))) <= _REAL_RTOL * scale)
 
 
+def _overflow_guarded(bound, op, *operands):
+    """op(*operands), given a bound on the moduli of its result.
+
+    Below _NO_OVERFLOW the result cannot overflow.  Otherwise (an infinite
+    or nan bound too) op runs under np.errstate: an inf it makes is refused
+    by SpectralFunction's finiteness check as InvalidParameter, with no
+    numpy warning first.
+    """
+    if bound < _NO_OVERFLOW:
+        return op(*operands)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return op(*operands)
+
+
 @functools.lru_cache(maxsize=_TORUS_CACHE_SIZE)
 def _derivative_multiplier(torus, a):
-    """(i xi)^a over the torus's modes, read-only and cached per (torus, a).
+    """(i xi)^a over the torus's modes, read-only, and its peak max |xi|^a,
+    cached per (torus, a).
 
     Built as i^a * xi^a with xi^a by repeated real multiplication.  An order
     whose multiplier overflows raises InvalidParameter, with no warning.
@@ -358,7 +393,7 @@ def _derivative_multiplier(torus, a):
     if not np.all(np.isfinite(out)):
         raise InvalidParameter(f"derivative of order {a} overflows on {torus}")
     out.flags.writeable = False
-    return out
+    return out, float(np.abs(power).max())
 
 
 def _thread_buffer(shape, dtype):
@@ -535,7 +570,10 @@ def lp_norm(f: SpectralFunction, p):
     """L^p norm over one period.
 
     p = 2 is exact by Parseval, sqrt(L^d * sum_m |c_m|^2) over all stored
-    modes, with no synthesis.  p = inf is the sup over the 2x-oversampled
+    modes, with no synthesis: the sum is the one f kept when it was made
+    (one BLAS pass, which also checked f finite), so the norm costs no pass
+    over f.  A p = 2 sweep convolves on band tori, restricting T once per
+    band torus (scales._profiles).  p = inf is the sup over the 2x-oversampled
     grid.  p = 1 on a real 1-d input is the rectangle rule with the kinks of
     |f| corrected in closed form, on a grid sized by f's bandwidth and
     refined until its error estimate is below 1e-7 of the norm or the grid
@@ -554,8 +592,7 @@ def lp_norm(f: SpectralFunction, p):
             "L^p quadrature of a truncated distribution spectrum (p < inf)"
         )
     if p == 2.0:
-        c = f.coefficients.ravel()
-        return float(np.sqrt(f.torus.length**d * np.vdot(c, c).real))
+        return math.sqrt(f.torus.length**d * f._sum_sq)
     real = f.is_real()
     if p == 1.0 and real and d == 1:
         return _l1_norm(f)
@@ -853,7 +890,7 @@ def localize(T: SpectralFunction, window: SpectralFunction) -> SpectralFunction:
     if T.tag == "function":
         total = np.sum(np.abs(a) ** 2)
         inside = np.sum(np.abs(kept) ** 2)
-        t_energy = np.sum(np.abs(T.coefficients) ** 2)
+        t_energy = T._sum_sq
         if (total - inside) > 1e-14 * max(t_energy, total):
             raise AliasingRisk(
                 "product bandwidth exceeds Nyquist; localize would drop "
@@ -870,4 +907,6 @@ def pairing(f: SpectralFunction, g: SpectralFunction):
     """
     f._check_same_torus(g)
     d = f.torus.dimension
-    return complex(np.sum(f.coefficients * np.flip(g.coefficients)) * f.torus.length ** d)
+    # the flat C-order array reversed is the flip on every axis: one dot, no temporary
+    total = np.dot(f.coefficients.ravel(), g.coefficients.ravel()[::-1])
+    return complex(total * f.torus.length ** d)

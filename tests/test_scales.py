@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from besovlab import spectral
+from besovlab import scales, spectral
 from besovlab.besov import default_grid, detect_regularity, detect_smooth, embed
 from besovlab.errors import DegenerateProfile, InvalidParameter, ScaleOutOfRange
 from besovlab.kernels import build_mollifier
@@ -201,6 +201,32 @@ class TestBandTorus:
         lp_torus_sizes.clear()
         detect_regularity(two_d, "inf", "inf", 1, pair32)
         assert lp_torus_sizes and set(lp_torus_sizes) == {128}
+
+    def test_one_restriction_per_band_torus(self, torus4k, torus16k, pair32, monkeypatch):
+        phi = pair32[0]
+        restricted = []
+        original = scales._band_restrict
+
+        def spy(T, kernel, y):
+            restricted.append(spectral._band_torus(kernel, T.torus, y))
+            return original(T, kernel, y)
+
+        monkeypatch.setattr(scales, "_band_restrict", spy)
+        T = dirac(torus16k)
+        grid = default_grid(torus16k, phi)
+        bands = {spectral._band_torus(phi, torus16k, y) for y in grid.values()}
+        assert len(bands) == 8
+        sweep(T, phi, grid, 1, 2)
+        assert len(restricted) == 8 and set(restricted) == bands
+        restricted.clear()
+        detect_regularity(T, 2, "inf", 1, pair32)
+        assert len(restricted) == 8 and set(restricted) == bands
+        restricted.clear()
+        T = dirac(torus4k)
+        for p in (1, "inf"):
+            sweep(T, phi, default_grid(torus4k, phi), 0, p)
+            detect_regularity(T, p, "inf", 1, pair32)
+        assert restricted == []
 
     def test_caches_hold_a_smooth_detection(self, torus16k, pair32):
         T = heaviside(torus16k)

@@ -616,6 +616,94 @@ class TestOverflowingArithmetic:
             make()
 
 
+class TestOverflowGuard:
+    # the order whose multiplier peaks near 1e299 on the N = 64 torus
+    ORDER = 130
+
+    def _top_mode_at_the_guard(self, torus, margin):
+        """A function of the top mode alone, whose order-ORDER derivative has
+        the modulus bound margin * _NO_OVERFLOW, and that multiplier."""
+        mult, peak = spectral._derivative_multiplier(torus, self.ORDER)
+        c = np.zeros(torus.coeff_shape(), dtype=complex)
+        c[-1] = margin * spectral._NO_OVERFLOW / peak
+        return SpectralFunction(torus, c), mult, peak
+
+    @pytest.mark.parametrize("margin", [1.0 - 1e-9, 1.0 + 1e-9])
+    def test_derivative_at_the_guard_is_the_guarded_product(self, torus64, margin):
+        # the product reaches about half the float range, with no warning
+        g, mult, peak = self._top_mode_at_the_guard(torus64, margin)
+        inside = math.sqrt(g._sum_sq) * peak < spectral._NO_OVERFLOW
+        assert inside == (margin < 1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = g.coefficients * mult
+        got = g.derivative(self.ORDER).coefficients
+        np.testing.assert_array_equal(got, want)
+        assert np.abs(got).max() == pytest.approx(margin * spectral._NO_OVERFLOW, rel=1e-12)
+
+    def test_errstate_only_where_the_bound_allows_overflow(self, torus64, monkeypatch):
+        g, _, _ = self._top_mode_at_the_guard(torus64, 1.0 - 1e-9)
+        f = sine(torus64)
+        huge = SpectralFunction(torus64, np.full(65, 1e200 + 0j))  # sum |c|^2 overflows
+        f.derivative(1)  # the multiplier cached before counting
+        entered = []
+        errstate = np.errstate
+        monkeypatch.setattr(np, "errstate", lambda **kw: entered.append(kw) or errstate(**kw))
+        for make in (lambda: f.derivative(1), lambda: f * 2.0, lambda: f + f, lambda: f - f,
+                     lambda: g.derivative(self.ORDER)):
+            make()
+        assert entered == []
+        for make in (lambda: huge.derivative(1), lambda: huge * 1.0, lambda: huge - huge):
+            make()
+        assert len(entered) == 3
+
+
+class TestKeptSumOfSquares:
+    """Every SpectralFunction keeps sum |c|^2, and lp_norm at p = 2 reads it."""
+
+    _T1, _T2 = Torus(1, 2.5, 256), Torus(2, 1.5, 64)
+    ROUTES = {
+        "constant": lambda pair, t: constant(t, 3.0),
+        "heaviside": lambda pair, t: heaviside(t),
+        "kink": lambda pair, t: kink(t),
+        "sine": lambda pair, t: sine(t, 3),
+        "cosine": lambda pair, t: cosine(t, 7),
+        "lacunary": lambda pair, t: lacunary(t, 0.5),
+        "bump": lambda pair, t: bump(t, 0.3, 0.1),
+        "dft_analyze": lambda pair, t: dft_analyze(np.cos(2 * np.pi * t.grid() / t.length) ** 3, t),
+        "convolve_scaled": lambda pair, t: convolve_scaled(dirac(t), pair[0], 0.2),
+        "derivative": lambda pair, t: kink(t).derivative(2),
+        "add": lambda pair, t: kink(t) + sine(t, 3),
+        "sub": lambda pair, t: kink(t) - sine(t, 3),
+        "mul": lambda pair, t: 1.7 * kink(t),
+        "localize": lambda pair, t: localize(sine(t, 3), bump(t, 0.5, 0.2)),
+    }
+
+    def _assert_kept(self, f):
+        c, t = f.coefficients, f.torus
+        assert f._sum_sq == np.vdot(c, c).real
+        assert lp_norm(f, 2) == float(np.sqrt(t.length**t.dimension * np.vdot(c, c).real))
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_1d_routes(self, pair32, route):
+        self._assert_kept(self.ROUTES[route](pair32, self._T1))
+
+    @pytest.mark.parametrize("size", [8, 16, 32])
+    def test_2d_band_restriction_slice(self, pair32, size):
+        rng = np.random.default_rng(size)
+        shape = self._T2.coeff_shape()
+        T = SpectralFunction(self._T2, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        phi = pair32[0]
+        y = phi.outer_support * self._T2.length / (math.pi * size)
+        band = spectral._band_restrict(T, phi, y)
+        assert band.torus.grid_size == size and not band.coefficients.flags.c_contiguous
+        for f in (band, convolve_scaled(band, phi, y), band.derivative((1, 2))):
+            self._assert_kept(f)
+
+    def test_2d_signals_and_convolution(self, pair32):
+        self._assert_kept(dft_analyze(np.ones((64, 64)), self._T2))
+        self._assert_kept(convolve_scaled(dirac(self._T2), pair32[0], 0.4))
+
+
 class TestSobolevTable:
     def test_columns_are_graded_multi_indices(self):
         t = Torus(2, 1.0, 16)
@@ -944,6 +1032,20 @@ class TestPairing:
         quad = np.sum(fv * gv) * torus1k.length / (1024 * over)
         assert spectral.real == pytest.approx(quad, rel=1e-3)
         assert abs(spectral.imag) < 1e-12
+
+    @pytest.mark.parametrize("d,n", [(1, 64), (2, 16)])
+    def test_one_dot_is_the_flipped_product_sum(self, d, n):
+        # random non-symmetric complex spectra; g's coefficients a strided view
+        rng = np.random.default_rng(3 + d)
+        t = Torus(d, 1.7, n)
+        shape = t.coeff_shape()
+        f = SpectralFunction(t, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        wide = rng.standard_normal((2 * n + 1,) * d) + 1j * rng.standard_normal((2 * n + 1,) * d)
+        g = SpectralFunction(t, wide[(slice(None, None, 2),) * d])
+        terms = f.coefficients * np.flip(g.coefficients)
+        got = pairing(f, g)
+        assert abs(got - np.sum(terms) * t.length**d) <= 1e-12 * np.sum(np.abs(terms)) * t.length**d
+        assert abs(got - pairing(g, f)) <= 1e-12 * np.sum(np.abs(terms)) * t.length**d
 
     def test_dirac_pairing_evaluates(self, torus1k):
         g = bump(torus1k, center=0.25, halfwidth=0.1)
