@@ -56,6 +56,8 @@ CLASSIFY_N_MAX = 4096
 # spikes of a SpikeNet: n = SPIKE_N_MIN .. SPIKE_N_MAX
 SPIKE_N_MIN = 4
 SPIKE_N_MAX = 120
+# the divergence rule of spike sums reads the last this many terms
+_RULE_TAIL = 10
 
 
 @dataclass(frozen=True)
@@ -192,37 +194,70 @@ class SpikeIntegral:
 
 
 def _log_terms(net: SpikeNet, s, q_test, n_max):
-    """Per-spike upper bounds of the eps^{qs}-weighted q-integral, in logs.
+    """The terms of _spike_terms at s for every spike n = SPIKE_N_MIN..n_max, and n."""
+    n = np.arange(SPIKE_N_MIN, n_max + 1, dtype=float)
+    return _spike_terms(net, q_test, n)(s), n
+
+
+def _spike_terms(net: SpikeNet, q_test, n):
+    """s -> per-spike upper bounds of the eps^{qs}-weighted q-integral at the
+    spikes n, in logs.
 
     Plateau and ramp contributions are both bounded by height^q x width,
     and the dlog measure contributes n * exp(-n) at eps = 1/n:
       term_n <= 2 exp(-n) n^{1-qs} h_n^q.
+    All but the s-dependent power n^{-qs} is computed once, and each s
+    adds it in the order of the one-line formula, so the terms are the
+    same floats for any choice of spikes n.
     """
-    n = np.arange(SPIKE_N_MIN, n_max + 1, dtype=float)
-    return math.log(2.0) + q_test * net.log_height(n) - n + (1.0 - q_test * s) * np.log(n), n
+    if math.isinf(q_test):
+        raise InvalidParameter("spike sums need a finite q: their terms are height^q x width")
+    rest = math.log(2.0) + q_test * net.log_height(n) - n
+    log_n = np.log(n)
+    return lambda s: rest + (1.0 - q_test * s) * log_n
+
+
+def _rule_spikes(n):
+    """Indices into the spikes n of those _divergence reads: the one at half
+    the horizon, then the last _RULE_TAIL (all of them, if fewer)."""
+    half = np.searchsorted(n, n[-1] / 2.0)
+    return np.concatenate(([half], np.arange(max(0, n.size - _RULE_TAIL), n.size)))
+
+
+def _divergence(terms, n):
+    """The divergence rule of a spike sum: (divergent, growing, tail_slope)
+    from its log terms at the spikes n = _rule_spikes(all spikes).
+
+    growing: the last _RULE_TAIL log terms increase (never with fewer
+    spikes than that); tail_slope: d(log term)/d(log n) from half the
+    horizon to the horizon.  The sum diverges when its terms are growing
+    or their tail power is -1 or above (the series is cleanly
+    geometric-versus-polynomial).
+    """
+    tail = terms[1:]
+    growing = tail.size == _RULE_TAIL and bool(np.all(np.diff(tail) > 0))
+    tail_slope = float((terms[-1] - terms[0]) / (np.log(n[-1]) - np.log(n[0])))
+    return growing or tail_slope >= -1.0 - 1e-9, growing, tail_slope
 
 
 def spike_integral(net: SpikeNet, s, q_test, n_max=SPIKE_N_MAX):
     """Analytic log-space evaluation of the weighted integral over spikes.
 
-    Divergence is decided from the shape of the per-spike terms: log-terms
-    still increasing at the horizon, or a tail power d(log term)/d(log n)
-    of -1 or above (the series is cleanly geometric-versus-polynomial).
+    Divergence is decided by _divergence, the rule classify_moderate and
+    classify_negligible also apply, from the shape of the per-spike terms
+    at half the horizon and at its last ten spikes.  The partial sums
+    (log_value, last_ratio) are diagnostics and do not enter the verdict.
     """
     s = real_parameter(s, "s")
     q_test = parse_exponent(q_test, "q")
-    if math.isinf(q_test):
-        raise InvalidParameter("spike sums need a finite q: their terms are height^q x width")
     n_max = real_parameter(n_max, "n_max", SPIKE_N_MIN, integer=True)
     terms, n = _log_terms(net, s, q_test, n_max)
     # running logsumexp for the partial-sum diagnostics
     order = np.maximum.accumulate(terms)
     partial = order + np.log(np.cumsum(np.exp(terms - order)))
-    growing = bool(np.all(np.diff(terms[-10:]) > 0)) if terms.size >= 10 else False
-    half = np.searchsorted(n, n[-1] / 2.0)
-    tail_slope = float((terms[-1] - terms[half]) / (np.log(n[-1]) - np.log(n[half])))
+    rule = _rule_spikes(n)
+    divergent, growing, tail_slope = _divergence(terms[rule], n[rule])
     last_ratio = float(np.exp(terms[-1] - partial[-1]))
-    divergent = growing or tail_slope >= -1.0 - 1e-9
     return SpikeIntegral(
         finite=not divergent,
         log_value=float(partial[-1]),
@@ -320,18 +355,24 @@ def _superpolynomial_growth(profile):
 def _convergence_test(net, q, k, p, window, eps_grid):
     """s -> whether the eps^{qs}-weighted q-integral of the net's norms converges.
 
-    q is parsed first, for every net.  SpikeNet inputs use the analytic
-    per-spike sums.  Other nets are fitted once, a constant net with a
-    closed-form magnitude from that magnitude and the rest from its sampled
-    norm profile, and decided by the exponent test of convergence_verdict:
-    the integral at s converges when the decay exponent a satisfies a > -s
-    (a >= -s at q = inf).  None when the net is moderate at no s: its
-    magnitude overflows, its closed-form magnitude is not finite, or its
-    sampled norms grow superpolynomially.
+    q is parsed first, for every net.  SpikeNet inputs use the divergence
+    rule of spike_integral (_divergence) at n_max = CLASSIFY_N_MAX: their
+    log terms are built once per classification, and only at the eleven
+    spikes that rule reads, so each s costs one short sum and none of the
+    partial sums spike_integral reports.  Other nets are fitted once, a
+    constant net with a closed-form magnitude from that magnitude and the
+    rest from its sampled norm profile, and decided by the exponent test of
+    convergence_verdict: the integral at s converges when the decay
+    exponent a satisfies a > -s (a >= -s at q = inf).  None when the net is
+    moderate at no s: its magnitude overflows, its closed-form magnitude is
+    not finite, or its sampled norms grow superpolynomially.
     """
     q = parse_exponent(q, "q")
     if isinstance(net, SpikeNet):
-        return lambda s: spike_integral(net, s, q, n_max=CLASSIFY_N_MAX).finite
+        n = np.arange(SPIKE_N_MIN, CLASSIFY_N_MAX + 1, dtype=float)
+        n = n[_rule_spikes(n)]
+        terms = _spike_terms(net, q, n)
+        return lambda s: not _divergence(terms(s), n)[0]
     grid = eps_grid or _default_eps_grid(net)
     if net.kind == "constant" and net.log_magnitude is not None:
         fit = _analytic_fit(net, grid)

@@ -33,9 +33,20 @@ same grids and tori, so each is evaluated once per (kernel, torus, y) and
 cached (_kernel_multiplier), as one value per distinct radius |xi| of the
 torus (N/2 + 1 in 1-d, 1,782 of the 16,641 modes at 128^2) up to the edge
 of K_hat(y .)'s support.  Each coefficient reads its value through a
-per-torus index (_distinct_radii).  A result that keeps its input's conjugate symmetry exactly (derivative,
-convolve_scaled, _band_restrict) takes is_real from that input, so the
-realness of one input is decided once.
+per-torus index (_distinct_radii).
+
+Conjugate symmetry is decided once per input (_is_conjugate_symmetric):
+first exactly, c_m == conj(c_-m) for every m, by one compare of the two
+half spectra; only when that fails by the 1e-10 tolerance scan of
+is_real.  Exact symmetry is the tolerance rule's case of a zero
+asymmetry, so the compare changes no is_real answer, and both facts are
+kept on the object.  A result that keeps its input's conjugate symmetry
+exactly (derivative, convolve_scaled, _band_restrict) takes both from
+that input.  Exact symmetry of g makes pairing(f, g) one contiguous
+np.vdot(g, f): sum_m conj(g_m) f_m has the products of sum_m f_m g_-m,
+in the same order, with no reversed copy of g.  A zero field (every
+coefficient 0, so sum |c_m|^2 = 0) has norm 0 at every p, with no
+synthesis.
 
 lp_norm's grid sup and its plain rectangle rule synthesize into buffers
 reused across calls (_thread_buffer): the scaled modes are copied into a fold
@@ -195,8 +206,8 @@ class Torus:
         return 2.0 * np.pi * self.modes() / self.length
 
     def grid(self, oversample=1):
-        """Sample locations of the (oversampled) synthesis grid."""
-        n = self.grid_size * oversample
+        """Sample locations of the (oversampled) synthesis grid, oversample an integer >= 1."""
+        n = self.grid_size * real_parameter(oversample, "oversample", at_least=1, integer=True)
         return np.arange(n) * (self.length / n)
 
     def coeff_shape(self):
@@ -240,7 +251,10 @@ class SpectralFunction:
     ----------
     torus : Torus
     coefficients : ndarray, complex, shape (N+1,)*d
-        c_m over m in [-N/2, N/2] per axis.
+        c_m over m in [-N/2, N/2] per axis, read-only: the object keeps
+        facts read from them (sum |c_m|^2, the conjugate symmetry).  A
+        complex array passed in is not copied, so the caller must not write
+        to it afterwards.
     tag : str
         "function" for objects with decayed spectra (norms are safe),
         "distribution" for objects represented by truncation (e.g. Dirac).
@@ -262,6 +276,9 @@ class SpectralFunction:
         sq = float(np.vdot(c, c).real)
         if not (math.isfinite(sq) or np.all(np.isfinite(c))):
             raise InvalidParameter("coefficients must be finite")
+        if c.flags.writeable:  # the kept facts would go stale after a write
+            c = c.view()
+            c.setflags(write=False)
         object.__setattr__(self, "coefficients", c)
         object.__setattr__(self, "_sum_sq", sq)
         if self.tag not in ("function", "distribution"):
@@ -303,27 +320,35 @@ class SpectralFunction:
         lp_norm uses this as its path switch: real objects are synthesized
         by irfftn from the modes 0..N/2 of the last axis, so an asymmetry
         below 1e-10 * max|c| is ignored; other objects keep the complex ifftn.
-        The answer is kept on the object.  The results of derivative,
-        convolve_scaled and _band_restrict keep their input's symmetry
-        exactly and take their answer from it.
+        The answer is kept on the object (see _symmetry).
         """
-        real = self.__dict__.get("_real")
-        if real is None:
-            real = _is_conjugate_symmetric(self.coefficients)
-        elif not isinstance(real, bool):
-            real = real.is_real()  # the input this object was derived from
-        object.__setattr__(self, "_real", real)
-        return real
+        return self._symmetry()[1]
+
+    def _symmetry(self):
+        """(exact, real) of _is_conjugate_symmetric, decided at most once.
+
+        The pair is kept on the object.  The results of derivative,
+        convolve_scaled and _band_restrict keep their input's symmetry
+        exactly and take their pair from it.
+        """
+        sym = self.__dict__.get("_sym")
+        if sym is None:
+            sym = _is_conjugate_symmetric(self.coefficients)
+        elif not isinstance(sym, tuple):
+            sym = sym._symmetry()  # the input this object was derived from
+        object.__setattr__(self, "_sym", sym)
+        return sym
 
     def _keeps_symmetry(self, out):
-        """out, conjugate-symmetric exactly when self is, answering is_real
+        """out, conjugate-symmetric exactly when self is, answering _symmetry
         from self's answer (decided at most once)."""
-        real = self.__dict__.get("_real")
-        object.__setattr__(out, "_real", self if real is None else real)
+        sym = self.__dict__.get("_sym")
+        object.__setattr__(out, "_sym", self if sym is None else sym)
         return out
 
     def active_bandwidth(self, rtol=_BAND_DECAY_RTOL):
-        """Largest |m| carrying a coefficient above rtol * max|c|."""
+        """Largest |m| carrying a coefficient above rtol * max|c|, rtol in [0, 1)."""
+        rtol = real_parameter(rtol, "rtol", below=1.0, at_least=0.0)
         c = np.abs(self.coefficients)
         peak = c.max()
         if peak == 0.0:
@@ -357,9 +382,20 @@ class SpectralFunction:
 
 
 def _is_conjugate_symmetric(c):
-    """max |c_m - conj(c_-m)| <= _REAL_RTOL * max |c| (SpectralFunction.is_real)."""
+    """(exact, real): c_m == conj(c_-m) for every m, and
+    max |c_m - conj(c_-m)| <= _REAL_RTOL * max |c| (SpectralFunction.is_real).
+
+    exact is one compare of the two half spectra: the flat C-order array
+    reversed is the flip on every axis, so its entries from the middle on
+    pair with those up to the middle, read backwards.  An exact c meets the
+    tolerance with a zero asymmetry; only another c is scanned.
+    """
+    flat = c.ravel()
+    mid = flat.size // 2
+    if np.array_equal(flat[mid:], flat[mid::-1].conj()):
+        return True, True
     scale = np.max(np.abs(c)) or 1.0
-    return bool(np.max(np.abs(c - np.conj(np.flip(c)))) <= _REAL_RTOL * scale)
+    return False, bool(np.max(np.abs(c - np.conj(np.flip(c)))) <= _REAL_RTOL * scale)
 
 
 def _overflow_guarded(bound, op, *operands):
@@ -573,13 +609,16 @@ def lp_norm(f: SpectralFunction, p):
     modes, with no synthesis: the sum is the one f kept when it was made
     (one BLAS pass, which also checked f finite), so the norm costs no pass
     over f.  A p = 2 sweep convolves on band tori, restricting T once per
-    band torus (scales._profiles).  p = inf is the sup over the 2x-oversampled
-    grid.  p = 1 on a real 1-d input is the rectangle rule with the kinks of
-    |f| corrected in closed form, on a grid sized by f's bandwidth and
-    refined until its error estimate is below 1e-7 of the norm or the grid
-    reaches 16x (_l1_norm).  Other finite p, 2-d and complex inputs use the
-    rectangle rule on the 16x grid.  Real inputs (SpectralFunction.is_real)
-    are synthesized from the half spectrum, others by a complex transform.
+    band torus (scales._profiles).  A zero field has norm 0 at every p,
+    with no synthesis: its kept sum is 0, and since moduli below 1e-162
+    square to 0, every coefficient is then checked to be 0.  p = inf is
+    the sup over the 2x-oversampled grid.  p = 1 on a real 1-d input is
+    the rectangle rule with the kinks of |f| corrected in closed form, on a
+    grid sized by f's bandwidth and refined until its error estimate is
+    below 1e-7 of the norm or the grid reaches 16x (_l1_norm).  Other
+    finite p, 2-d and complex inputs use the rectangle rule on the 16x
+    grid.  Real inputs (SpectralFunction.is_real) are synthesized from the
+    half spectrum, others by a complex transform.
 
     Raises AliasingRisk for a distribution-tagged input with p < inf whose
     spectrum has not decayed at the band edge (the norm would be dominated
@@ -593,6 +632,8 @@ def lp_norm(f: SpectralFunction, p):
         )
     if p == 2.0:
         return math.sqrt(f.torus.length**d * f._sum_sq)
+    if f._sum_sq == 0.0 and not f.coefficients.any():
+        return 0.0
     real = f.is_real()
     if p == 1.0 and real and d == 1:
         return _l1_norm(f)
@@ -903,10 +944,16 @@ def pairing(f: SpectralFunction, g: SpectralFunction):
     """Distributional pairing <f, g> = integral of f*g over one period.
 
     Computed as the spectral sum L^d * sum_m f_m g_{-m}; exact for the
-    represented truncations.
+    represented truncations.  A g that is exactly conjugate-symmetric
+    (g_{-m} == conj(g_m), decided once per g and kept) pairs by one
+    contiguous np.vdot(g, f) = sum_m conj(g_m) f_m: the same products in
+    the same order as the flipped dot that any other g takes.
     """
     f._check_same_torus(g)
     d = f.torus.dimension
-    # the flat C-order array reversed is the flip on every axis: one dot, no temporary
-    total = np.dot(f.coefficients.ravel(), g.coefficients.ravel()[::-1])
+    if g._symmetry()[0]:
+        total = np.vdot(g.coefficients, f.coefficients)
+    else:
+        # the flat C-order array reversed is the flip on every axis: one dot
+        total = np.dot(f.coefficients.ravel(), g.coefficients.ravel()[::-1])
     return complex(total * f.torus.length ** d)

@@ -223,6 +223,15 @@ _TYPED_ERRORS = {  # case -> (error class, message fragment, call)
     ),
     "battery negative seed": (InvalidParameter, "seed", lambda: bump_battery(_T8, 1, -1)),
     "spike power 0": (InvalidParameter, "power", lambda: SpikeNet(2.0, power=0)),
+    "grid oversample 2.5": (InvalidParameter, "oversample", lambda: _T8.grid(2.5)),
+    "grid oversample 0": (InvalidParameter, "oversample", lambda: _T8.grid(0)),
+    "active_bandwidth nan rtol": (
+        InvalidParameter, "rtol", lambda: sine(_T8).active_bandwidth(math.nan)
+    ),
+    "active_bandwidth rtol 1": (InvalidParameter, "rtol", lambda: sine(_T8).active_bandwidth(1.0)),
+    "active_bandwidth rtol -0.1": (
+        InvalidParameter, "rtol", lambda: sine(_T8).active_bandwidth(-0.1)
+    ),
     "spike power -1.5": (InvalidParameter, "power", lambda: SpikeNet(2.0, power=-1.5)),
 }
 
@@ -268,6 +277,8 @@ _SCALAR_ARGUMENTS = {  # argument -> (call with the argument set to v, real-valu
     "bump_battery seed": (lambda v: bump_battery(_T8, 1, v), False),
     "SpectralFunction scalar factor": (lambda v: sine(_T8) * v, True),
     "constant value": (lambda v: constant(_T8, v), True),
+    "Torus.grid oversample": (_T8.grid, False),
+    "active_bandwidth rtol": (lambda v: sine(_T8).active_bandwidth(v), True),
 }
 _JUNK = ["0.5", None, 1j, np.array([0.5, 0.6])]
 

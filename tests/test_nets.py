@@ -117,6 +117,35 @@ class TestSpikeIntegral:
             assert not res.finite
 
 
+class TestSpikeVerdicts:
+    """The classifiers read the divergence rule of spike_integral at its eleven spikes."""
+
+    @pytest.mark.parametrize("variant", ["remark1", "remark2"])
+    @pytest.mark.parametrize("power", [1, 2])
+    @pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0, 4.0])
+    def test_verdicts_equal_spike_integral(self, variant, power, q):
+        net = SpikeNet(q=q, variant=variant, power=power)
+        for q_test in (1.0, 1.5, 2.0, 3.0, 4.0):
+            converges = nets._convergence_test(net, q_test, 0, "inf", None, None)
+            for s in range(-10, 11):
+                assert converges(s) == spike_integral(net, s, q_test, n_max=CLASSIFY_N_MAX).finite
+
+    @pytest.mark.parametrize("n_max", [5, 12, 13, 14, 120, CLASSIFY_N_MAX])
+    def test_rule_terms_are_the_full_terms(self, n_max):
+        net = SpikeNet(q=1.5, variant="remark2", power=2)
+        for s in (-10.0, 0.5, 7.0):
+            terms, n = nets._log_terms(net, s, 3.0, n_max)
+            rule = nets._rule_spikes(n)
+            np.testing.assert_array_equal(nets._spike_terms(net, 3.0, n[rule])(s), terms[rule])
+            assert rule[0] == np.searchsorted(n, n[-1] / 2.0)
+            assert list(rule[1:]) == list(range(n.size))[-10:]
+
+    def test_classification_sums_no_partial_sums(self, monkeypatch):
+        monkeypatch.setattr(nets, "spike_integral", lambda *a, **k: pytest.fail("full spike sum"))
+        assert classify_moderate(SpikeNet(q=2.0), 2.0) == ModerateVerdict(True, 0)
+        assert classify_negligible(SpikeNet(q=2.0, variant="remark2"), 2.0).negligible
+
+
 class TestSpikeExponents:
     # the spike sums are built from height^q x width terms: q must be finite
     @pytest.mark.parametrize("q", ["inf", None, math.inf])

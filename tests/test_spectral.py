@@ -1052,3 +1052,186 @@ class TestPairing:
         got = pairing(dirac(torus1k), g)
         want = dft_synthesize(g).real[0]  # <delta_0, g> = g(0)
         assert got.real == pytest.approx(want, abs=1e-12)
+
+
+def _tolerance_scan(c):
+    """is_real's rule by its definition: max |c_m - conj(c_-m)| <= 1e-10 max |c|."""
+    scale = np.max(np.abs(c)) or 1.0
+    return bool(np.max(np.abs(c - np.conj(np.flip(c)))) <= 1e-10 * scale)
+
+
+def _symmetric_part(c):
+    """(c + conj(flip(c))) / 2: exactly conjugate-symmetric."""
+    return (c + np.conj(np.flip(c))) / 2
+
+
+class TestExactSymmetry:
+    """is_real decides exact symmetry by one compare, the tolerance scan after."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.sampled_from([1, 2]),
+        log_n=st.integers(3, 5),
+        kind=st.sampled_from(["exact", "within", "asymmetric", "nyquist", "signed zeros", "zero"]),
+    )
+    def test_compare_agrees_with_the_tolerance_scan(self, seed, d, log_n, kind):
+        rng = np.random.default_rng(seed)
+        shape = (2**log_n + 1,) * d
+        c = _symmetric_part(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        corner = (0,) * d
+        if kind == "within":  # an asymmetry below the tolerance: real, not exact
+            c[corner] += 1e-13 * (1 + 1j)
+        elif kind == "asymmetric":
+            c = c + rng.uniform(1e-9, 1.0) * rng.standard_normal(shape)
+        elif kind == "nyquist":  # unequal end slots of the last axis
+            c[..., 0] += rng.choice([1e-14, 1e-6, 1.0])
+        elif kind == "signed zeros":  # -0.0 opposite +0.0 is still symmetric
+            c.real[corner] = 0.0
+            c.real[(-1,) * d] = -0.0
+            c.imag[c.imag == 0.0] = -0.0
+        elif kind == "zero":
+            c[...] = 0.0
+        exact = bool(np.all(c == np.conj(np.flip(c))))
+        assert spectral._is_conjugate_symmetric(c) == (exact, _tolerance_scan(c))
+        f = SpectralFunction(Torus(d, 1.0, 2**log_n), c)
+        assert f._symmetry() == (exact, _tolerance_scan(c))
+        assert f.is_real() == _tolerance_scan(c)
+        if kind in ("exact", "signed zeros", "zero"):
+            assert exact
+
+    def test_only_a_failed_compare_is_scanned(self, monkeypatch):
+        c = _symmetric_part(np.random.default_rng(1).standard_normal(65) + 0j)
+        scans = []
+        flip = np.flip
+        monkeypatch.setattr(np, "flip", lambda *a, **k: scans.append(1) or flip(*a, **k))
+        assert spectral._is_conjugate_symmetric(c) == (True, True)
+        assert scans == []
+        c[3] += 1e-13j
+        assert spectral._is_conjugate_symmetric(c) == (False, True)
+        assert scans == [1]
+
+    @pytest.mark.parametrize("d,n", [(1, 256), (2, 32)])
+    def test_derived_results_keep_exact_symmetry(self, pair32, d, n):
+        # the results that take their pair from their input are as exactly
+        # symmetric as a fresh compare finds them
+        t = Torus(d, 1.3, n)
+        rng = np.random.default_rng(d)
+        shape = t.coeff_shape()
+        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        real = SpectralFunction(t, _symmetric_part(z))
+        other = SpectralFunction(t, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        phi = pair32[0]
+        y = phi.outer_support * t.length / (math.pi * 8)  # the band torus of 8 points
+        orders = [1, 2, 3, 4] if d == 1 else [(1, 0), (0, 3), (2, 1), (3, 4)]
+        for T in (real, other):
+            derived = [T.derivative(a) for a in orders]
+            derived.append(convolve_scaled(T, phi, 2 * min_scale(phi, t)))
+            derived.append(spectral._band_restrict(T, phi, y))
+            for f in derived:
+                assert f._symmetry() == spectral._is_conjugate_symmetric(f.coefficients.copy())
+            assert all(f._symmetry()[0] == (T is real) for f in derived)
+
+
+class TestReadOnlyCoefficients:
+    def test_in_place_write_raises_and_keeps_the_facts(self):
+        f = sine(Torus(1, 1.0, 64), 3)
+        facts = (f.is_real(), lp_norm(f, "inf"), lp_norm(f, 2))
+        with pytest.raises(ValueError, match="read-only"):
+            f.coefficients[37] += 0.5j
+        assert (f.is_real(), lp_norm(f, "inf"), lp_norm(f, 2)) == facts
+        assert facts == (True, pytest.approx(1.0, abs=1e-12), pytest.approx(math.sqrt(0.5)))
+
+    def test_every_route_is_read_only(self, pair32):
+        t = Torus(1, 1.0, 64)
+        routes = [sine(t, 3), dirac(t), dft_analyze(np.ones(64), t), kink(t).derivative(1)]
+        routes += [convolve_scaled(dirac(t), pair32[0], 0.4), kink(t) + sine(t), 2.0 * kink(t)]
+        assert not any(f.coefficients.flags.writeable for f in routes)
+
+    def test_the_callers_array_stays_writeable(self):
+        c = np.zeros(65, dtype=complex)
+        SpectralFunction(Torus(1, 1.0, 64), c)
+        c[33] = 1.0
+
+
+class TestZeroField:
+    @pytest.mark.parametrize("p", [1, 1.5, 2, 4, "inf"])
+    @pytest.mark.parametrize("d,tag", [(1, "function"), (2, "function"), (1, "distribution")])
+    def test_norm_zero_without_synthesis(self, monkeypatch, p, d, tag):
+        calls = []
+        monkeypatch.setattr(spectral, "_synthesize", lambda *a, **k: calls.append(1))
+        t = Torus(d, 1.7, 32)
+        f = SpectralFunction(t, np.zeros(t.coeff_shape(), dtype=complex), tag)
+        assert lp_norm(f, p) == 0.0
+        assert calls == []
+
+    def test_the_net_difference_of_a_study_is_zero(self, monkeypatch, pair32, torus1k):
+        calls = []
+        monkeypatch.setattr(spectral, "_synthesize", lambda *a, **k: calls.append(1))
+        T = heaviside(torus1k)
+        net = embed(T, pair32[0]).minus(embed(T, pair32[0]))
+        assert net(0.1)._sum_sq == 0.0
+        assert classify_negligible(net, 2).negligible
+        assert calls == []
+
+    def test_moduli_that_square_to_zero_are_synthesized(self):
+        # |c|^2 underflows to 0 below about 1e-162; the sup still reads c
+        c = np.zeros(65, dtype=complex)
+        c[32] = 1e-200
+        f = SpectralFunction(Torus(1, 1.0, 64), c)
+        assert f._sum_sq == 0.0
+        assert lp_norm(f, "inf") == pytest.approx(1e-200, rel=1e-12)
+        assert lp_norm(f, 3) == pytest.approx(1e-200, rel=1e-12)
+
+
+class TestSymmetricPairing:
+    """An exactly symmetric g pairs by one contiguous vdot; any other g by the flipped dot."""
+
+    @staticmethod
+    def _flipped(f, g):
+        total = np.dot(f.coefficients.ravel(), g.coefficients.ravel()[::-1])
+        return complex(total * f.torus.length**f.torus.dimension)
+
+    @pytest.mark.parametrize(
+        "d,n,strided", [(1, 64, False), (1, 4096, False), (2, 16, False), (1, 64, True), (2, 16, True)]
+    )
+    def test_vdot_is_the_flipped_dot(self, monkeypatch, d, n, strided):
+        rng = np.random.default_rng(10 * d + strided)
+        t = Torus(d, 1.7, n)
+        shape = t.coeff_shape()
+        f = SpectralFunction(t, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        step = 2 if strided else 1
+        big = (step * n + 1,) * d
+        wide = _symmetric_part(rng.standard_normal(big) + 1j * rng.standard_normal(big))
+        g = SpectralFunction(t, wide[(slice(None, None, step),) * d])
+        assert g.coefficients.flags.c_contiguous != strided
+        calls = []
+        vdot = np.vdot
+
+        def spy(a, b):
+            calls.append(a is g.coefficients)
+            return vdot(a, b)
+
+        monkeypatch.setattr(np, "vdot", spy)
+        got = pairing(f, g)
+        assert calls == [True]
+        size = np.sum(np.abs(f.coefficients * np.flip(g.coefficients))) * t.length**d
+        assert abs(got - self._flipped(f, g)) <= 1e-15 * size
+
+    @pytest.mark.parametrize("d,n", [(1, 64), (2, 16)])
+    def test_asymmetric_g_takes_the_flipped_dot(self, monkeypatch, d, n):
+        rng = np.random.default_rng(d)
+        t = Torus(d, 1.7, n)
+        shape = t.coeff_shape()
+        f, g = (
+            SpectralFunction(t, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+            for _ in "fg"
+        )
+        near = SpectralFunction(t, _symmetric_part(g.coefficients) + 1e-13j)  # real, not exact
+        assert near.is_real() and not near._symmetry()[0]
+        monkeypatch.setattr(np, "vdot", lambda a, b: pytest.fail("vdot on an asymmetric g"))
+        for h in (g, near):
+            assert pairing(f, h) == self._flipped(f, h)
+
+    def test_battery_bumps_are_exactly_symmetric(self, torus4k):
+        assert all(rho._symmetry()[0] for _, rho in bump_battery(torus4k))
