@@ -76,7 +76,9 @@ class Kernel:
     by smoothstep; kind and the witness radii are derived from the pieces.
     Each piece must be a finite real, and is kept as a float.
     profile must depend only on these frozen fields: spectral caches the
-    multipliers it gives by kernel equality.
+    multipliers it gives by kernel equality.  The hash is computed once,
+    from the pieces only, leaving label out: it is the same in every
+    process, and a pickled kernel keeps a valid one.
     """
 
     inner_support: float
@@ -99,6 +101,10 @@ class Kernel:
             )
         for name, value in (("inner_support", inner), ("plateau", (lo, hi)), ("outer_support", outer)):
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "_hash", hash((inner, lo, hi, outer)))
+
+    def __hash__(self):
+        return self._hash
 
     def profile(self, xi):
         """Evaluate the spectral profile at |xi| (vectorized, exact pieces):

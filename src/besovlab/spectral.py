@@ -21,6 +21,18 @@ once to each.  Parseval does not see the storage grid, so the L^2 norms
 are those of the full torus up to summation order.  Other p keep T's
 torus, whose size sets the errors of the grid sup and rectangle rules.
 
+Arrays enter a SpectralFunction by one of two doors.  An outside array
+goes through the public constructor, which checks it (a Torus, numbers
+that read as complex, the torus's shape, a known tag, every value
+finite) and copies it if the caller could still write to it.  An array
+the library made from an already checked field (derivative,
+convolve_scaled, _band_restrict, a scalar multiple, a sum or difference)
+goes through SpectralFunction._derived, which skips the dataclass
+__init__ and the checks that only an outside array can fail, and keeps
+the finiteness check with its kept sum, the read-only flag and, where the
+arithmetic keeps it exactly, the input's conjugate symmetry.  Tori and
+kernels, the keys of every cache below, compute their hash once.
+
 Every SpectralFunction keeps sum_m |c_m|^2, the one BLAS pass of its
 finiteness check, so lp_norm at p = 2 is sqrt(L^d * that sum) with no pass
 of its own.  The sum also bounds every modulus, |c_m| <= sqrt(sum): the
@@ -74,11 +86,13 @@ Conventions
 import functools
 import itertools
 import math
+import numbers
 import sys
 import threading
 from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
+from numpy.lib.array_utils import byte_bounds
 
 from .errors import AliasingRisk, InvalidParameter, ScaleOutOfRange
 
@@ -157,8 +171,8 @@ _NO_OVERFLOW = sys.float_info.max / 2
 # 48 on its 1-d torus and 48 on its 2-d one.  These must stay cached.
 # An entry holds at most one array of the torus's coefficient shape (the
 # layouts, the radius index, a derivative multiplier); a kernel multiplier
-# holds at most one float per distinct radius: N/2 + 1 in 1-d, at most
-# (N/2 + 1)(N/2 + 2)/2 in 2-d.
+# holds at most one complex value per distinct radius: N/2 + 1 in 1-d, at
+# most (N/2 + 1)(N/2 + 2)/2 in 2-d.
 _TORUS_CACHE_SIZE = 128
 
 
@@ -174,6 +188,10 @@ class Torus:
         Period L in physical units of x; positive and finite, kept as a float.
     grid_size : int
         Points per axis; an integer power of two, at least 8.
+
+    The spectral caches are keyed on tori, so the hash is computed once,
+    from the three numbers only: it is the same in every process, and a
+    pickled torus keeps a valid one.
     """
 
     dimension: int = 1
@@ -181,11 +199,27 @@ class Torus:
     grid_size: int = 4096
 
     def __post_init__(self):
-        real_parameter(self.dimension, "dimension", at_least=1, at_most=2, integer=True)
-        object.__setattr__(self, "length", real_parameter(self.length, "period", 0.0))
+        d = real_parameter(self.dimension, "dimension", at_least=1, at_most=2, integer=True)
+        length = real_parameter(self.length, "period", 0.0)
         n = real_parameter(self.grid_size, "grid size", at_least=8, integer=True)
         if n & (n - 1):
             raise InvalidParameter(f"grid size must be a power of two >= 8, got {n}")
+        key = (d, length, n)
+        for name, value in zip(("dimension", "length", "grid_size"), key):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
+        object.__setattr__(self, "_coeff_shape", (n + 1,) * d)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def nyquist(self):
@@ -211,7 +245,7 @@ class Torus:
         return np.arange(n) * (self.length / n)
 
     def coeff_shape(self):
-        return (self.grid_size + 1,) * self.dimension
+        return self._coeff_shape
 
     def band_index(self):
         """max_i |m_i| over the coefficient layout (read-only, cached)."""
@@ -253,8 +287,8 @@ class SpectralFunction:
     coefficients : ndarray, complex, shape (N+1,)*d
         c_m over m in [-N/2, N/2] per axis, read-only: the object keeps
         facts read from them (sum |c_m|^2, the conjugate symmetry).  A
-        complex array passed in is not copied, so the caller must not write
-        to it afterwards.
+        writeable array passed in is copied, so the caller may go on
+        writing to it.
     tag : str
         "function" for objects with decayed spectra (norms are safe),
         "distribution" for objects represented by truncation (e.g. Dirac).
@@ -265,24 +299,51 @@ class SpectralFunction:
     tag: str = "function"
 
     def __post_init__(self):
-        c = np.asarray(self.coefficients, dtype=complex)
+        """The checks of an outside array, then its copy (see _derived for
+        the arrays the library makes)."""
+        if not isinstance(self.torus, Torus):
+            raise InvalidParameter(f"torus must be a Torus, got {self.torus!r}")
+        given = self.coefficients
+        try:
+            c = np.asarray(given, dtype=complex)
+        except (TypeError, ValueError):
+            raise InvalidParameter("coefficients must read as complex numbers") from None
         if c.shape != self.torus.coeff_shape():
             raise InvalidParameter(
                 f"coefficient shape {c.shape} does not match torus {self.torus.coeff_shape()}"
             )
-        # any inf or nan makes sum |c|^2 non-finite: one BLAS pass, with no numpy
-        # warning, settles a finite sum, and only an overflowing one needs more.
-        # The sum is kept: lp_norm at p = 2 and the overflow bounds read it.
-        sq = float(np.vdot(c, c).real)
-        if not (math.isfinite(sq) or np.all(np.isfinite(c))):
-            raise InvalidParameter("coefficients must be finite")
-        if c.flags.writeable:  # the kept facts would go stale after a write
-            c = c.view()
-            c.setflags(write=False)
-        object.__setattr__(self, "coefficients", c)
-        object.__setattr__(self, "_sum_sq", sq)
         if self.tag not in ("function", "distribution"):
             raise InvalidParameter(f"unknown tag {self.tag!r}")
+        if c.flags.writeable and (c is given or c.base is not None):
+            c = _copy_keeping_strides(c)  # the caller's: a write would stale the kept facts
+        object.__setattr__(self, "_sum_sq", _finite_sum_sq(c))
+        c.setflags(write=False)
+        object.__setattr__(self, "coefficients", c)
+
+    def _derived(self, c, torus=None, tag=None, keeps_symmetry=True):
+        """The SpectralFunction of c, an array the library made from self.
+
+        c is complex, of its torus's shape, and no caller holds it writeable,
+        so the dataclass __init__ and the checks of __post_init__ that only
+        an outside array can fail are skipped.  What a derived array can
+        fail or needs is kept: the finiteness check with the kept sum, and
+        read-only coefficients.  torus and tag default to self's.  With
+        keeps_symmetry (c is conjugate-symmetric exactly when self's
+        coefficients are), _symmetry answers from self's answer.
+        """
+        out = object.__new__(SpectralFunction)
+        state = {
+            "torus": self.torus if torus is None else torus,
+            "coefficients": c,
+            "tag": self.tag if tag is None else tag,
+            "_sum_sq": _finite_sum_sq(c),
+        }
+        c.setflags(write=False)
+        if keeps_symmetry:
+            sym = self.__dict__.get("_sym")
+            state["_sym"] = self if sym is None else sym
+        object.__setattr__(out, "__dict__", state)
+        return out
 
     # -- small algebra, used by nets and perturbations ---------------------
 
@@ -296,7 +357,7 @@ class SpectralFunction:
         scalar = real_parameter(scalar, "scalar factor")
         bound = abs(scalar) * math.sqrt(self._sum_sq)
         c = _overflow_guarded(bound, np.multiply, self.coefficients, scalar)
-        return SpectralFunction(self.torus, c, self.tag)
+        return self._derived(c, keeps_symmetry=False)
 
     __rmul__ = __mul__
 
@@ -310,7 +371,7 @@ class SpectralFunction:
         tag = "distribution" if "distribution" in (self.tag, other.tag) else "function"
         bound = math.sqrt(self._sum_sq) + math.sqrt(other._sum_sq)
         c = _overflow_guarded(bound, op, self.coefficients, other.coefficients)
-        return SpectralFunction(self.torus, c, tag)
+        return self._derived(c, tag=tag, keeps_symmetry=False)
 
     # -- structure queries --------------------------------------------------
 
@@ -339,13 +400,6 @@ class SpectralFunction:
         object.__setattr__(self, "_sym", sym)
         return sym
 
-    def _keeps_symmetry(self, out):
-        """out, conjugate-symmetric exactly when self is, answering _symmetry
-        from self's answer (decided at most once)."""
-        sym = self.__dict__.get("_sym")
-        object.__setattr__(out, "_sym", self if sym is None else sym)
-        return out
-
     def active_bandwidth(self, rtol=_BAND_DECAY_RTOL):
         """Largest |m| carrying a coefficient above rtol * max|c|, rtol in [0, 1)."""
         rtol = real_parameter(rtol, "rtol", below=1.0, at_least=0.0)
@@ -366,19 +420,56 @@ class SpectralFunction:
         order is an int for d = 1, or a length-d multi-index.
         """
         d = self.torus.dimension
-        alpha = (order,) if np.isscalar(order) else tuple(order)
+        alpha = _multi_index(order)
         if len(alpha) != d:
             raise InvalidParameter(f"multi-index {alpha} does not match dimension {d}")
         c, bound = self.coefficients, math.sqrt(self._sum_sq)
         for axis, a in enumerate(alpha):
             a = derivative_order(a)
             if a:
-                shape = [1] * d
-                shape[axis] = -1
                 mult, peak = _derivative_multiplier(self.torus, a)
+                if d == 2:
+                    mult = mult[:, None] if axis == 0 else mult[None, :]
                 bound *= peak
-                c = _overflow_guarded(bound, np.multiply, c, mult.reshape(shape))
-        return self._keeps_symmetry(SpectralFunction(self.torus, c, self.tag))
+                c = _overflow_guarded(bound, np.multiply, c, mult)
+        return self._derived(c)
+
+
+def _multi_index(order):
+    """order as a tuple: itself if a tuple, (order,) if a number or string
+    (derivative_order judges it), else the tuple of its entries."""
+    if type(order) is tuple:  # sobolev_table's multi-indices
+        return order
+    if isinstance(order, (numbers.Number, str, np.generic)):
+        return (order,)
+    try:
+        return tuple(order)
+    except TypeError:
+        raise InvalidParameter(
+            f"derivative order must be an integer or a multi-index, got {order!r}"
+        ) from None
+
+
+def _copy_keeping_strides(c):
+    """A copy of c in memory of its own, with c's strides: a strided view is
+    read in the same layout, so every answer is the one the view gave."""
+    lo, hi = byte_bounds(c)
+    out = np.ndarray(c.shape, c.dtype, np.empty(hi - lo, np.uint8), c.ctypes.data - lo, c.strides)
+    out[...] = c
+    return out
+
+
+def _finite_sum_sq(c):
+    """sum |c_m|^2, the sum every SpectralFunction keeps: lp_norm at p = 2
+    and the overflow bounds read it.
+
+    Any inf or nan makes the sum non-finite: one BLAS pass, with no numpy
+    warning, settles a finite sum, and only an overflowing one needs more.
+    """
+    sq = float(np.vdot(c, c).real)
+    if not (math.isfinite(sq) or np.all(np.isfinite(c))):
+        raise InvalidParameter("coefficients must be finite")
+    return sq
 
 
 def _is_conjugate_symmetric(c):
@@ -816,10 +907,11 @@ def sobolev_table(fields, orders, p):
     """
     orders = [derivative_order(j) for j in orders]
     p = parse_exponent(p)
+    alphas = {d: [(a, any(a)) for a in _multi_indices(orders, d)] for d in (1, 2)}
     rows = []
     for f in fields:
-        alphas = _multi_indices(orders, f.torus.dimension)
-        rows.append([lp_norm(f.derivative(a) if any(a) else f, p) for a in alphas])
+        columns = alphas[f.torus.dimension]
+        rows.append([lp_norm(f.derivative(a) if nonzero else f, p) for a, nonzero in columns])
         del f  # released before the next field is made
     return np.asarray(rows, dtype=float)
 
@@ -857,7 +949,7 @@ def convolve_scaled(T: SpectralFunction, kernel, y):
         raise ScaleOutOfRange(f"scale {y:.6g} below minimum {lo:.6g} for this kernel/torus")
     # radii past the entry's end take its last value, 0
     mult = _kernel_multiplier(kernel, T.torus, y).take(_distinct_radii(T.torus)[1], mode="clip")
-    return T._keeps_symmetry(SpectralFunction(T.torus, T.coefficients * mult, "function"))
+    return T._derived(T.coefficients * mult, tag="function")
 
 
 @functools.lru_cache(maxsize=_TORUS_CACHE_SIZE)
@@ -872,7 +964,9 @@ def _kernel_multiplier(kernel, torus, y):
     with np.errstate(over="ignore"):
         out = kernel.profile(y * _distinct_radii(torus)[0])
     nonzero = np.flatnonzero(out)
-    out = out[: nonzero[-1] + 2 if nonzero.size else 1].copy()
+    # complex, so that the convolution multiplies complex by complex: the same
+    # product as by the float, without casting the float on every call
+    out = out[: nonzero[-1] + 2 if nonzero.size else 1].astype(complex)
     out.flags.writeable = False
     return out
 
@@ -890,18 +984,24 @@ def _band_restrict(T: SpectralFunction, kernel, y):
     if band == T.torus:
         return T
     m, h = T.torus.mode_max, band.mode_max
-    band_modes = T.coefficients[(slice(m - h, m + h + 1),) * band.dimension]
-    return T._keeps_symmetry(SpectralFunction(band, band_modes, T.tag))
+    return T._derived(T.coefficients[(slice(m - h, m + h + 1),) * band.dimension], band)
 
 
 @functools.lru_cache(maxsize=_TORUS_CACHE_SIZE)
 def _band_torus(kernel, torus, y):
-    """The first Torus(d, L, n), n = 8, 16, ..., on which convolve_scaled takes y, else torus."""
-    for j in range(torus.grid_size.bit_length() - 4):  # n = 8, 16, ..., N/2
-        band = Torus(torus.dimension, torus.length, 8 << j)
+    """The first of _band_tori(torus) on which convolve_scaled takes y, else torus."""
+    for band in _band_tori(torus):
         if y >= _scale_floor(kernel, band):
             return band
     return torus
+
+
+@functools.lru_cache(maxsize=_TORUS_CACHE_SIZE)
+def _band_tori(torus):
+    """Torus(d, L, n) for n = 8, 16, ..., N/2, made once per torus: the
+    caches keyed on a band torus then find it by identity, with no __eq__."""
+    sizes = (8 << j for j in range(torus.grid_size.bit_length() - 4))
+    return tuple(Torus(torus.dimension, torus.length, n) for n in sizes)
 
 
 def localize(T: SpectralFunction, window: SpectralFunction) -> SpectralFunction:

@@ -30,6 +30,7 @@ from besovlab.scales import (
 )
 from besovlab.signals import bump, constant, cosine, dirac, heaviside, lacunary, sine
 from besovlab.spectral import (
+    SpectralFunction,
     Torus,
     convolve_scaled,
     dft_synthesize,
@@ -233,6 +234,22 @@ _TYPED_ERRORS = {  # case -> (error class, message fragment, call)
         InvalidParameter, "rtol", lambda: sine(_T8).active_bandwidth(-0.1)
     ),
     "spike power -1.5": (InvalidParameter, "power", lambda: SpikeNet(2.0, power=-1.5)),
+    "derivative None": (InvalidParameter, "derivative order", lambda: sine(_T8).derivative(None)),
+    "derivative 0-d array": (
+        InvalidParameter, "derivative order", lambda: sine(_T8).derivative(np.array(1))
+    ),
+    "derivative object": (
+        InvalidParameter, "derivative order", lambda: sine(_T8).derivative(object())
+    ),
+    "SpectralFunction string coefficients": (
+        InvalidParameter, "complex numbers", lambda: SpectralFunction(_T8, "abc")
+    ),
+    "SpectralFunction object coefficients": (
+        InvalidParameter, "complex numbers", lambda: SpectralFunction(_T8, np.array([object()] * 9))
+    ),
+    "SpectralFunction torus": (
+        InvalidParameter, "torus must be a Torus", lambda: SpectralFunction("x", np.zeros(9))
+    ),
 }
 
 

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import os
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -14,7 +16,7 @@ from besovlab import spectral
 from besovlab.association import association_verdict, bump_battery
 from besovlab.besov import besov_norm, default_grid, detect_regularity, detect_smooth, embed
 from besovlab.errors import AliasingRisk, InvalidParameter, ScaleOutOfRange
-from besovlab.kernels import build_lp_pair, build_mollifier
+from besovlab.kernels import Kernel, build_lp_pair, build_mollifier
 from besovlab.nets import classify_moderate, classify_negligible, constant_net
 from besovlab.scales import ScaleGrid, convergence_verdict, q_integral, sweep
 from besovlab.signals import bump, constant, cosine, dirac, heaviside, kink, lacunary, sine
@@ -1152,6 +1154,134 @@ class TestReadOnlyCoefficients:
         c = np.zeros(65, dtype=complex)
         SpectralFunction(Torus(1, 1.0, 64), c)
         c[33] = 1.0
+
+    @pytest.mark.parametrize("step", [1, 2])
+    def test_the_callers_later_writes_do_not_reach_the_object(self, step):
+        # the object keeps a copy, in the layout of the array passed in
+        t = Torus(1, 1.0, 64)
+        base = np.zeros(64 * step + 1, dtype=complex)
+        c = base[::step]
+        c[...] = sine(t, 3).coefficients
+        f = SpectralFunction(t, c)
+        assert f.coefficients.strides == c.strides
+        c[37] += 0.5j
+        assert f.coefficients[37] == sine(t, 3).coefficients[37]
+        assert (f.is_real(), lp_norm(f, 2)) == (True, pytest.approx(math.sqrt(0.5)))
+        changed = SpectralFunction(t, c.copy())
+        assert (changed.is_real(), lp_norm(changed, 2)) == (False, pytest.approx(math.sqrt(0.75)))
+
+
+class TestDerivedFields:
+    """Library-made fields skip the public constructor and equal what it would build."""
+
+    def test_a_warm_p2_analysis_runs_no_public_construction(self, monkeypatch, torus16k, pair32):
+        T = dirac(torus16k)
+        grid = default_grid(torus16k, pair32[0])
+        def run():
+            sweep(T, pair32[0], grid, k=1, p=2)
+            detect_regularity(T, 2, "inf", 1, pair32)
+
+        run()
+        constructions = []
+        post_init = SpectralFunction.__post_init__
+        counted = lambda self: constructions.append(1) or post_init(self)
+        monkeypatch.setattr(SpectralFunction, "__post_init__", counted)
+        run()
+        assert constructions == []
+
+    ROUTES = {
+        "derivative 1-d": lambda t, pair: kink(t).derivative(3),
+        "derivative 2-d": lambda t, pair: dirac(t).derivative((2, 1)),
+        "derivative of order 0": lambda t, pair: kink(t).derivative(0),
+        "convolve_scaled": lambda t, pair: convolve_scaled(dirac(t), pair[0], 0.2),
+        "band restriction": lambda t, pair: spectral._band_restrict(
+            convolve_scaled(dirac(t), pair[0], 0.2), pair[0], 0.2
+        ),
+        "scalar multiple": lambda t, pair: 2.0 * kink(t),
+        "sum": lambda t, pair: kink(t) + sine(t, 3),
+        "difference": lambda t, pair: dirac(t) - sine(t, 3),
+    }
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_every_route_equals_a_public_construction(self, pair32, route):
+        t = Torus(2, 1.0, 64) if route.endswith("2-d") else Torus(1, 1.3, 256)
+        f = self.ROUTES[route](t, pair32)
+        fresh = SpectralFunction(f.torus, f.coefficients.copy(), f.tag)
+        np.testing.assert_array_equal(f.coefficients, fresh.coefficients)
+        assert f._sum_sq == fresh._sum_sq
+        assert (f.tag, f.torus) == (fresh.tag, fresh.torus)
+        assert not f.coefficients.flags.writeable and not fresh.coefficients.flags.writeable
+        assert f.is_real() == fresh.is_real()
+        assert type(f) is SpectralFunction and vars(f).keys() >= vars(fresh).keys()
+
+    def test_convolution_multiplier_is_complex_and_the_same_product(self, pair32):
+        t = Torus(1, 1.0, 1024)
+        T = kink(t)
+        got = convolve_scaled(T, pair32[0], 0.05).coefficients
+        mult = spectral._kernel_multiplier(pair32[0], t, 0.05)
+        assert mult.dtype == complex and not mult.imag.any()
+        where = spectral._distinct_radii(t)[1]
+        np.testing.assert_array_equal(got, T.coefficients * mult.real.take(where, mode="clip"))
+
+
+_HASH_CHILD = """
+import pickle, sys
+from besovlab.kernels import build_lp_pair
+from besovlab.spectral import Torus, _kernel_multiplier
+torus, kernel = pickle.loads(sys.stdin.buffer.read())
+fresh_torus, fresh_kernel = Torus(1, 1.0, 64), build_lp_pair(32.0, 0.5)[0]
+assert hash(torus) == hash(fresh_torus) and torus == fresh_torus
+assert hash(kernel) == hash(fresh_kernel) and kernel == fresh_kernel
+_kernel_multiplier(fresh_kernel, fresh_torus, 0.1)
+before = _kernel_multiplier.cache_info()
+_kernel_multiplier(kernel, torus, 0.1)
+after = _kernel_multiplier.cache_info()
+assert (after.hits, after.misses) == (before.hits + 1, before.misses), (before, after)
+print("ok")
+"""
+
+
+class TestKeptHashes:
+    """Tori and kernels hash once, from their numbers only."""
+
+    def test_torus_pieces_of_any_numeric_type(self):
+        t = Torus(np.int64(1), 1, 64)
+        assert t == Torus(1, 1.0, 64) and hash(t) == hash(Torus(1, 1.0, 64))
+        assert [type(v) for v in (t.dimension, t.length, t.grid_size)] == [int, float, int]
+        assert t.coeff_shape() == (65,) and t.coeff_shape() is t.coeff_shape()
+
+    def test_kernel_pieces_of_any_numeric_type(self):
+        alike = [
+            Kernel(16.0, 40.0, (24.0, 32.0), "a"),
+            Kernel(np.float64(16), np.float64(40), (np.float64(24), 32), "b"),
+            Kernel(np.array(16.0), 40, np.array([24.0, 32.0])),
+        ]
+        assert len({hash(k) for k in alike}) == 1
+        assert alike[1] == dataclasses.replace(alike[0], label="b")
+
+    def test_replace_gives_a_fresh_hash(self):
+        t = dataclasses.replace(Torus(1, 1.0, 64), grid_size=128)
+        assert t == Torus(1, 1.0, 128) and hash(t) == hash(Torus(1, 1.0, 128))
+        assert t.coeff_shape() == (129,)
+        k = dataclasses.replace(build_mollifier(32.0), outer_support=40.0)
+        assert hash(k) == hash(Kernel(0.0, 40.0, (0.0, 16.0)))
+
+    def test_pickled_objects_hash_alike_in_another_process(self):
+        # str hashes differ between the two processes; a kept hash must not
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(spectral.__file__)))
+        made = subprocess.run(
+            [sys.executable, "-c", "import pickle, sys\n"
+             "from besovlab.kernels import build_lp_pair\n"
+             "from besovlab.spectral import Torus\n"
+             "made = (Torus(1, 1.0, 64), build_lp_pair(32.0, 0.5)[0])\n"
+             "sys.stdout.buffer.write(pickle.dumps(made))"],
+            env=dict(env, PYTHONHASHSEED="1"), capture_output=True, check=True, timeout=120,
+        )
+        checked = subprocess.run(
+            [sys.executable, "-c", _HASH_CHILD], input=made.stdout,
+            env=dict(env, PYTHONHASHSEED="2"), capture_output=True, timeout=120,
+        )
+        assert checked.returncode == 0 and checked.stdout.strip() == b"ok", checked.stderr.decode()
 
 
 class TestZeroField:
