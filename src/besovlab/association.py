@@ -3,9 +3,9 @@
 The observable is the decay of |<T - f_eps, rho>| in eps for a battery of
 test functions rho.  A fitted decay slope above b for every rho makes the
 eps^{-bq}-weighted pairing integral converge, i.e. the net is strongly
-associated at rate b; pairings that vanish identically at small eps (or
-decay past every tested rate) are the rapid case, which characterizes
-equality of the classes.
+associated at rate b; pairings that all vanish at the smallest eps
+(critical_exponent's vanishing sentinel, for every rho) are the rapid
+case, which characterizes equality of the classes.
 
 The quantifier "for all test functions" is rendered as a fixed battery of
 band-limited bumps with seeded random centers and widths; the seed is part
@@ -31,7 +31,6 @@ __all__ = [
 ]
 
 DEFAULT_BATTERY_SIZE = 16
-RAPID_SLOPE = 8.0
 
 
 def bump_battery(torus, count=DEFAULT_BATTERY_SIZE, seed=7):

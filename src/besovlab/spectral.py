@@ -24,8 +24,8 @@ torus, whose size sets the errors of the grid sup and rectangle rules.
 Arrays enter a SpectralFunction by one of two doors.  An outside array
 goes through the public constructor, which checks it (a Torus, numbers
 that read as complex, the torus's shape, a known tag, every value
-finite) and copies it if the caller could still write to it.  An array
-the library made from an already checked field (derivative,
+finite) and makes one C-order copy of it, which the caller cannot reach.
+An array the library made from an already checked field (derivative,
 convolve_scaled, _band_restrict, a scalar multiple, a sum or difference)
 goes through SpectralFunction._derived, which skips the dataclass
 __init__ and the checks that only an outside array can fail, and keeps
@@ -60,18 +60,9 @@ in the same order, with no reversed copy of g.  A zero field (every
 coefficient 0, so sum |c_m|^2 = 0) has norm 0 at every p, with no
 synthesis.
 
-lp_norm's grid sup and its plain rectangle rule synthesize into buffers
-reused across calls (_thread_buffer): the scaled modes are copied into a fold
-buffer, the transforms write through numpy's out=, and |f| and the
-reduction run in place.  Allocating them afresh cost about 1 MiB of
-temporaries per sup on the 2-d 128^2 torus, which glibc handed back to
-the OS and faulted in again on the next call: 26,000 to 44,000 minor page
-faults per 2-d Dirac analysis, about half of its time.  The buffers are
-kept per thread, since another thread can run while the FFT holds no
-GIL, keyed by shape and dtype, and pin at most _THREAD_BUFFER_BYTES
-(4 MiB) per thread.  The p = 1 rule of real 1-d inputs (_l1_norm),
-dft_synthesize and localize synthesize through the same routine into
-arrays allocated per call.
+Every synthesis (_synthesize) places the modes of f into one array
+allocated per call and transforms it in place (numpy's out=), unscaled
+(norm="forward"); lp_norm takes |f| of a real grid in place.
 
 Conventions
 -----------
@@ -88,11 +79,9 @@ import itertools
 import math
 import numbers
 import sys
-import threading
 from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
-from numpy.lib.array_utils import byte_bounds
 
 from .errors import AliasingRisk, InvalidParameter, ScaleOutOfRange
 
@@ -122,18 +111,10 @@ __all__ = [
 # rectangle rule but on a grid fine enough for kernel-scale oscillations.
 # p = 1 on a real 1-d field starts instead from 8 nb points, nb the power
 # of two >= twice its bandwidth (see _l1_norm), and doubles up to the 16x
-# grid.  p = 2 needs no grid (Parseval).  The grids of the sup and of the
-# plain rectangle rule, and their folded modes, are per-thread buffers reused
-# across calls (see the module docstring for the page faults this saves);
-# _l1_norm allocates its grids per call.
-# Together they pin at most _THREAD_BUFFER_BYTES per thread: the 2x grids
-# of the 1-d N = 4096 and 2-d 128^2 tori take 0.85 MiB; a larger array,
-# such as the 16x grid at 64^2 (8 MiB), is allocated per call and not kept.
+# grid.  p = 2 needs no grid (Parseval).
 _SUP_OVERSAMPLE = 2
 _QUAD_OVERSAMPLE_GEN = 16
 _L1_OVERSAMPLE = 8
-_THREAD_BUFFER_BYTES = 4 << 20
-_thread_buffers = threading.local()
 # Relative error the p = 1 rule's estimate must reach before the 16x cap.
 _L1_RTOL = 1e-7
 # The quintic p through the samples at t = -2..3 around a node t = 0: its
@@ -277,18 +258,22 @@ def _distinct_radii(torus):
     return radii, where
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralFunction:
     """A function or distribution represented by its truncated spectrum.
+
+    Fields compare and hash by identity: two objects are equal only if they
+    are one.
 
     Attributes
     ----------
     torus : Torus
     coefficients : ndarray, complex, shape (N+1,)*d
         c_m over m in [-N/2, N/2] per axis, read-only: the object keeps
-        facts read from them (sum |c_m|^2, the conjugate symmetry).  A
-        writeable array passed in is copied, so the caller may go on
-        writing to it.
+        facts read from them (sum |c_m|^2, the conjugate symmetry).  The
+        array passed in is copied, in C order, so the caller may go on
+        writing to it, and equal coefficients give equal answers whatever
+        its layout.
     tag : str
         "function" for objects with decayed spectra (norms are safe),
         "distribution" for objects represented by truncation (e.g. Dirac).
@@ -299,13 +284,12 @@ class SpectralFunction:
     tag: str = "function"
 
     def __post_init__(self):
-        """The checks of an outside array, then its copy (see _derived for
-        the arrays the library makes)."""
+        """The C-order copy of an outside array and its checks (see _derived
+        for the arrays the library makes)."""
         if not isinstance(self.torus, Torus):
             raise InvalidParameter(f"torus must be a Torus, got {self.torus!r}")
-        given = self.coefficients
         try:
-            c = np.asarray(given, dtype=complex)
+            c = np.array(self.coefficients, dtype=complex, order="C")  # the caller cannot reach it
         except (TypeError, ValueError):
             raise InvalidParameter("coefficients must read as complex numbers") from None
         if c.shape != self.torus.coeff_shape():
@@ -314,8 +298,6 @@ class SpectralFunction:
             )
         if self.tag not in ("function", "distribution"):
             raise InvalidParameter(f"unknown tag {self.tag!r}")
-        if c.flags.writeable and (c is given or c.base is not None):
-            c = _copy_keeping_strides(c)  # the caller's: a write would stale the kept facts
         object.__setattr__(self, "_sum_sq", _finite_sum_sq(c))
         c.setflags(write=False)
         object.__setattr__(self, "coefficients", c)
@@ -450,15 +432,6 @@ def _multi_index(order):
         ) from None
 
 
-def _copy_keeping_strides(c):
-    """A copy of c in memory of its own, with c's strides: a strided view is
-    read in the same layout, so every answer is the one the view gave."""
-    lo, hi = byte_bounds(c)
-    out = np.ndarray(c.shape, c.dtype, np.empty(hi - lo, np.uint8), c.ctypes.data - lo, c.strides)
-    out[...] = c
-    return out
-
-
 def _finite_sum_sq(c):
     """sum |c_m|^2, the sum every SpectralFunction keeps: lp_norm at p = 2
     and the overflow bounds read it.
@@ -523,38 +496,18 @@ def _derivative_multiplier(torus, a):
     return out, float(np.abs(power).max())
 
 
-def _thread_buffer(shape, dtype):
-    """An array of this shape and dtype kept for later calls on this thread.
+def _synthesize(f: SpectralFunction, n, real):
+    """Grid samples of f on n points per axis, in a new array.
 
-    Its contents are undefined, and it is handed out again by the next call
-    with the same key on this thread.  The least recently used buffers are
-    dropped to keep the total within _THREAD_BUFFER_BYTES; a larger array
-    is never kept.
-    """
-    buffers = _thread_buffers.__dict__.setdefault("buffers", {})
-    key = (shape, np.dtype(dtype))
-    buf = buffers.pop(key, None)
-    if buf is None:
-        buf = np.empty(shape, dtype)
-        if buf.nbytes > _THREAD_BUFFER_BYTES:
-            return buf
-        while sum(b.nbytes for b in buffers.values()) + buf.nbytes > _THREAD_BUFFER_BYTES:
-            del buffers[next(iter(buffers))]
-    buffers[key] = buf  # the most recently used last
-    return buf
-
-
-def _synthesize(f: SpectralFunction, n, real, buffer=np.empty):
-    """Grid samples of f on n points per axis, in arrays from buffer.
-
-    The scaled modes are placed on the FFT layout in one array: per folded
+    The modes are placed on the FFT layout in one array: per folded
     axis, modes 0..M fill bins 0..M and modes -M..-1 bins n-M..n-1, with
     zeros between; at n == 2M the two Nyquist slots are first summed onto
     mode M.  A real f is synthesized by irfft from modes 0..M of its last
     axis, zero-padded or cropped to n/2 + 1 bins: mode -M, implied by
     symmetry, needs a bin of its own, so a real f needs n > 2M, or, in 1-d,
     its modes from n/2 up to be 0 (as _l1_norm's are).  The transforms run
-    in place, except the real one into a float grid.
+    in place, except the real one into a float grid, with norm="forward":
+    the sum of the modes, unscaled.
     """
     torus = f.torus
     m = torus.mode_max
@@ -568,20 +521,19 @@ def _synthesize(f: SpectralFunction, n, real, buffer=np.empty):
             v[-1] += v[0]
         c = c[(slice(1, None),) * len(folded)]
     lo = c.shape[0] - (m + 1)  # negative modes per folded axis
-    a = buffer((n,) * len(folded) + c.shape[len(folded) :], complex)
+    a = np.empty((n,) * len(folded) + c.shape[len(folded) :], complex)
     for axis in folded:
         np.moveaxis(a, axis, 0)[m + 1 : n - lo] = 0.0
     segments = ((slice(0, m + 1), slice(lo, None)), (slice(n - lo, n), slice(0, lo)))
     for blocks in itertools.product(segments, repeat=len(folded)):
         dst = tuple(block[0] for block in blocks)
         src = tuple(block[1] for block in blocks)
-        np.copyto(a[dst], c[src])
-        a[dst] *= n**torus.dimension  # exact: n is a power of two
+        a[dst] = c[src]
     if not real:
-        return np.fft.ifftn(a, axes=axes, out=a)
+        return np.fft.ifftn(a, axes=axes, norm="forward", out=a)
     for axis in folded:  # what irfftn does first, here in place
-        np.fft.ifft(a, axis=axis, out=a)
-    return np.fft.irfftn(a, s=(n,), axes=(-1,), out=buffer((n,) * len(axes), float))
+        np.fft.ifft(a, axis=axis, norm="forward", out=a)
+    return np.fft.irfftn(a, s=(n,), axes=(-1,), norm="forward")
 
 
 def dft_synthesize(f: SpectralFunction, oversample=1):
@@ -729,8 +681,8 @@ def lp_norm(f: SpectralFunction, p):
     if p == 1.0 and real and d == 1:
         return _l1_norm(f)
     over = _SUP_OVERSAMPLE if math.isinf(p) else _QUAD_OVERSAMPLE_GEN
-    vals = _synthesize(f, over * f.torus.grid_size, real, _thread_buffer)
-    mags = np.abs(vals, out=vals if real else _thread_buffer(vals.shape, float))
+    vals = _synthesize(f, over * f.torus.grid_size, real)
+    mags = np.abs(vals, out=vals) if real else np.abs(vals)
     if math.isinf(p):
         return float(np.max(mags))
     if p != 1.0:
