@@ -86,9 +86,12 @@ def association_verdict(T, net, battery, q, eps_grid: ScaleGrid, seed=None):
     max(3 * its stderr, 0.05) (the weighted pairing integral at rate b
     converges iff the slope beats b); none: some pairing fails to decay.
     q is parsed like the detectors' exponents and reported; the verdict
-    does not depend on it.
+    does not depend on it.  A seed, the battery's, must be a nonnegative
+    integer, as in bump_battery; it is reported too.
     """
     q = parse_exponent(q, "q")
+    if seed is not None:
+        seed = real_parameter(seed, "battery seed", at_least=0, integer=True)
     if not battery:
         raise InvalidParameter("test-function battery is empty")
     ids, slopes, stderrs = [], [], []

@@ -302,10 +302,10 @@ def net_sobolev_profile(net: NetSpec, k, p, window=None, eps_grid=None):
     """
     if net.kind != "function":
         raise InvalidParameter("net_sobolev_profile needs a function net")
-    p = parse_exponent(p)
+    k, p = derivative_order(k), parse_exponent(p)
     grid = eps_grid or _default_eps_grid(net)
     fields = (net(e) if window is None else localize(net(e), window) for e in grid.values())
-    norms = sobolev_table(fields, range(derivative_order(k) + 1), p).max(axis=1)
+    norms = sobolev_table(fields, range(k + 1), p).max(axis=1)
     return ScaleProfile(grid, norms, {"k": k, "p": f"{p:g}", "net": net.label})
 
 

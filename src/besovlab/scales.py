@@ -52,7 +52,8 @@ MIN_WINDOW = 8
 @dataclass(frozen=True)
 class ScaleGrid:
     """Geometric grid y_j = y_max * rho^j, j = 0..count-1, descending, for
-    0 < y_min < y_max <= 1 (kept as floats) and an integer count >= 16."""
+    0 < y_min < y_max <= 1 (kept as floats) and an integer count >= 16
+    (kept as an int)."""
 
     y_min: float
     y_max: float = 1.0
@@ -62,7 +63,8 @@ class ScaleGrid:
         y_max = real_parameter(self.y_max, "y_max", 0.0, at_most=1.0)
         object.__setattr__(self, "y_min", real_parameter(self.y_min, "y_min", 0.0, y_max))
         object.__setattr__(self, "y_max", y_max)
-        real_parameter(self.count, "scale count", at_least=16, integer=True)
+        count = real_parameter(self.count, "scale count", at_least=16, integer=True)
+        object.__setattr__(self, "count", count)
 
     @property
     def ratio(self):

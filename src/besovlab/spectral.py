@@ -130,11 +130,6 @@ _KINK_MAPS = np.vstack([
     np.array([1 / 2, 1 / 12, 0.0, -1 / 120, 0.0, 1 / 252]) @ _KINK_FIT,
 ])
 _P, _DP, _PINT, _E0 = slice(0, 6), slice(6, 11), slice(11, 17), 17
-# Kinks and dips whose six samples all lie below this * sum|v| / (their
-# number) are skipped: each term is at most 10 h max|samples|, so the
-# skipped ones add up to at most 1e-10 of the rectangle sum.  (At fine
-# scales most sign changes of a mollified Dirac are rounding noise.)
-_KINK_FLOOR = 1e-11
 
 # Relative floor below which outer-band coefficients count as decayed.
 _BAND_DECAY_RTOL = 1e-12
@@ -706,21 +701,17 @@ def _l1_norm(f: SpectralFunction):
     torus = f.torus
     nb = min(torus.grid_size, max(8, 1 << (2 * f.active_bandwidth(rtol=0.0)).bit_length()))
     n = _L1_OVERSAMPLE * nb
-    coarse = None
     while True:
         vals = _synthesize(f, n, real=True)  # modes above B < n/2 are 0
-        if coarse is None:
-            norm, coarse = _l1_rule(vals, torus.length / n, (1, 2))
-        else:
-            (norm,) = _l1_rule(vals, torus.length / n, (1,))
+        norm, coarse = _l1_rule(vals, torus.length / n, (1, 2))
         if n >= _QUAD_OVERSAMPLE_GEN * torus.grid_size or abs(norm - coarse) / 127.0 <= _L1_RTOL * norm:
             return norm
-        n, coarse = 2 * n, norm  # the rule on the even samples of the next grid
+        n *= 2
 
 
 def _l1_rule(v, h, strides):
     """Integrals of |f| from the samples v[::stride] of f on a periodic grid
-    of step h * stride, one for each of strides (1, or 1 and 2).
+    of step h * stride, one for each of strides.
 
     Each is the rectangle rule plus closed-form terms for the zeros of f,
     from the quintic p through the six samples j-2..j+3 of its grid around
@@ -752,31 +743,17 @@ def _l1_rule(v, h, strides):
 
 
 def _zero_places(m, p):
-    """sum |v|, the kink cells and the dip nodes of one grid, from |v| and
-    v > 0, less those whose stencil is too small to matter (_KINK_FLOOR)."""
+    """sum |v|, the kink cells and the dip nodes of one periodic grid, from
+    |v| and v > 0, each padded with one periodic neighbour on either side."""
     total = float(m.sum())
-    flips = p[:-1] != p[1:]
-    kinks = np.flatnonzero(flips)
-    if p[-1] != p[0]:
-        kinks = np.append(kinks, m.size - 1)
+    m, p = (np.concatenate((a[-1:], a, a[:1])) for a in (m, p))
+    flips = p[:-1] != p[1:]  # flips[j]: between nodes j - 1 and j
+    kinks = np.flatnonzero(flips[1:])
     # the parabola through three samples of one sign crosses 0 only if the
     # outer two add up to more than 10 times the middle one; 3 leaves room
     # for the quintic
     low = 3.0 * m[1:-1] < m[:-2] + m[2:]
-    lows = np.flatnonzero(low > (flips[:-1] | flips[1:])) + 1  # low and no flip
-    ends = [  # the same test at the two nodes the slices leave out
-        j for j in (0, m.size - 1)
-        if p[j - 1] == p[j] == p[j + 1 - m.size] and 3.0 * m[j] < m[j - 1] + m[j + 1 - m.size]
-    ]
-    lows = np.concatenate((lows, np.array(ends, dtype=int)))
-    # max |v| over blocks i and i+1 of 8 samples, which hold the stencil of
-    # any node j with (j - 2) // 8 = i
-    blocks = m
-    for _ in range(3):
-        blocks = np.maximum(blocks[0::2], blocks[1::2])
-    blocks = np.maximum(blocks, np.roll(blocks, -1))
-    floor = _KINK_FLOOR * total / max(1, kinks.size + lows.size)
-    kinks, lows = (nodes[blocks[(nodes - 2) >> 3] > floor] for nodes in (kinks, lows))
+    lows = np.flatnonzero(low > (flips[:-1] | flips[1:]))  # low and no flip
     return total, kinks, lows
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import besovlab
-from besovlab.association import AssociationReport, bump_battery
+from besovlab.association import AssociationReport, association_verdict, bump_battery
 from besovlab.besov import detect_regularity, detect_smooth, embed
 from besovlab.errors import BesovlabError, DegenerateProfile, InvalidParameter
 from besovlab.kernels import (
@@ -20,7 +20,14 @@ from besovlab.kernels import (
     build_mollifier,
     verify_lp_conditions,
 )
-from besovlab.nets import NetSpec, SpikeNet, constant_net, function_net, spike_integral
+from besovlab.nets import (
+    NetSpec,
+    SpikeNet,
+    constant_net,
+    function_net,
+    net_sobolev_profile,
+    spike_integral,
+)
 from besovlab.scales import (
     ScaleGrid,
     ScaleProfile,
@@ -93,6 +100,16 @@ def _reports():
         "ExponentFit-sentinel": critical_exponent(synthetic_profile(grid, lambda y: 0.0)),
         "LPDiagnostics": verify_lp_conditions(pair, 1.0),
         "ScaleProfile": synthetic_profile(grid, lambda y: y**0.5, {"k": 0, "p": "inf"}),
+        # numpy integers where the library keeps a parsed int
+        "ScaleProfile-numpy-count": synthetic_profile(
+            ScaleGrid(0.01, 0.5, np.int64(32)), lambda y: y**0.5
+        ),
+        "ScaleProfile-numpy-k": net_sobolev_profile(
+            embed(heaviside(Torus(1, 1.0, 64)), build_mollifier(32.0)),
+            np.int64(1),
+            2,
+            eps_grid=ScaleGrid(0.2, 1.0, 16),
+        ),
     }
 
 
@@ -132,6 +149,8 @@ class TestReportSerialization:
             "ExponentFit-sentinel",
             "LPDiagnostics",
             "ScaleProfile",
+            "ScaleProfile-numpy-count",
+            "ScaleProfile-numpy-k",
         ],
     )
     def test_strict_json_with_the_documented_keys(self, reports, name):
@@ -223,6 +242,11 @@ _TYPED_ERRORS = {  # case -> (error class, message fragment, call)
         InvalidParameter, "n_max", lambda: spike_integral(SpikeNet(2.0), 0.0, 2.0, n_max=math.nan)
     ),
     "battery negative seed": (InvalidParameter, "seed", lambda: bump_battery(_T8, 1, -1)),
+    "verdict string seed": (
+        InvalidParameter,
+        "battery seed",
+        lambda: association_verdict(sine(_T8), _SINE, bump_battery(_T8, 1), 2, _G16, seed="abc"),
+    ),
     "spike power 0": (InvalidParameter, "power", lambda: SpikeNet(2.0, power=0)),
     "grid oversample 2.5": (InvalidParameter, "oversample", lambda: _T8.grid(2.5)),
     "grid oversample 0": (InvalidParameter, "oversample", lambda: _T8.grid(0)),

@@ -374,10 +374,11 @@ def _fine_dirac_fields(d, n, pair32, count=4):
     return [convolve_scaled(T, pair32[0], y) for y in scales]
 
 
-class TestSynthesisBuffers:
-    """The grid sup and the rectangle rules give the answers of allocating
-    numpy calls, in any order of calls and threads, and leave the samples
-    handed out before them as they were."""
+class TestStatelessNorms:
+    """Norms keep no state between calls: the grid sup and the rectangle
+    rules give the answers of allocating numpy calls, in any order of calls
+    and threads, and leave the samples handed out before them to the
+    caller, as they were."""
 
     def test_bitwise_equal_to_allocating_calls_when_interleaved(self):
         rng = np.random.default_rng(13)
@@ -394,8 +395,8 @@ class TestSynthesisBuffers:
             if not (p == 1 and f.torus.dimension == 1 and f.is_real())
         ]
         expected = [_allocating_norm(f, p) for f, p in cases]
-        # each pass alternates shapes, dimensions and realness, and meets
-        # each buffer again holding another field of its shape
+        # each pass alternates shapes, dimensions and realness, so a norm
+        # often follows one of another field of its shape
         order = list(range(len(cases)))
         for i in order + order[::-1] + order[1::2] + order[::2]:
             f, p = cases[i]
@@ -414,7 +415,7 @@ class TestSynthesisBuffers:
 
     def test_threads_get_their_serial_answers(self, pair32):
         # more threads than cores, each with its own fields of one 2-d shape,
-        # so that buffers shared between threads would mix their grids
+        # so that any sample grid shared between threads would mix answers
         workers = min((os.cpu_count() or 1) + 1, 8)
         rng = np.random.default_rng(8)
         base = _fine_dirac_fields(2, 128, pair32)
@@ -905,6 +906,20 @@ class TestL1Rule:
         # zeros at x = j/6, among them the nodes x = 0 and 1/2
         assert lp_norm(sine(torus64, 3), 1) == pytest.approx(2.0 / np.pi, rel=1e-6)
 
+    # On Torus(1, 1.0, 8) the rule starts from the grid of step h = 1/64, so
+    # a zero in (1 - h, 1) sits in the wrap cell, between the last node and
+    # the first.
+    @pytest.mark.parametrize(
+        "x0", [0.3 + 1.0 / 192, 1.0 - 1.0 / 192], ids=["interior-cell", "wrap-cell"]
+    )
+    def test_zero_inside_a_cell(self, x0):
+        # sin(2 pi (x - x0)): zeros at x0 and x0 - 1/2, inside two cells
+        t = Torus(1, 1.0, 8)
+        c = np.zeros(9, dtype=complex)
+        c[5] = -0.5j * np.exp(-2j * math.pi * x0)
+        c[3] = np.conj(c[5])
+        assert lp_norm(SpectralFunction(t, c), 1) == pytest.approx(2.0 / np.pi, rel=1e-9)
+
     def test_touching_zero_is_no_kink(self):
         t = Torus(1, 2.0, 64)
         assert lp_norm(constant(t) - cosine(t), 1) == pytest.approx(2.0, rel=1e-6)
@@ -920,18 +935,20 @@ class TestL1Rule:
         assert lp_norm(b, 1) == pytest.approx(b.coefficients[torus1k.mode_max].real, rel=1e-12)
 
     def test_two_zeros_between_samples(self):
-        # cos(2 pi delta) - cos(2 pi (x - h/2)), h = 1/64 the step of the grid
-        # the rule starts from on an 8-point torus: zeros at h/2 +- delta,
-        # both inside the cell [0, h]
+        # cos(2 pi delta) - cos(2 pi (x - centre)), h = 1/64 the step of the
+        # grid the rule starts from on an 8-point torus: zeros at centre +-
+        # delta, both inside the first cell, the last interior cell or the
+        # wrap cell [1 - h, 1]
         t = Torus(1, 1.0, 8)
         h, delta = 1.0 / 64, 0.3 / 64
-        c = np.zeros(9, dtype=complex)
-        c[4] = math.cos(2 * math.pi * delta)
-        c[5] = -0.5 * np.exp(-1j * math.pi * h)
-        c[3] = np.conj(c[5])
-        f = SpectralFunction(t, c)
-        exact = trigonometric_l1(c, t.length, density=1024)
-        assert lp_norm(f, 1) == pytest.approx(exact, rel=1e-6)
+        for centre in (h / 2, 1.0 - 1.5 * h, -h / 2):
+            c = np.zeros(9, dtype=complex)
+            c[4] = math.cos(2 * math.pi * delta)
+            c[5] = -0.5 * np.exp(-2j * math.pi * centre)
+            c[3] = np.conj(c[5])
+            f = SpectralFunction(t, c)
+            exact = trigonometric_l1(c, t.length, density=1024)
+            assert lp_norm(f, 1) == pytest.approx(exact, rel=1e-9), centre
 
 
 class TestLineFieldNorms:
