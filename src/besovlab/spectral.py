@@ -339,6 +339,8 @@ class SpectralFunction:
     __rmul__ = __mul__
 
     def _check_same_torus(self, other):
+        if not isinstance(other, SpectralFunction):
+            raise InvalidParameter(f"operand must be a SpectralFunction, got {other!r}")
         if other.torus != self.torus:
             raise InvalidParameter("operands live on different toruses")
 
@@ -694,30 +696,30 @@ def _l1_norm(f: SpectralFunction):
     synthesized on n = 8 nb points are exactly its values there.  nb stays
     above 2B: a top mode at nb/2, as a power-of-two band has, would fail
     the error estimate below on the first grid and cost a second synthesis.
-    The rule's error is O(h^7), so |I_n - I_{n/2}| / (2^7 - 1), with I_{n/2} the rule
-    on the even samples, estimates it at no extra transform; while that
-    exceeds 1e-7 of the norm, n doubles, up to 16 N.
+    The rule's error is O(h^7), so |I_n - I_{n/2}| / (2^7 - 1), I_{n/2} the
+    rule on the even samples at I_n's zeros, estimates it at no extra
+    transform; while that exceeds 1e-7 of the norm, n doubles, up to 16 N.
     """
     torus = f.torus
     nb = min(torus.grid_size, max(8, 1 << (2 * f.active_bandwidth(rtol=0.0)).bit_length()))
     n = _L1_OVERSAMPLE * nb
     while True:
         vals = _synthesize(f, n, real=True)  # modes above B < n/2 are 0
-        norm, coarse = _l1_rule(vals, torus.length / n, (1, 2))
+        norm, coarse = _l1_rule(vals, torus.length / n)
         if n >= _QUAD_OVERSAMPLE_GEN * torus.grid_size or abs(norm - coarse) / 127.0 <= _L1_RTOL * norm:
             return norm
         n *= 2
 
 
-def _l1_rule(v, h, strides):
-    """Integrals of |f| from the samples v[::stride] of f on a periodic grid
-    of step h * stride, one for each of strides.
+def _l1_rule(v, h):
+    """Integrals of |f| from the samples v of f on a periodic grid of step h
+    (I_n) and from its even samples, of step 2h (I_{n/2}).
 
     Each is the rectangle rule plus closed-form terms for the zeros of f,
     from the quintic p through the six samples j-2..j+3 of its grid around
-    each (t in cell units, node j at t = 0).  For a cell [j, j+1] where
-    v > 0 flips, the Euler-Maclaurin terms of the kink of |f| at the zero
-    theta, with s = sgn p'(theta) and Bernoulli polynomials B_k, are
+    each (t in cell units, node j at t = 0).  For a zero theta in the cell
+    [j, j+1], the Euler-Maclaurin terms of the kink of |f| there, with
+    s = sgn p'(theta) and Bernoulli polynomials B_k, are
 
         2 s h E(theta),  E(t) = sum_{i=0..5} p^(i)(t) B_{i+1}(1 - t) / (i+1)!
 
@@ -727,25 +729,25 @@ def _l1_rule(v, h, strides):
     of the quadratic with p's values at 0 and 1 and its curvature at 0.
     Two zeros with no sample between them (a dip of f across 0 next to a
     node j where |v| is a low local minimum between samples of its sign)
-    add twice the integral of |p| between them, which is what the same
-    terms give for the pair.
+    are two such terms of opposite signs: together, twice the integral of
+    |p| between them.  I_{n/2} takes the zeros found on all the samples,
+    each in its cell of the even samples, so that I_n - I_{n/2} reads the
+    rules' errors, not where two searches put the zeros.
     """
     mags = np.abs(v)
-    pos = v > 0
-    totals, cells, dips = [], [], []
-    for stride in strides:
-        total, kinks, lows = _zero_places(mags[::stride], pos[::stride])
-        totals.append(total)
-        cells.append(kinks * stride)
-        dips.append(lows * stride)
-    terms = _kink_terms(v, cells, strides) + _dip_terms(v, dips, strides)
-    return [h * stride * (total + 2.0 * term) for stride, total, term in zip(strides, totals, terms)]
+    kinks, lows = _zero_places(mags, v > 0)
+    kink_places, kink_signs, kink_term = _kink_terms(v, kinks)
+    dip_places, dip_signs, dip_term = _dip_terms(v, lows)
+    nodes, theta = np.divmod(np.concatenate((kink_places, dip_places)) / 2.0, 1.0)  # cells of step 2h
+    maps = _KINK_MAPS @ v.take(2 * (nodes.astype(np.intp) + _KINK_STENCIL[:, None]), mode="wrap")
+    coarse = np.concatenate((kink_signs, dip_signs)) @ (maps[_E0] - theta * _horner(maps[_PINT], theta))
+    fine = h * (float(mags.sum()) + 2.0 * (kink_term + dip_term))
+    return fine, 2.0 * h * (float(mags[::2].sum()) + 2.0 * coarse)
 
 
 def _zero_places(m, p):
-    """sum |v|, the kink cells and the dip nodes of one periodic grid, from
-    |v| and v > 0, each padded with one periodic neighbour on either side."""
-    total = float(m.sum())
+    """The kink cells and the dip nodes of a periodic grid, from |v| and
+    v > 0, each padded with one periodic neighbour on either side."""
     m, p = (np.concatenate((a[-1:], a, a[:1])) for a in (m, p))
     flips = p[:-1] != p[1:]  # flips[j]: between nodes j - 1 and j
     kinks = np.flatnonzero(flips[1:])
@@ -754,44 +756,39 @@ def _zero_places(m, p):
     # for the quintic
     low = 3.0 * m[1:-1] < m[:-2] + m[2:]
     lows = np.flatnonzero(low > (flips[:-1] | flips[1:]))  # low and no flip
-    return total, kinks, lows
+    return kinks, lows
 
 
-def _kink_terms(v, cells, strides):
-    """The E(theta) of the kink cells, signed by s and summed per grid."""
-    s, maps, grid = _stencils(v, cells, strides)
+def _kink_terms(v, cells):
+    """The zero in each kink cell, in cells of v's grid, its sign s and the
+    sum of the s E(theta)."""
+    s = v.take(cells + _KINK_STENCIL[:, None], mode="wrap")
+    maps = _KINK_MAPS @ s
     theta = _newton_step(maps, _quadratic_zero(s[2], s[3], maps[2]), 0.0)
-    e = maps[_E0] - theta * _horner(maps[_PINT], theta)
-    return np.bincount(grid, np.where(s[3] > 0.0, e, -e), len(strides))
+    signs = np.where(s[3] > 0.0, 1.0, -1.0)
+    return cells + theta, signs, signs @ (maps[_E0] - theta * _horner(maps[_PINT], theta))
 
 
-def _dip_terms(v, dips, strides):
-    """The integral of |p| between the two zeros next to each dip node where
-    p crosses 0 (a bottom of the sign opposite to v_j), summed per grid."""
-    if not any(nodes.size for nodes in dips):
-        return np.zeros(len(strides))
-    s, maps, grid = _stencils(v, dips, strides)
+def _dip_terms(v, nodes):
+    """The two zeros next to each dip node where p crosses 0 (a bottom of the
+    sign opposite to v_j), in cells of v's grid, their signs and the sum of
+    the integrals of |p| between them."""
+    if not nodes.size:
+        return nodes, nodes, 0.0
+    s = v.take(nodes + _KINK_STENCIL[:, None], mode="wrap")
+    maps = _KINK_MAPS @ s
     left, mid, right = np.abs(s[1:4])
     curv = maps[2]  # p''(0) / 2, of the sign of v_j at a dip
     dip = (mid < left) & (mid <= right) & (s[2] * curv > 0)
-    maps, curv, grid = maps[:, dip], curv[dip], grid[dip]
+    maps, curv, nodes = maps[:, dip], curv[dip], nodes[dip]
     bottom = np.clip(-0.5 * maps[1] / curv, -1.0, 1.0)
     depth = _horner(maps[_P], bottom)
     half = np.sqrt(np.maximum(-depth / curv, 0.0))  # 0: no zeros
     lo = _newton_step(maps, bottom - half, -1.0)
     hi = _newton_step(maps, bottom + half, -1.0)
     area = hi * _horner(maps[_PINT], hi) - lo * _horner(maps[_PINT], lo)
-    return np.bincount(grid, np.abs(area), len(strides))
-
-
-def _stencils(v, nodes, strides):
-    """The samples j-2..j+3 of its grid (rows) around each node j of each
-    grid (v-indices of nodes[i] on the grid of strides[i]), their quintic
-    maps, and the grid index i of each column."""
-    grid = np.repeat(np.arange(len(strides)), [a.size for a in nodes])
-    step = np.asarray(strides)[grid]
-    s = v.take(np.concatenate(nodes) + step * _KINK_STENCIL[:, None], mode="wrap")
-    return s, _KINK_MAPS @ s, grid
+    signs = np.sign(curv)  # f falls through lo and rises through hi where v_j > 0
+    return np.concatenate((nodes + lo, nodes + hi)), np.concatenate((-signs, signs)), np.abs(area).sum()
 
 
 def _quadratic_zero(v0, v1, curv):

@@ -41,7 +41,9 @@ from besovlab.spectral import (
     Torus,
     convolve_scaled,
     dft_synthesize,
+    localize,
     lp_norm,
+    pairing,
     sobolev_norm,
     sobolev_table,
     to_jsonable,
@@ -273,6 +275,16 @@ _TYPED_ERRORS = {  # case -> (error class, message fragment, call)
     ),
     "SpectralFunction torus": (
         InvalidParameter, "torus must be a Torus", lambda: SpectralFunction("x", np.zeros(9))
+    ),
+    "add an int": (InvalidParameter, "operand must be a SpectralFunction", lambda: sine(_T8) + 1),
+    "subtract None": (
+        InvalidParameter, "operand must be a SpectralFunction", lambda: sine(_T8) - None
+    ),
+    "pairing with None": (
+        InvalidParameter, "operand must be a SpectralFunction", lambda: pairing(sine(_T8), None)
+    ),
+    "localize with None": (
+        InvalidParameter, "operand must be a SpectralFunction", lambda: localize(sine(_T8), None)
     ),
 }
 

@@ -867,6 +867,33 @@ class TestConvolveScaled:
         assert lp_norm(out, 2) > 0  # no aliasing guard fires
 
 
+# On Torus(1, 1.0, 8) the p = 1 rule starts from the grid of step h = 1/64,
+# so a zero in (1 - h, 1) sits in the wrap cell, between the last node and
+# the first: the offsets put the zeros of a sine inside an interior cell and
+# the wrap cell, the centres a zero pair inside the first cell, the last
+# interior cell and the wrap cell.
+_CELL_OFFSETS = [0.3 + 1.0 / 192, 1.0 - 1.0 / 192]
+_PAIR_CENTRES = [1.0 / 128, 1.0 - 1.5 / 64, -1.0 / 128]
+
+
+def _shifted_sine(x0):
+    """sin(2 pi (x - x0)) on Torus(1, 1.0, 8): zeros at x0 and x0 - 1/2."""
+    c = np.zeros(9, dtype=complex)
+    c[5] = -0.5j * np.exp(-2j * math.pi * x0)
+    c[3] = np.conj(c[5])
+    return SpectralFunction(Torus(1, 1.0, 8), c)
+
+
+def _zero_pair(centre):
+    """cos(2 pi delta) - cos(2 pi (x - centre)) on Torus(1, 1.0, 8), delta =
+    0.3 / 64: zeros at centre +- delta, with no sample of step 1/64 between."""
+    c = np.zeros(9, dtype=complex)
+    c[4] = math.cos(2 * math.pi * 0.3 / 64)
+    c[5] = -0.5 * np.exp(-2j * math.pi * centre)
+    c[3] = np.conj(c[5])
+    return SpectralFunction(Torus(1, 1.0, 8), c)
+
+
 class TestL1Rule:
     """p = 1 on real 1-d inputs: the kink-corrected rule against exact values."""
 
@@ -906,19 +933,9 @@ class TestL1Rule:
         # zeros at x = j/6, among them the nodes x = 0 and 1/2
         assert lp_norm(sine(torus64, 3), 1) == pytest.approx(2.0 / np.pi, rel=1e-6)
 
-    # On Torus(1, 1.0, 8) the rule starts from the grid of step h = 1/64, so
-    # a zero in (1 - h, 1) sits in the wrap cell, between the last node and
-    # the first.
-    @pytest.mark.parametrize(
-        "x0", [0.3 + 1.0 / 192, 1.0 - 1.0 / 192], ids=["interior-cell", "wrap-cell"]
-    )
+    @pytest.mark.parametrize("x0", _CELL_OFFSETS, ids=["interior-cell", "wrap-cell"])
     def test_zero_inside_a_cell(self, x0):
-        # sin(2 pi (x - x0)): zeros at x0 and x0 - 1/2, inside two cells
-        t = Torus(1, 1.0, 8)
-        c = np.zeros(9, dtype=complex)
-        c[5] = -0.5j * np.exp(-2j * math.pi * x0)
-        c[3] = np.conj(c[5])
-        assert lp_norm(SpectralFunction(t, c), 1) == pytest.approx(2.0 / np.pi, rel=1e-9)
+        assert lp_norm(_shifted_sine(x0), 1) == pytest.approx(2.0 / np.pi, rel=1e-9)
 
     def test_touching_zero_is_no_kink(self):
         t = Torus(1, 2.0, 64)
@@ -935,20 +952,24 @@ class TestL1Rule:
         assert lp_norm(b, 1) == pytest.approx(b.coefficients[torus1k.mode_max].real, rel=1e-12)
 
     def test_two_zeros_between_samples(self):
-        # cos(2 pi delta) - cos(2 pi (x - centre)), h = 1/64 the step of the
-        # grid the rule starts from on an 8-point torus: zeros at centre +-
-        # delta, both inside the first cell, the last interior cell or the
-        # wrap cell [1 - h, 1]
-        t = Torus(1, 1.0, 8)
-        h, delta = 1.0 / 64, 0.3 / 64
-        for centre in (h / 2, 1.0 - 1.5 * h, -h / 2):
-            c = np.zeros(9, dtype=complex)
-            c[4] = math.cos(2 * math.pi * delta)
-            c[5] = -0.5 * np.exp(-2j * math.pi * centre)
-            c[3] = np.conj(c[5])
-            f = SpectralFunction(t, c)
-            exact = trigonometric_l1(c, t.length, density=1024)
+        for centre in _PAIR_CENTRES:
+            f = _zero_pair(centre)
+            exact = trigonometric_l1(f.coefficients, 1.0, density=1024)
             assert lp_norm(f, 1) == pytest.approx(exact, rel=1e-9), centre
+
+    @pytest.mark.parametrize(
+        "field",
+        [_shifted_sine(x0) for x0 in _CELL_OFFSETS] + [_zero_pair(centre) for centre in _PAIR_CENTRES],
+        ids=["interior-cell", "wrap-cell", "pair-first", "pair-last", "pair-wrap"],
+    )
+    def test_even_rolls_keep_both_values(self, field):
+        # a roll by an even k moves the zeros across the wrap cell but keeps
+        # the samples and the even samples, so both values of the rule stay
+        h = 1.0 / 64
+        v = spectral._synthesize(field, 64, real=True)
+        want = spectral._l1_rule(v, h)
+        for k in range(0, 64, 2):
+            np.testing.assert_allclose(spectral._l1_rule(np.roll(v, k), h), want, rtol=1e-13, err_msg=k)
 
 
 class TestLineFieldNorms:
@@ -969,6 +990,29 @@ class TestLineFieldNorms:
         assert lp_norm(line, 1) == pytest.approx(exact, rel=1e-5)
         # |f|^4 is a trigonometric polynomial the grid integrates exactly
         assert lp_norm(line, 4) == pytest.approx(lp_norm(f, 4), rel=1e-12)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 4.0, "inf"])
+    @pytest.mark.parametrize(
+        "signal",
+        [
+            lambda t, moll: sine(t, 3) + 0.5 * cosine(t, 5),
+            lambda t, moll: kink(t),
+            lambda t, moll: convolve_scaled(heaviside(t), moll, 0.8),
+        ],
+        ids=["sine-sum", "kink", "heaviside"],
+    )
+    def test_tensor_with_one_has_the_1d_norm(self, moll32, signal, p):
+        # f (x) 1 and 1 (x) f on the unit torus have the 1-d norms of f.  Off
+        # p = 1 both sides take the same rule.  At p = 1 the 2-d field takes
+        # the 16x rectangle rule and the 1-d one the corrected rule: 1.8e-4
+        # apart on the sine sum, which changes sign (ROADMAP item 8's oracle)
+        t = Torus(1, 1.0, 16)
+        f = signal(t, moll32)
+        want = lp_norm(f, p)
+        one = constant(t).coefficients
+        for c in (np.outer(f.coefficients, one), np.outer(one, f.coefficients)):
+            got = lp_norm(SpectralFunction(Torus(2, 1.0, 16), c, f.tag), p)
+            assert got == pytest.approx(want, rel=1e-3 if p == 1.0 else 1e-12)
 
 
 class TestScalingLaw:
