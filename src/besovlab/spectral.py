@@ -25,13 +25,12 @@ Arrays enter a SpectralFunction by one of two doors.  An outside array
 goes through the public constructor, which checks it (a Torus, numbers
 that read as complex, the torus's shape, a known tag, every value
 finite) and makes one C-order copy of it, which the caller cannot reach.
-An array the library made from an already checked field (derivative,
-convolve_scaled, _band_restrict, a scalar multiple, a sum or difference)
-goes through SpectralFunction._derived, which skips the dataclass
-__init__ and the checks that only an outside array can fail, and keeps
-the finiteness check with its kept sum, the read-only flag and, where the
-arithmetic keeps it exactly, the input's conjugate symmetry.  Tori and
-kernels, the keys of every cache below, compute their hash once.
+An array the library made from already checked fields (derivative,
+convolve_scaled, _band_restrict, localize, a scalar multiple, a sum or
+difference) goes through SpectralFunction._derived, which skips the
+dataclass __init__ and the checks that only an outside array can fail,
+and keeps the finiteness check with its kept sum and the read-only flag.
+Tori and kernels, the keys of every cache below, compute their hash once.
 
 Every SpectralFunction keeps sum_m |c_m|^2, the one BLAS pass of its
 finiteness check, so lp_norm at p = 2 is sqrt(L^d * that sum) with no pass
@@ -47,14 +46,17 @@ torus (N/2 + 1 in 1-d, 1,782 of the 16,641 modes at 128^2) up to the edge
 of K_hat(y .)'s support.  Each coefficient reads its value through a
 per-torus index (_distinct_radii).
 
-Conjugate symmetry is decided once per input (_is_conjugate_symmetric):
-first exactly, c_m == conj(c_-m) for every m, by one compare of the two
-half spectra; only when that fails by the 1e-10 tolerance scan of
-is_real.  Exact symmetry is the tolerance rule's case of a zero
-asymmetry, so the compare changes no is_real answer, and both facts are
-kept on the object.  A result that keeps its input's conjugate symmetry
-exactly (derivative, convolve_scaled, _band_restrict) takes both from
-that input.  Exact symmetry of g makes pairing(f, g) one contiguous
+Every SpectralFunction is made with the (exact, real) pair of its
+conjugate symmetry.  _is_conjugate_symmetric decides it: exactly, c_m ==
+conj(c_-m) for every m, by one compare of the two half spectra; only when
+that fails, by the 1e-10 tolerance scan of is_real.  The public
+constructor and localize decide it; derivative, convolve_scaled and
+_band_restrict keep their input's symmetry exactly and take its pair.  A
+real multiple of an exactly symmetric field, and a sum or difference of
+two, is exactly symmetric (IEEE rounding is symmetric under a sign
+change, and conjugation flips only the imaginary sign), so it takes
+(True, True) with no compare; other arithmetic decides its result's pair.
+Exact symmetry of g makes pairing(f, g) one contiguous
 np.vdot(g, f): sum_m conj(g_m) f_m has the products of sum_m f_m g_-m,
 in the same order, with no reversed copy of g.  A zero field (every
 coefficient 0, so sum |c_m|^2 = 0) has norm 0 at every p, with no
@@ -294,19 +296,19 @@ class SpectralFunction:
         if self.tag not in ("function", "distribution"):
             raise InvalidParameter(f"unknown tag {self.tag!r}")
         object.__setattr__(self, "_sum_sq", _finite_sum_sq(c))
+        object.__setattr__(self, "_sym", _is_conjugate_symmetric(c))
         c.setflags(write=False)
         object.__setattr__(self, "coefficients", c)
 
-    def _derived(self, c, torus=None, tag=None, keeps_symmetry=True):
+    def _derived(self, c, torus=None, tag=None, sym=None):
         """The SpectralFunction of c, an array the library made from self.
 
         c is complex, of its torus's shape, and no caller holds it writeable,
         so the dataclass __init__ and the checks of __post_init__ that only
         an outside array can fail are skipped.  What a derived array can
         fail or needs is kept: the finiteness check with the kept sum, and
-        read-only coefficients.  torus and tag default to self's.  With
-        keeps_symmetry (c is conjugate-symmetric exactly when self's
-        coefficients are), _symmetry answers from self's answer.
+        read-only coefficients.  torus, tag and sym, the (exact, real) pair
+        of c, default to self's.
         """
         out = object.__new__(SpectralFunction)
         state = {
@@ -314,11 +316,9 @@ class SpectralFunction:
             "coefficients": c,
             "tag": self.tag if tag is None else tag,
             "_sum_sq": _finite_sum_sq(c),
+            "_sym": self._sym if sym is None else sym,
         }
         c.setflags(write=False)
-        if keeps_symmetry:
-            sym = self.__dict__.get("_sym")
-            state["_sym"] = self if sym is None else sym
         object.__setattr__(out, "__dict__", state)
         return out
 
@@ -334,23 +334,26 @@ class SpectralFunction:
         scalar = real_parameter(scalar, "scalar factor")
         bound = abs(scalar) * math.sqrt(self._sum_sq)
         c = _overflow_guarded(bound, np.multiply, self.coefficients, scalar)
-        return self._derived(c, keeps_symmetry=False)
+        return self._arithmetic(c, self.tag, (self,))
 
     __rmul__ = __mul__
 
-    def _check_same_torus(self, other):
-        if not isinstance(other, SpectralFunction):
-            raise InvalidParameter(f"operand must be a SpectralFunction, got {other!r}")
-        if other.torus != self.torus:
-            raise InvalidParameter("operands live on different toruses")
-
     def _combine(self, other, op):
         """op of the two coefficient arrays: a distribution if either operand is."""
-        self._check_same_torus(other)
+        _check_operands(self, other)
         tag = "distribution" if "distribution" in (self.tag, other.tag) else "function"
         bound = math.sqrt(self._sum_sq) + math.sqrt(other._sum_sq)
         c = _overflow_guarded(bound, op, self.coefficients, other.coefficients)
-        return self._derived(c, tag=tag, keeps_symmetry=False)
+        return self._arithmetic(c, tag, (self, other))
+
+    def _arithmetic(self, c, tag, operands):
+        """The field of c, a real multiple of one operand or a sum or
+        difference of two: (True, True) if every operand is exactly
+        symmetric, else decided once c has passed the finiteness check."""
+        out = self._derived(c, tag=tag, sym=(True, True))
+        if not all(f._sym[0] for f in operands):
+            object.__setattr__(out, "_sym", _is_conjugate_symmetric(c))
+        return out
 
     # -- structure queries --------------------------------------------------
 
@@ -360,24 +363,10 @@ class SpectralFunction:
         lp_norm uses this as its path switch: real objects are synthesized
         by irfftn from the modes 0..N/2 of the last axis, so an asymmetry
         below 1e-10 * max|c| is ignored; other objects keep the complex ifftn.
-        The answer is kept on the object (see _symmetry).
+        The answer is the second of the (exact, real) pair the object was
+        made with (_is_conjugate_symmetric, _derived).
         """
-        return self._symmetry()[1]
-
-    def _symmetry(self):
-        """(exact, real) of _is_conjugate_symmetric, decided at most once.
-
-        The pair is kept on the object.  The results of derivative,
-        convolve_scaled and _band_restrict keep their input's symmetry
-        exactly and take their pair from it.
-        """
-        sym = self.__dict__.get("_sym")
-        if sym is None:
-            sym = _is_conjugate_symmetric(self.coefficients)
-        elif not isinstance(sym, tuple):
-            sym = sym._symmetry()  # the input this object was derived from
-        object.__setattr__(self, "_sym", sym)
-        return sym
+        return self._sym[1]
 
     def active_bandwidth(self, rtol=_BAND_DECAY_RTOL):
         """Largest |m| carrying a coefficient above rtol * max|c|, rtol in [0, 1)."""
@@ -440,6 +429,15 @@ def _finite_sum_sq(c):
     if not (math.isfinite(sq) or np.all(np.isfinite(c))):
         raise InvalidParameter("coefficients must be finite")
     return sq
+
+
+def _check_operands(f, g):
+    """Both operands are fields on one torus, else InvalidParameter."""
+    for x in (f, g):
+        if not isinstance(x, SpectralFunction):
+            raise InvalidParameter(f"operand must be a SpectralFunction, got {x!r}")
+    if f.torus != g.torus:
+        raise InvalidParameter("operands live on different toruses")
 
 
 def _is_conjugate_symmetric(c):
@@ -707,7 +705,7 @@ def _l1_norm(f: SpectralFunction):
         vals = _synthesize(f, n, real=True)  # modes above B < n/2 are 0
         norm, coarse = _l1_rule(vals, torus.length / n)
         if n >= _QUAD_OVERSAMPLE_GEN * torus.grid_size or abs(norm - coarse) / 127.0 <= _L1_RTOL * norm:
-            return norm
+            return float(norm)
         n *= 2
 
 
@@ -941,7 +939,7 @@ def localize(T: SpectralFunction, window: SpectralFunction) -> SpectralFunction:
     representation policy for distribution-tagged inputs; for function
     inputs a non-negligible loss raises AliasingRisk.
     """
-    T._check_same_torus(window)
+    _check_operands(T, window)
     wvals = dft_synthesize(window, 2)
     if np.max(np.abs(wvals.imag)) > 1e-9 or np.min(wvals.real) < -1e-9 or np.max(
         wvals.real
@@ -963,7 +961,7 @@ def localize(T: SpectralFunction, window: SpectralFunction) -> SpectralFunction:
                 "product bandwidth exceeds Nyquist; localize would drop "
                 f"{float(total - inside):.2e} of squared coefficient mass"
             )
-    return SpectralFunction(torus, kept, T.tag)
+    return T._derived(kept, sym=_is_conjugate_symmetric(kept))
 
 
 def pairing(f: SpectralFunction, g: SpectralFunction):
@@ -971,13 +969,13 @@ def pairing(f: SpectralFunction, g: SpectralFunction):
 
     Computed as the spectral sum L^d * sum_m f_m g_{-m}; exact for the
     represented truncations.  A g that is exactly conjugate-symmetric
-    (g_{-m} == conj(g_m), decided once per g and kept) pairs by one
+    (g_{-m} == conj(g_m), kept since g was made) pairs by one
     contiguous np.vdot(g, f) = sum_m conj(g_m) f_m: the same products in
     the same order as the flipped dot that any other g takes.
     """
-    f._check_same_torus(g)
+    _check_operands(f, g)
     d = f.torus.dimension
-    if g._symmetry()[0]:
+    if g._sym[0]:
         total = np.vdot(g.coefficients, f.coefficients)
     else:
         # the flat C-order array reversed is the flip on every axis: one dot

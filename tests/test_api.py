@@ -286,6 +286,12 @@ _TYPED_ERRORS = {  # case -> (error class, message fragment, call)
     "localize with None": (
         InvalidParameter, "operand must be a SpectralFunction", lambda: localize(sine(_T8), None)
     ),
+    "pairing with None first": (
+        InvalidParameter, "operand must be a SpectralFunction", lambda: pairing(None, sine(_T8))
+    ),
+    "localize with None first": (
+        InvalidParameter, "operand must be a SpectralFunction", lambda: localize(None, sine(_T8))
+    ),
 }
 
 

@@ -16,7 +16,7 @@ from besovlab.association import association_verdict, bump_battery
 from besovlab.besov import besov_norm, default_grid, detect_regularity, detect_smooth, embed
 from besovlab.errors import AliasingRisk, InvalidParameter, ScaleOutOfRange
 from besovlab.kernels import Kernel, build_lp_pair, build_mollifier
-from besovlab.nets import classify_moderate, classify_negligible, constant_net
+from besovlab.nets import classify_moderate, classify_negligible, constant_net, perturbed_net
 from besovlab.scales import ScaleGrid, convergence_verdict, q_integral, sweep
 from besovlab.signals import bump, constant, cosine, dirac, heaviside, kink, lacunary, sine
 from besovlab.spectral import (
@@ -231,6 +231,13 @@ class TestLpNorm:
 
     def test_sup_norm(self, torus64):
         assert lp_norm(sine(torus64), "inf") == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("p", [1, 1.5, 2, "inf"])
+    def test_every_path_returns_a_python_float(self, torus64, p):
+        rng = np.random.default_rng(5)
+        complex_1d = SpectralFunction(torus64, rng.standard_normal(65) + 1j * rng.standard_normal(65))
+        fields = [kink(torus64), complex_1d, _real_coefficients(rng, Torus(2, 1.0, 16)), constant(torus64, 0.0)]
+        assert [type(lp_norm(f, p)) for f in fields] == [float] * 4
 
     def test_parseval(self, torus1k):
         rng = np.random.default_rng(11)
@@ -595,8 +602,9 @@ class TestOverflowingArithmetic:
             lambda: sine(Torus(1, 1.0, 64)) * 1e308 * 10.0,
             lambda: _HUGE + _HUGE,
             lambda: _HUGE - _HUGE * -1.0,
+            lambda: _HUGE + SpectralFunction(Torus(1, 1.0, 64), np.full(65, 1e308 + 1j)),
         ],
-        ids=["derivative", "mul", "add", "sub"],
+        ids=["derivative", "mul", "add", "sub", "add asymmetric"],
     )
     def test_finite_inputs_overflowing_raise_invalid_parameter(self, make):
         # finite operands, infinite result: the typed error, not numpy's warning
@@ -1143,7 +1151,7 @@ class TestExactSymmetry:
         exact = bool(np.all(c == np.conj(np.flip(c))))
         assert spectral._is_conjugate_symmetric(c) == (exact, _tolerance_scan(c))
         f = SpectralFunction(Torus(d, 1.0, 2**log_n), c)
-        assert f._symmetry() == (exact, _tolerance_scan(c))
+        assert f._sym == (exact, _tolerance_scan(c))
         assert f.is_real() == _tolerance_scan(c)
         if kind in ("exact", "signed zeros", "zero"):
             assert exact
@@ -1171,14 +1179,33 @@ class TestExactSymmetry:
         other = SpectralFunction(t, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         phi = pair32[0]
         y = phi.outer_support * t.length / (math.pi * 8)  # the band torus of 8 points
+        real2 = SpectralFunction(t, _symmetric_part(rng.standard_normal(shape) + 0j))
         orders = [1, 2, 3, 4] if d == 1 else [(1, 0), (0, 3), (2, 1), (3, 4)]
-        for T in (real, other):
+        # arithmetic of two exactly symmetric fields, then of mixed ones
+        for T, T2 in ((real, real2), (other, real), (real, other)):
             derived = [T.derivative(a) for a in orders]
             derived.append(convolve_scaled(T, phi, 2 * min_scale(phi, t)))
             derived.append(spectral._band_restrict(T, phi, y))
+            derived += [2.5 * T, T + T2, T - T2]
             for f in derived:
-                assert f._symmetry() == spectral._is_conjugate_symmetric(f.coefficients.copy())
-            assert all(f._symmetry()[0] == (T is real) for f in derived)
+                assert f._sym == spectral._is_conjugate_symmetric(f.coefficients.copy())
+            assert [f._sym[0] for f in derived[:-2]] == [T is real] * (len(derived) - 2)
+            assert [f._sym[0] for f in derived[-2:]] == [T is real and T2 is real2] * 2
+        # a mixed difference that cancels is decided on its result
+        assert (other - other)._sym == (other - 1.0 * other)._sym == (True, True)
+
+    def test_a_perturbed_embed_net_decides_no_symmetry(self, pair32, monkeypatch):
+        t = Torus(1, 1.0, 1024)
+        T, g = heaviside(t), sine(t, 5)
+        net = perturbed_net(embed(T, pair32[0]), g, lambda e: e**2)
+        decided = []
+        original = spectral._is_conjugate_symmetric
+        monkeypatch.setattr(spectral, "_is_conjugate_symmetric",
+                            lambda c: decided.append(c.shape) or original(c))
+        for eps in (0.02, 0.1, 0.4):
+            f = net(eps)
+            assert lp_norm(f, "inf") > 0.0 and f.is_real()
+        assert decided == []
 
 
 class TestReadOnlyCoefficients:
@@ -1278,6 +1305,7 @@ class TestDerivedFields:
         "scalar multiple": lambda t, pair: 2.0 * kink(t),
         "sum": lambda t, pair: kink(t) + sine(t, 3),
         "difference": lambda t, pair: dirac(t) - sine(t, 3),
+        "localize": lambda t, pair: localize(sine(t, 3), bump(t, 0.5, 0.2)),
     }
 
     @pytest.mark.parametrize("route", sorted(ROUTES))
@@ -1289,7 +1317,7 @@ class TestDerivedFields:
         assert f._sum_sq == fresh._sum_sq
         assert (f.tag, f.torus) == (fresh.tag, fresh.torus)
         assert not f.coefficients.flags.writeable and not fresh.coefficients.flags.writeable
-        assert f.is_real() == fresh.is_real()
+        assert f.is_real() == fresh.is_real() and f._sym == fresh._sym
         assert type(f) is SpectralFunction and vars(f).keys() >= vars(fresh).keys()
 
     def test_convolution_multiplier_is_complex_and_the_same_product(self, pair32):
@@ -1440,10 +1468,10 @@ class TestSymmetricPairing:
             for _ in "fg"
         )
         near = SpectralFunction(t, _symmetric_part(g.coefficients) + 1e-13j)  # real, not exact
-        assert near.is_real() and not near._symmetry()[0]
+        assert near.is_real() and not near._sym[0]
         monkeypatch.setattr(np, "vdot", lambda a, b: pytest.fail("vdot on an asymmetric g"))
         for h in (g, near):
             assert pairing(f, h) == self._flipped(f, h)
 
     def test_battery_bumps_are_exactly_symmetric(self, torus4k):
-        assert all(rho._symmetry()[0] for _, rho in bump_battery(torus4k))
+        assert all(rho._sym[0] for _, rho in bump_battery(torus4k))
