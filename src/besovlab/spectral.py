@@ -25,11 +25,9 @@ Arrays enter a SpectralFunction by one of two doors.  An outside array
 goes through the public constructor, which checks it (a Torus, numbers
 that read as complex, the torus's shape, a known tag, every value
 finite) and makes one C-order copy of it, which the caller cannot reach.
-An array the library made from already checked fields (derivative,
-convolve_scaled, _band_restrict, localize, a scalar multiple, a sum or
-difference) goes through SpectralFunction._derived, which skips the
-dataclass __init__ and the checks that only an outside array can fail,
-and keeps the finiteness check with its kept sum and the read-only flag.
+An array the library made from checked fields goes through
+SpectralFunction._derived, which skips the dataclass __init__ and those
+checks, and keeps the finiteness check with its kept sum and read-only flag.
 Tori and kernels, the keys of every cache below, compute their hash once.
 
 Every SpectralFunction keeps sum_m |c_m|^2, the one BLAS pass of its
@@ -46,21 +44,16 @@ torus (N/2 + 1 in 1-d, 1,782 of the 16,641 modes at 128^2) up to the edge
 of K_hat(y .)'s support.  Each coefficient reads its value through a
 per-torus index (_distinct_radii).
 
-Every SpectralFunction is made with the (exact, real) pair of its
-conjugate symmetry.  _is_conjugate_symmetric decides it: exactly, c_m ==
-conj(c_-m) for every m, by one compare of the two half spectra; only when
-that fails, by the 1e-10 tolerance scan of is_real.  The public
-constructor and localize decide it; derivative, convolve_scaled and
-_band_restrict keep their input's symmetry exactly and take its pair.  A
-real multiple of an exactly symmetric field, and a sum or difference of
-two, is exactly symmetric (IEEE rounding is symmetric under a sign
-change, and conjugation flips only the imaginary sign), so it takes
-(True, True) with no compare; other arithmetic decides its result's pair.
-Exact symmetry of g makes pairing(f, g) one contiguous
-np.vdot(g, f): sum_m conj(g_m) f_m has the products of sum_m f_m g_-m,
-in the same order, with no reversed copy of g.  A zero field (every
-coefficient 0, so sum |c_m|^2 = 0) has norm 0 at every p, with no
-synthesis.
+A field is real exactly when its coefficients are conjugate-symmetric,
+c_m == conj(c_-m) for every m: a bool kept from when it is made.  The
+public constructor and localize make an array within 1e-10 max|c| of
+symmetry exactly symmetric (_entering).  derivative, convolve_scaled,
+_band_restrict and a real multiple keep a real input's symmetry, and so do
+a sum and difference of real fields (IEEE rounding is symmetric under a
+sign change), with no compare; a field made from a complex one compares its
+coefficients once, since a route may drop its asymmetric modes.  A real g
+pairs by one contiguous np.vdot(g, f), with no reversed copy of g.  A zero
+field (sum |c_m|^2 = 0) has norm 0 at every p, with no synthesis.
 
 Every synthesis (_synthesize) places the modes of f into one array
 allocated per call and transforms it in place (numpy's out=), unscaled
@@ -69,7 +62,7 @@ allocated per call and transforms it in place (numpy's out=), unscaled
 Conventions
 -----------
 * Synthesis:  f(x) = sum_m c_m exp(i xi_m x).
-* A real-valued object has conjugate-symmetric coefficients.
+* A real-valued object has exactly conjugate-symmetric coefficients.
 * "Nyquist-balanced" arrays satisfy c[-N/2] == c[+N/2]; the analysis
   transform always emits balanced arrays (the Nyquist energy is split
   between the two end slots), and synthesis folds the two end slots
@@ -112,7 +105,7 @@ __all__ = [
 # certified sup is still open.  Other finite p != 2 keep the second-order
 # rectangle rule but on a grid fine enough for kernel-scale oscillations.
 # p = 1 on a real 1-d field starts instead from 8 nb points, nb the power
-# of two >= twice its bandwidth (see _l1_norm), and doubles up to the 16x
+# of two above twice its bandwidth (see _l1_norm), and doubles up to the 16x
 # grid.  p = 2 needs no grid (Parseval).
 _SUP_OVERSAMPLE = 2
 _QUAD_OVERSAMPLE_GEN = 16
@@ -270,7 +263,8 @@ class SpectralFunction:
         facts read from them (sum |c_m|^2, the conjugate symmetry).  The
         array passed in is copied, in C order, so the caller may go on
         writing to it, and equal coefficients give equal answers whatever
-        its layout.
+        its layout, unless it is within 1e-10 max|c| of conjugate symmetry:
+        then its symmetric part is kept (is_real).
     tag : str
         "function" for objects with decayed spectra (norms are safe),
         "distribution" for objects represented by truncation (e.g. Dirac).
@@ -295,20 +289,22 @@ class SpectralFunction:
             )
         if self.tag not in ("function", "distribution"):
             raise InvalidParameter(f"unknown tag {self.tag!r}")
-        object.__setattr__(self, "_sum_sq", _finite_sum_sq(c))
-        object.__setattr__(self, "_sym", _is_conjugate_symmetric(c))
+        c, sum_sq, real = _entering(c)
+        object.__setattr__(self, "_sum_sq", sum_sq)
+        object.__setattr__(self, "_real", real)
         c.setflags(write=False)
         object.__setattr__(self, "coefficients", c)
 
-    def _derived(self, c, torus=None, tag=None, sym=None):
+    def _derived(self, c, torus=None, tag=None, real=None):
         """The SpectralFunction of c, an array the library made from self.
 
         c is complex, of its torus's shape, and no caller holds it writeable,
         so the dataclass __init__ and the checks of __post_init__ that only
         an outside array can fail are skipped.  What a derived array can
         fail or needs is kept: the finiteness check with the kept sum, and
-        read-only coefficients.  torus, tag and sym, the (exact, real) pair
-        of c, default to self's.
+        read-only coefficients.  torus and tag default to self's; real (c
+        exactly symmetric) to True for a real self, whose symmetry every
+        derived route keeps, else to one compare of c.
         """
         out = object.__new__(SpectralFunction)
         state = {
@@ -316,7 +312,7 @@ class SpectralFunction:
             "coefficients": c,
             "tag": self.tag if tag is None else tag,
             "_sum_sq": _finite_sum_sq(c),
-            "_sym": self._sym if sym is None else sym,
+            "_real": (self._real or _is_conjugate_symmetric(c)) if real is None else real,
         }
         c.setflags(write=False)
         object.__setattr__(out, "__dict__", state)
@@ -334,7 +330,7 @@ class SpectralFunction:
         scalar = real_parameter(scalar, "scalar factor")
         bound = abs(scalar) * math.sqrt(self._sum_sq)
         c = _overflow_guarded(bound, np.multiply, self.coefficients, scalar)
-        return self._arithmetic(c, self.tag, (self,))
+        return self._derived(c)
 
     __rmul__ = __mul__
 
@@ -344,29 +340,20 @@ class SpectralFunction:
         tag = "distribution" if "distribution" in (self.tag, other.tag) else "function"
         bound = math.sqrt(self._sum_sq) + math.sqrt(other._sum_sq)
         c = _overflow_guarded(bound, op, self.coefficients, other.coefficients)
-        return self._arithmetic(c, tag, (self, other))
-
-    def _arithmetic(self, c, tag, operands):
-        """The field of c, a real multiple of one operand or a sum or
-        difference of two: (True, True) if every operand is exactly
-        symmetric, else decided once c has passed the finiteness check."""
-        out = self._derived(c, tag=tag, sym=(True, True))
-        if not all(f._sym[0] for f in operands):
-            object.__setattr__(out, "_sym", _is_conjugate_symmetric(c))
-        return out
+        real = (self._real and other._real) or _is_conjugate_symmetric(c)
+        return self._derived(c, tag=tag, real=real)
 
     # -- structure queries --------------------------------------------------
 
     def is_real(self):
-        """True when coefficients are conjugate-symmetric (real-valued object).
+        """True when the coefficients are exactly conjugate-symmetric, c_m ==
+        conj(c_-m) for every m (a real-valued object); an array within 1e-10
+        max|c| of symmetry is made so where it enters (_entering).
 
-        lp_norm uses this as its path switch: real objects are synthesized
-        by irfftn from the modes 0..N/2 of the last axis, so an asymmetry
-        below 1e-10 * max|c| is ignored; other objects keep the complex ifftn.
-        The answer is the second of the (exact, real) pair the object was
-        made with (_is_conjugate_symmetric, _derived).
+        lp_norm's path switch: real objects are synthesized by irfftn from
+        the modes 0..N/2 of the last axis, others by the complex ifftn.
         """
-        return self._sym[1]
+        return self._real
 
     def active_bandwidth(self, rtol=_BAND_DECAY_RTOL):
         """Largest |m| carrying a coefficient above rtol * max|c|, rtol in [0, 1)."""
@@ -441,20 +428,34 @@ def _check_operands(f, g):
 
 
 def _is_conjugate_symmetric(c):
-    """(exact, real): c_m == conj(c_-m) for every m, and
-    max |c_m - conj(c_-m)| <= _REAL_RTOL * max |c| (SpectralFunction.is_real).
-
-    exact is one compare of the two half spectra: the flat C-order array
-    reversed is the flip on every axis, so its entries from the middle on
-    pair with those up to the middle, read backwards.  An exact c meets the
-    tolerance with a zero asymmetry; only another c is scanned.
-    """
+    """c_m == conj(c_-m) for every m, by one compare of the two half
+    spectra: the flat C-order array reversed is the flip on every axis, so
+    its entries from the middle on pair with those up to the middle, read
+    backwards."""
     flat = c.ravel()
     mid = flat.size // 2
-    if np.array_equal(flat[mid:], flat[mid::-1].conj()):
-        return True, True
-    scale = np.max(np.abs(c)) or 1.0
-    return False, bool(np.max(np.abs(c - np.conj(np.flip(c)))) <= _REAL_RTOL * scale)
+    return bool(np.array_equal(flat[mid:], flat[mid::-1].conj()))
+
+
+def _entering(c):
+    """(stored array, its sum |c_m|^2, real) of an array c from outside,
+    checked finite first (the public constructor, localize).
+
+    An exactly symmetric c is kept.  A c with max |c_m - conj(c_-m)| <
+    _REAL_RTOL max |c| becomes 0.5 c_m + 0.5 conj(c_-m): exactly symmetric,
+    each coefficient moved by at most 5e-11 max |c|; halved before it is
+    added or subtracted, it cannot overflow (a modulus past the float range
+    reads inf, so complex, with no warning).  Any other c is complex.
+    """
+    sum_sq = _finite_sum_sq(c)
+    if _is_conjugate_symmetric(c):
+        return c, sum_sq, True
+    half = 0.5 * c
+    mirror = np.conj(np.flip(half))
+    if np.max(np.abs(half - mirror)) >= _REAL_RTOL * np.max(np.abs(half)):
+        return c, sum_sq, False
+    c = np.add(half, mirror, out=half)
+    return c, _finite_sum_sq(c), True
 
 
 def _overflow_guarded(bound, op, *operands):
@@ -551,7 +552,8 @@ def dft_analyze(values, torus: Torus):
     """Forward transform of grid samples into the symmetric coefficient layout.
 
     The Nyquist bin is split evenly between the -N/2 and +N/2 slots, so the
-    result is Nyquist-balanced (real input yields conjugate-symmetric output).
+    result is Nyquist-balanced.  Real samples, whose FFT is symmetric up to
+    rounding, give an exactly symmetric, real field (_entering).
     """
     v = np.asarray(values)
     if v.dtype.kind not in "biufc":
@@ -665,9 +667,7 @@ def lp_norm(f: SpectralFunction, p):
     p = parse_exponent(p)
     d = f.torus.dimension
     if not math.isinf(p) and f.tag == "distribution" and not f.spectrum_decayed():
-        raise AliasingRisk(
-            "L^p quadrature of a truncated distribution spectrum (p < inf)"
-        )
+        raise AliasingRisk("L^p quadrature of a truncated distribution spectrum (p < inf)")
     if p == 2.0:
         return math.sqrt(f.torus.length**d * f._sum_sq)
     if f._sum_sq == 0.0 and not f.coefficients.any():
@@ -937,13 +937,14 @@ def localize(T: SpectralFunction, window: SpectralFunction) -> SpectralFunction:
     convolution against the truncated representation of T; those
     incomputable edge modes are zeroed.  Energy pushed past Nyquist is the
     representation policy for distribution-tagged inputs; for function
-    inputs a non-negligible loss raises AliasingRisk.
+    inputs a non-negligible loss raises AliasingRisk.  The product enters
+    as an outside array does (_entering): a real T and window give a
+    product symmetric up to rounding, which is made exactly symmetric.
     """
     _check_operands(T, window)
     wvals = dft_synthesize(window, 2)
-    if np.max(np.abs(wvals.imag)) > 1e-9 or np.min(wvals.real) < -1e-9 or np.max(
-        wvals.real
-    ) > 1.0 + 1e-9:
+    w = wvals.real
+    if np.max(np.abs(wvals.imag)) > 1e-9 or w.min() < -1e-9 or w.max() > 1.0 + 1e-9:
         raise InvalidParameter("window must be real-valued with values in [0, 1]")
     tvals = dft_synthesize(T, 2)
     torus = T.torus
@@ -951,33 +952,31 @@ def localize(T: SpectralFunction, window: SpectralFunction) -> SpectralFunction:
     complete = torus.mode_max - window.active_bandwidth(rtol=1e-16)
     if complete <= 0:
         raise AliasingRisk("window bandwidth reaches Nyquist; no complete modes")
-    kept = np.where(torus.band_index() > complete, 0.0, _gather_modes(a, torus.mode_max))
+    edge = torus.band_index() > complete
+    c, inside, real = _entering(np.where(edge, 0.0, _gather_modes(a, torus.mode_max)))
     if T.tag == "function":
         total = np.sum(np.abs(a) ** 2)
-        inside = np.sum(np.abs(kept) ** 2)
-        t_energy = T._sum_sq
-        if (total - inside) > 1e-14 * max(t_energy, total):
+        if total - inside > 1e-14 * max(T._sum_sq, total):
             raise AliasingRisk(
                 "product bandwidth exceeds Nyquist; localize would drop "
                 f"{float(total - inside):.2e} of squared coefficient mass"
             )
-    return T._derived(kept, sym=_is_conjugate_symmetric(kept))
+    return T._derived(c, real=real)
 
 
 def pairing(f: SpectralFunction, g: SpectralFunction):
     """Distributional pairing <f, g> = integral of f*g over one period.
 
     Computed as the spectral sum L^d * sum_m f_m g_{-m}; exact for the
-    represented truncations.  A g that is exactly conjugate-symmetric
-    (g_{-m} == conj(g_m), kept since g was made) pairs by one
-    contiguous np.vdot(g, f) = sum_m conj(g_m) f_m: the same products in
-    the same order as the flipped dot that any other g takes.
+    represented truncations.  A real g (g_{-m} == conj(g_m) exactly,
+    SpectralFunction.is_real) pairs by one contiguous np.vdot(g, f) =
+    sum_m conj(g_m) f_m: the same products in the same order as the
+    flipped dot that a complex g takes.
     """
     _check_operands(f, g)
-    d = f.torus.dimension
-    if g._sym[0]:
+    if g._real:
         total = np.vdot(g.coefficients, f.coefficients)
     else:
         # the flat C-order array reversed is the flip on every axis: one dot
         total = np.dot(f.coefficients.ravel(), g.coefficients.ravel()[::-1])
-    return complex(total * f.torus.length ** d)
+    return complex(total * f.torus.length ** f.torus.dimension)
