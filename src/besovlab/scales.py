@@ -23,7 +23,6 @@ from .errors import DegenerateProfile, InvalidParameter
 from .spectral import (
     _band_restrict,
     _band_torus,
-    _multi_indices,
     convolve_scaled,
     derivative_order,
     parse_exponent,
@@ -109,7 +108,8 @@ class ScaleProfile:
 
 
 def sweep(T, kernel, grid: ScaleGrid, k=0, p=2):
-    """Profile N(y_j) = ||T * K_{y_j}||_{W^{k,p}} over the grid.
+    """Profile N(y_j) = ||T * K_{y_j}||_{W^{k,p}} over the grid: at each scale
+    the max over the order columns 0..k of sobolev_table.
 
     At p = 2 each scale is convolved on its band torus, the smallest
     power-of-two torus that holds the support of K_y's transform: the
@@ -128,9 +128,9 @@ def _profiles(T, kernel, grid: ScaleGrid, p):
     The per-scale convolutions are made once, as sweep describes, and kept.
     At p = 2 the scales share few band tori (8 for the 48 scales of
     default_grid at N = 16384), and T is restricted once to each.
-    A call for a higher k extends one norm table by the columns of the new
-    orders, in one sobolev_table pass.  Its columns are graded, so profile k
-    is the max over the prefix of the orders <= k.
+    The order columns of sobolev_table are kept in a list; a call for a
+    higher k appends the missing orders in one sobolev_table pass, and
+    profile k is the max of columns 0..k.
     """
     p = parse_exponent(p)
     restricted = {}  # band torus -> T restricted to it
@@ -144,16 +144,13 @@ def _profiles(T, kernel, grid: ScaleGrid, p):
         return restricted[band]
 
     convs = [convolve_scaled(source(y), kernel, y) for y in grid.values()]
-    table, top = np.empty((grid.count, 0)), -1  # top: the highest order in table
+    columns = []  # columns[j]: the order-j norms at every scale
 
     def profile_at(k):
-        nonlocal table, top
-        if k > top:
-            table = np.hstack([table, sobolev_table(convs, range(top + 1, k + 1), p)])
-            top = k
-        columns = len(_multi_indices(range(k + 1), T.torus.dimension))
+        if k >= len(columns):
+            columns.extend(sobolev_table(convs, range(len(columns), k + 1), p).T)
         meta = {"k": k, "p": f"{p:g}", "kernel": kernel.label}
-        return ScaleProfile(grid, table[:, :columns].max(axis=1), meta)
+        return ScaleProfile(grid, np.max(columns[: k + 1], axis=0), meta)
 
     return profile_at
 

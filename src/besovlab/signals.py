@@ -81,10 +81,7 @@ def _mode_pair(torus, mode, plus, minus):
     """Coefficients plus at +mode and minus at -mode, for an integer 0 < mode < mode_max."""
     c = _empty_1d(torus)
     mmax = torus.mode_max
-    if not isinstance(mode, (int, np.integer)):
-        raise InvalidParameter(f"mode must be an integer, got {mode!r}")
-    if not (0 < mode < mmax):
-        raise InvalidParameter(f"mode {mode} out of range")
+    mode = real_parameter(mode, "mode", 0, mmax, integer=True)
     c[mmax + mode] = plus
     c[mmax - mode] = minus
     return SpectralFunction(torus, c, "function")

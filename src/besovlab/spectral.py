@@ -46,8 +46,9 @@ per-torus index (_distinct_radii).
 
 A field is real exactly when its coefficients are conjugate-symmetric,
 c_m == conj(c_-m) for every m: a bool kept from when it is made.  The
-public constructor and localize make an array within 1e-10 max|c| of
-symmetry exactly symmetric (_entering).  derivative, convolve_scaled,
+public constructor makes an array within 1e-10 max|c| of symmetry exactly
+symmetric, and localize stores the symmetric part of the product of a
+real field and a real window.  derivative, convolve_scaled,
 _band_restrict and a real multiple keep a real input's symmetry, and so do
 a sum and difference of real fields (IEEE rounding is symmetric under a
 sign change), with no compare; a field made from a complex one compares its
@@ -289,7 +290,17 @@ class SpectralFunction:
             )
         if self.tag not in ("function", "distribution"):
             raise InvalidParameter(f"unknown tag {self.tag!r}")
-        c, sum_sq, real = _entering(c)
+        sum_sq, real = _finite_sum_sq(c), _is_conjugate_symmetric(c)
+        if not real:
+            # within _REAL_RTOL max |c| of symmetry, c becomes its symmetric part
+            # 0.5 c_m + 0.5 conj(c_-m), each coefficient moved by at most 5e-11
+            # max |c|; halved before it is added or subtracted, it cannot overflow
+            # (a modulus past the float range reads inf, so complex, unwarned)
+            half = 0.5 * c
+            mirror = np.conj(np.flip(half))
+            if np.max(np.abs(half - mirror)) < _REAL_RTOL * np.max(np.abs(half)):
+                c, real = np.add(half, mirror, out=half), True
+                sum_sq = _finite_sum_sq(c)
         object.__setattr__(self, "_sum_sq", sum_sq)
         object.__setattr__(self, "_real", real)
         c.setflags(write=False)
@@ -348,7 +359,7 @@ class SpectralFunction:
     def is_real(self):
         """True when the coefficients are exactly conjugate-symmetric, c_m ==
         conj(c_-m) for every m (a real-valued object); an array within 1e-10
-        max|c| of symmetry is made so where it enters (_entering).
+        max|c| of symmetry is made so by the public constructor.
 
         lp_norm's path switch: real objects are synthesized by irfftn from
         the modes 0..N/2 of the last axis, others by the complex ifftn.
@@ -435,27 +446,6 @@ def _is_conjugate_symmetric(c):
     flat = c.ravel()
     mid = flat.size // 2
     return bool(np.array_equal(flat[mid:], flat[mid::-1].conj()))
-
-
-def _entering(c):
-    """(stored array, its sum |c_m|^2, real) of an array c from outside,
-    checked finite first (the public constructor, localize).
-
-    An exactly symmetric c is kept.  A c with max |c_m - conj(c_-m)| <
-    _REAL_RTOL max |c| becomes 0.5 c_m + 0.5 conj(c_-m): exactly symmetric,
-    each coefficient moved by at most 5e-11 max |c|; halved before it is
-    added or subtracted, it cannot overflow (a modulus past the float range
-    reads inf, so complex, with no warning).  Any other c is complex.
-    """
-    sum_sq = _finite_sum_sq(c)
-    if _is_conjugate_symmetric(c):
-        return c, sum_sq, True
-    half = 0.5 * c
-    mirror = np.conj(np.flip(half))
-    if np.max(np.abs(half - mirror)) >= _REAL_RTOL * np.max(np.abs(half)):
-        return c, sum_sq, False
-    c = np.add(half, mirror, out=half)
-    return c, _finite_sum_sq(c), True
 
 
 def _overflow_guarded(bound, op, *operands):
@@ -553,7 +543,7 @@ def dft_analyze(values, torus: Torus):
 
     The Nyquist bin is split evenly between the -N/2 and +N/2 slots, so the
     result is Nyquist-balanced.  Real samples, whose FFT is symmetric up to
-    rounding, give an exactly symmetric, real field (_entering).
+    rounding, give an exactly symmetric, real field (the constructor's rule).
     """
     v = np.asarray(values)
     if v.dtype.kind not in "biufc":
@@ -814,28 +804,29 @@ def _horner(coeffs, t):
     return out
 
 
-def _multi_indices(orders, d):
-    """Multi-indices in graded order: all of orders[0], then orders[1], ..."""
-    if d == 1:
-        return [(j,) for j in orders]
-    return [(j - b, b) for j in orders for b in range(j + 1)]
+def _multi_indices(j, d):
+    """The multi-indices of order j in d dimensions, (j, 0) first in 2-d."""
+    return [(j,)] if d == 1 else [(j - b, b) for b in range(j + 1)]
 
 
 def sobolev_table(fields, orders, p):
-    """Table of lp_norm(D^alpha f, p): one row per field, one column per alpha.
+    """Table of the order-j seminorms: one row per field, one column per j in
+    orders, the max of lp_norm(D^alpha f, p) over the multi-indices |alpha| = j.
 
-    The columns are the multi-indices whose order is in orders, graded as
-    in _multi_indices, so the columns for orders 0..k form a prefix of the
-    table for orders 0..K >= k.  fields may be a generator; then only one
-    field is held at a time.
+    The W^{k,p} norm is the max of the columns of orders 0..k.  Each
+    multi-index costs one lp_norm, taken in the order of _multi_indices.
+    fields may be a generator; then only one field is held at a time.
     """
     orders = [derivative_order(j) for j in orders]
     p = parse_exponent(p)
-    alphas = {d: [(a, any(a)) for a in _multi_indices(orders, d)] for d in (1, 2)}
+    alphas = {d: [(a, any(a)) for j in orders for a in _multi_indices(j, d)] for d in (1, 2)}
+    # a 2-d row is the max over each order's j + 1 multi-indices, ending at ends[i]
+    ends = list(itertools.accumulate(j + 1 for j in orders))
     rows = []
     for f in fields:
-        columns = alphas[f.torus.dimension]
-        rows.append([lp_norm(f.derivative(a) if nonzero else f, p) for a, nonzero in columns])
+        d = f.torus.dimension
+        norms = [lp_norm(f.derivative(a) if nonzero else f, p) for a, nonzero in alphas[d]]
+        rows.append(norms if d == 1 else [max(norms[e - j - 1 : e]) for j, e in zip(orders, ends)])
         del f  # released before the next field is made
     return np.asarray(rows, dtype=float)
 
@@ -937,9 +928,10 @@ def localize(T: SpectralFunction, window: SpectralFunction) -> SpectralFunction:
     convolution against the truncated representation of T; those
     incomputable edge modes are zeroed.  Energy pushed past Nyquist is the
     representation policy for distribution-tagged inputs; for function
-    inputs a non-negligible loss raises AliasingRisk.  The product enters
-    as an outside array does (_entering): a real T and window give a
-    product symmetric up to rounding, which is made exactly symmetric.
+    inputs a non-negligible loss raises AliasingRisk.  A real T and window
+    give a real product: its coefficients, symmetric up to rounding, are
+    stored as their symmetric part 0.5 c_m + 0.5 conj(c_-m).  Any other
+    product is real exactly when its coefficients are symmetric.
     """
     _check_operands(T, window)
     wvals = dft_synthesize(window, 2)
@@ -953,15 +945,20 @@ def localize(T: SpectralFunction, window: SpectralFunction) -> SpectralFunction:
     if complete <= 0:
         raise AliasingRisk("window bandwidth reaches Nyquist; no complete modes")
     edge = torus.band_index() > complete
-    c, inside, real = _entering(np.where(edge, 0.0, _gather_modes(a, torus.mode_max)))
+    c = np.where(edge, 0.0, _gather_modes(a, torus.mode_max))
+    if T.is_real() and window.is_real():
+        c *= 0.5  # halved before the halves are added: no overflow
+        out = T._derived(c + np.conj(np.flip(c)), real=True)
+    else:
+        out = T._derived(c, real=_is_conjugate_symmetric(c))
     if T.tag == "function":
         total = np.sum(np.abs(a) ** 2)
-        if total - inside > 1e-14 * max(T._sum_sq, total):
+        if total - out._sum_sq > 1e-14 * max(T._sum_sq, total):
             raise AliasingRisk(
                 "product bandwidth exceeds Nyquist; localize would drop "
-                f"{float(total - inside):.2e} of squared coefficient mass"
+                f"{float(total - out._sum_sq):.2e} of squared coefficient mass"
             )
-    return T._derived(c, real=real)
+    return out
 
 
 def pairing(f: SpectralFunction, g: SpectralFunction):

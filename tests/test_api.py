@@ -201,8 +201,8 @@ _TYPED_ERRORS = {  # case -> (error class, message fragment, call)
         lambda: critical_exponent(ScaleProfile(_G16, np.r_[np.zeros(8), 1.0, 0.0, np.ones(6)])),
     ),
     "2-d heaviside": (InvalidParameter, "one-dimensional", lambda: heaviside(Torus(2, 1.0, 8))),
-    "sine mode": (InvalidParameter, "mode 4 out of range", lambda: sine(_T8, 4)),
-    "cosine mode": (InvalidParameter, "mode 0 out of range", lambda: cosine(_T8, 0)),
+    "sine mode": (InvalidParameter, r"mode must be an integer in \(0, 4\), got 4", lambda: sine(_T8, 4)),
+    "cosine mode": (InvalidParameter, r"mode must be an integer in \(0, 4\), got 0", lambda: cosine(_T8, 0)),
     "lacunary exponent": (InvalidParameter, "lacunary exponent", lambda: lacunary(_T8, 1.0)),
     "2-d bump": (InvalidParameter, "bump is one-dimensional", lambda: bump(Torus(2, 1.0, 8))),
     "bump halfwidth": (InvalidParameter, "halfwidth", lambda: bump(_T8, halfwidth=0.0)),

@@ -280,9 +280,8 @@ class TestQIntegral:
     @pytest.mark.parametrize("a", [0.3, 0.7, 1.2])
     @pytest.mark.parametrize("s", [-0.1, 0.0, 0.4])
     def test_power_law_closed_form(self, q, a, s):
-        # (a + s) q >= 0.2 cases on a 64-point grid match the analytic value
-        if (a + s) * q < 0.2:
-            pytest.skip("divergent/critical exponent combination")
+        # every (a + s) q here is at least 0.2 (0.3 - 0.1 rounds just below):
+        # on a 64-point grid the sum matches the analytic value
         grid = ScaleGrid(0.01, 1.0, 64)
         prof = synthetic_profile(grid, lambda y: y**a)
         want = power_law_q_integral(a, s, q, grid.y_min)
