@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParameter, InvalidPair
-from .kernels import verify_lp_conditions
+from .kernels import Kernel, verify_lp_conditions
 from .nets import NetSpec
 from .scales import (
     ScaleGrid,
@@ -33,11 +33,13 @@ from .scales import (
 )
 from .spectral import (
     SpectralFunction,
+    _require,
     convolve_scaled,
     derivative_order,
     lp_norm,
     min_scale,
     parse_exponent,
+    real_parameter,
     to_jsonable,
 )
 
@@ -69,7 +71,8 @@ def embed(T: SpectralFunction, phi, grid: ScaleGrid = None) -> NetSpec:
     Continuity in eps holds by construction: the spectral multiplier
     phi_hat(eps xi) is continuous in eps.
     """
-    if phi.kind != "mollifier":
+    _require(T, SpectralFunction, "T")
+    if _require(phi, Kernel, "phi").kind != "mollifier":
         raise InvalidParameter("embedding requires a mollifier-kind kernel")
     eps_min = grid.y_min if grid is not None else min_scale(phi, T.torus)
     return NetSpec(
@@ -88,8 +91,9 @@ def besov_norm(T, s, p, q, pair, grid: ScaleGrid):
     grid.y_min (q = inf: the sup).  Exponents, not norm values, carry the
     membership claims; the value is advisory at finite truncation.
     """
+    s = real_parameter(s, "s")
     q = parse_exponent(q, "q")
-    phi, psi = pair
+    phi, psi = _pair(pair)
     diag = verify_lp_conditions(pair, s)
     if not diag.passed:
         raise InvalidPair("; ".join(diag.failures))
@@ -99,6 +103,13 @@ def besov_norm(T, s, p, q, pair, grid: ScaleGrid):
     if math.isinf(q):
         return first + tail
     return first + tail ** (1.0 / q)
+
+
+def _pair(pair):
+    """pair, when it is a tuple (phi, psi) of two kernels, else InvalidParameter."""
+    if not (isinstance(pair, tuple) and len(pair) == 2 and all(isinstance(k, Kernel) for k in pair)):
+        raise InvalidParameter(f"pair must be a tuple (phi, psi) of two Kernels, got {pair!r}")
+    return pair
 
 
 @dataclass(frozen=True)
@@ -132,8 +143,9 @@ def detect_regularity(T, p, q, k, pair, grid: ScaleGrid = None) -> RegularityRep
     (stderr above 0.2) or the cap is hit.  The report carries p and q as
     parsed by spectral.parse_exponent ("inf" for None).
     """
+    _require(T, SpectralFunction, "T")
+    phi = _pair(pair)[0]
     p, q = parse_exponent(p), parse_exponent(q, "q")
-    phi = pair[0]
     k = 1 if k == "auto" or k is None else derivative_order(k, "derivative order k")
     grid = grid or default_grid(T.torus, phi)
     settings = {
@@ -181,14 +193,20 @@ def detect_smooth(T, p, q, pair, grid: ScaleGrid = None, k_max=8) -> SmoothEvide
     reported alongside; the cap k_max is part of the claim.  q is
     validated like every exponent, but no part of SmoothEvidence depends
     on it.
+
+    All k_max + 1 order columns come from one pass over the scales, so
+    each scale's convolution is made once and used at once: at p != 2 no
+    full-torus field is rebuilt from its kept box (scales._profiles).
     """
+    _require(T, SpectralFunction, "T")
+    phi = _pair(pair)[0]
     p, q = parse_exponent(p), parse_exponent(q, "q")
     k_max = derivative_order(k_max, "k_max")
     if k_max < 4:
         raise InvalidParameter("k_max must be at least 4")
-    phi = pair[0]
     grid = grid or default_grid(T.torus, phi)
     profile_at = _profiles(T, phi, grid, p)
+    profile_at(k_max)  # every column in one pass; the loop reads them
     s_hats = []
     for k in range(k_max + 1):
         fit = critical_exponent(profile_at(k))

@@ -20,9 +20,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateProfile, InvalidParameter
+from .kernels import Kernel
 from .spectral import (
+    SpectralFunction,
     _band_restrict,
     _band_torus,
+    _central,
+    _require,
     convolve_scaled,
     derivative_order,
     parse_exponent,
@@ -99,12 +103,18 @@ class ScaleProfile:
 
     @classmethod
     def from_dict(cls, d):
-        g = d["grid"]
-        return cls(
-            ScaleGrid(g["y_min"], g["y_max"], int(g["count"])),
-            np.asarray(d["norms"], dtype=float),
-            dict(d.get("meta", {})),
-        )
+        """The profile of a to_dict() form (meta optional); anything else
+        raises InvalidParameter."""
+        _require(d, dict, "profile dict")
+        try:
+            g, norms = d["grid"], np.asarray(d["norms"], dtype=float)
+            bounds = g["y_min"], g["y_max"], int(g["count"])
+            meta = dict(d.get("meta", {}))
+        except (KeyError, TypeError, ValueError):
+            raise InvalidParameter(
+                f"profile dict needs the grid and norms of ScaleProfile.to_dict, got keys {list(d)}"
+            ) from None
+        return cls(ScaleGrid(*bounds), norms, meta)
 
 
 def sweep(T, kernel, grid: ScaleGrid, k=0, p=2):
@@ -115,7 +125,10 @@ def sweep(T, kernel, grid: ScaleGrid, k=0, p=2):
     power-of-two torus that holds the support of K_y's transform: the
     norms are those on T's torus (Parseval does not see the storage grid),
     at a fraction of the modes for the coarse scales.  Other p keep T's
-    torus, because the grid sup and the rectangle rules sample on it.
+    torus, because the grid sup and the rectangle rules sample on it, and
+    stream the convolutions to the norms: one full-torus field is held at
+    a time, beside the box of each scale's nonzero modes (_profiles).  At
+    p = 2 the band-torus fields are all made first.
     """
     k = derivative_order(k)
     return _profiles(T, kernel, grid, p)(k)
@@ -125,34 +138,71 @@ def _profiles(T, kernel, grid: ScaleGrid, p):
     """k -> sweep(T, kernel, grid, k, p), each norm computed once: the engine
     of sweep and of the detectors.
 
-    The per-scale convolutions are made once, as sweep describes, and kept.
-    At p = 2 the scales share few band tori (8 for the 48 scales of
-    default_grid at N = 16384), and T is restricted once to each.
-    The order columns of sobolev_table are kept in a list; a call for a
-    higher k appends the missing orders in one sobolev_table pass, and
-    profile k is the max of columns 0..k.
+    Each scale is convolved once, as sweep describes, and its convolution
+    is kept for the orders a later call adds.  At p = 2 the fields on their
+    band tori are made first and kept: the scales share few band tori (8
+    for the 48 scales of default_grid at N = 16384), and T is restricted
+    once to each.  Made one at a time between the norms instead, the
+    fields, which grow toward the fine scales, cost a warm N = 16384
+    analysis about 160 minor faults.  At other p the first call streams
+    the full-torus fields to sobolev_table, one at a time, and keeps each
+    as its _box; a later call rebuilds the fields on T's torus from the
+    boxes, one at a time, with the same norms.  The order columns are kept
+    in a list; a call for a higher k appends the missing orders in one
+    sobolev_table pass, and profile k is the max of columns 0..k.
     """
+    _require(T, SpectralFunction, "T")
+    _require(kernel, Kernel, "kernel")
+    _require(grid, ScaleGrid, "grid")
     p = parse_exponent(p)
-    restricted = {}  # band torus -> T restricted to it
-
-    def source(y):
-        if p != 2.0:
-            return T
-        band = _band_torus(kernel, T.torus, y)
-        if band not in restricted:
-            restricted[band] = _band_restrict(T, kernel, y)
-        return restricted[band]
-
-    convs = [convolve_scaled(source(y), kernel, y) for y in grid.values()]
     columns = []  # columns[j]: the order-j norms at every scale
+    if p == 2.0:
+        restricted = {}  # band torus -> T restricted to it
+
+        def source(y):
+            band = _band_torus(kernel, T.torus, y)
+            if band not in restricted:
+                restricted[band] = _band_restrict(T, kernel, y)
+            return restricted[band]
+
+        convs = [convolve_scaled(source(y), kernel, y) for y in grid.values()]
+
+        def fields():
+            return convs
+    else:
+        boxes = []
+
+        def keep(f):
+            boxes.append(_box(f))
+            return f
+
+        def fields():
+            if columns:
+                return (_unbox(T, *box) for box in boxes)
+            # a generator: it holds no field between two scales
+            return (keep(convolve_scaled(T, kernel, y)) for y in grid.values())
 
     def profile_at(k):
         if k >= len(columns):
-            columns.extend(sobolev_table(convs, range(len(columns), k + 1), p).T)
+            columns.extend(sobolev_table(fields(), range(len(columns), k + 1), p).T)
         meta = {"k": k, "p": f"{p:g}", "kernel": kernel.label}
         return ScaleProfile(grid, np.max(columns[: k + 1], axis=0), meta)
 
     return profile_at
+
+
+def _box(f):
+    """f's central (2B+1)^d coefficients, B = f.active_bandwidth(rtol=0), and
+    f.is_real(): the kept form of a p != 2 profile's convolution.  Every mode
+    outside the box is exactly 0, so _unbox gives back f's norms."""
+    return f.coefficients[_central(f.torus, f.active_bandwidth(rtol=0.0))].copy(), f.is_real()
+
+
+def _unbox(T, box, real):
+    """The function-tagged field on T's torus with the modes of a _box."""
+    full = np.zeros(T.torus.coeff_shape(), complex)
+    full[_central(T.torus, box.shape[0] // 2)] = box
+    return T._derived(full, tag="function", real=real)
 
 
 def q_integral(profile: ScaleProfile, s, q):

@@ -79,7 +79,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
-from .errors import AliasingRisk, InvalidParameter, ScaleOutOfRange
+from .errors import AliasingRisk, InvalidParameter, QuadratureInaccurate, ScaleOutOfRange
 
 __all__ = [
     "Torus",
@@ -111,7 +111,8 @@ __all__ = [
 _SUP_OVERSAMPLE = 2
 _QUAD_OVERSAMPLE_GEN = 16
 _L1_OVERSAMPLE = 8
-# Relative error the p = 1 rule's estimate must reach before the 16x cap.
+# Relative error the p = 1 rule's estimate must reach by the 16x grid, else
+# lp_norm raises QuadratureInaccurate.
 _L1_RTOL = 1e-7
 # The quintic p through the samples at t = -2..3 around a node t = 0: its
 # monomial coefficients a0..a5 (rows _P), those of p' (_DP) and of the
@@ -429,11 +430,19 @@ def _finite_sum_sq(c):
     return sq
 
 
+def _require(x, cls, name):
+    """x when it is an instance of cls, else InvalidParameter: the entry check
+    of an object argument, so that a wrong type never gets as far as a raw
+    AttributeError or TypeError."""
+    if not isinstance(x, cls):
+        raise InvalidParameter(f"{name} must be a {cls.__name__}, got {x!r}")
+    return x
+
+
 def _check_operands(f, g):
     """Both operands are fields on one torus, else InvalidParameter."""
     for x in (f, g):
-        if not isinstance(x, SpectralFunction):
-            raise InvalidParameter(f"operand must be a SpectralFunction, got {x!r}")
+        _require(x, SpectralFunction, "operand")
     if f.torus != g.torus:
         raise InvalidParameter("operands live on different toruses")
 
@@ -645,15 +654,17 @@ def lp_norm(f: SpectralFunction, p):
     the sup over the 2x-oversampled grid.  p = 1 on a real 1-d input is
     the rectangle rule with the kinks of |f| corrected in closed form, on a
     grid sized by f's bandwidth and refined until its error estimate is
-    below 1e-7 of the norm or the grid reaches 16x (_l1_norm).  Other
-    finite p, 2-d and complex inputs use the rectangle rule on the 16x
-    grid.  Real inputs (SpectralFunction.is_real) are synthesized from the
-    half spectrum, others by a complex transform.
+    below 1e-7 of the norm, up to the 16x grid (_l1_norm).  Other finite
+    p, 2-d and complex inputs use the rectangle rule on the 16x grid.  Real
+    inputs (SpectralFunction.is_real) are synthesized from the half
+    spectrum, others by a complex transform.
 
     Raises AliasingRisk for a distribution-tagged input with p < inf whose
     spectrum has not decayed at the band edge (the norm would be dominated
-    by truncation artifacts).
+    by truncation artifacts), and QuadratureInaccurate when the p = 1 rule's
+    error estimate still exceeds 1e-7 of the norm on the 16x grid.
     """
+    _require(f, SpectralFunction, "f")
     p = parse_exponent(p)
     d = f.torus.dimension
     if not math.isinf(p) and f.tag == "distribution" and not f.spectrum_decayed():
@@ -686,7 +697,8 @@ def _l1_norm(f: SpectralFunction):
     the error estimate below on the first grid and cost a second synthesis.
     The rule's error is O(h^7), so |I_n - I_{n/2}| / (2^7 - 1), I_{n/2} the
     rule on the even samples at I_n's zeros, estimates it at no extra
-    transform; while that exceeds 1e-7 of the norm, n doubles, up to 16 N.
+    transform; while that exceeds 1e-7 of the norm, n doubles, up to 16 N,
+    where an estimate still above it raises QuadratureInaccurate.
     """
     torus = f.torus
     nb = min(torus.grid_size, max(8, 1 << (2 * f.active_bandwidth(rtol=0.0)).bit_length()))
@@ -694,8 +706,14 @@ def _l1_norm(f: SpectralFunction):
     while True:
         vals = _synthesize(f, n, real=True)  # modes above B < n/2 are 0
         norm, coarse = _l1_rule(vals, torus.length / n)
-        if n >= _QUAD_OVERSAMPLE_GEN * torus.grid_size or abs(norm - coarse) / 127.0 <= _L1_RTOL * norm:
+        error = abs(norm - coarse) / 127.0
+        if error <= _L1_RTOL * norm:
             return float(norm)
+        if n >= _QUAD_OVERSAMPLE_GEN * torus.grid_size:
+            raise QuadratureInaccurate(
+                f"p = 1 rule on {n} points: error estimate {error:.3g} of a norm of "
+                f"{norm:.6g} misses the relative target {_L1_RTOL:g}"
+            )
         n *= 2
 
 
@@ -858,6 +876,8 @@ def convolve_scaled(T: SpectralFunction, kernel, y):
     distinct radius |xi| of the torus inside K_hat(y .)'s support
     (_kernel_multiplier).
     """
+    _require(T, SpectralFunction, "T")
+    _require(kernel, kernels.Kernel, "kernel")
     y = real_parameter(y, "scale", 0.0, error=ScaleOutOfRange)
     if y < _scale_floor(kernel, T.torus):
         lo = min_scale(kernel, T.torus)
@@ -898,8 +918,13 @@ def _band_restrict(T: SpectralFunction, kernel, y):
     band = _band_torus(kernel, T.torus, y)
     if band == T.torus:
         return T
-    m, h = T.torus.mode_max, band.mode_max
-    return T._derived(T.coefficients[(slice(m - h, m + h + 1),) * band.dimension], band)
+    return T._derived(T.coefficients[_central(T.torus, band.mode_max)], band)
+
+
+def _central(torus, b):
+    """The index of the modes -b..b on every axis of torus's coefficient array."""
+    m = torus.mode_max
+    return (slice(m - b, m + b + 1),) * torus.dimension
 
 
 @functools.lru_cache(maxsize=_TORUS_CACHE_SIZE)
@@ -977,3 +1002,8 @@ def pairing(f: SpectralFunction, g: SpectralFunction):
         # the flat C-order array reversed is the flip on every axis: one dot
         total = np.dot(f.coefficients.ravel(), g.coefficients.ravel()[::-1])
     return complex(total * f.torus.length ** f.torus.dimension)
+
+
+# kernels imports this module, so it is imported last: by then every name it
+# reads from here is defined, whichever of the two is imported first
+from . import kernels

@@ -12,7 +12,7 @@ import pytest
 
 import besovlab
 from besovlab.association import AssociationReport, association_verdict, bump_battery
-from besovlab.besov import detect_regularity, detect_smooth, embed
+from besovlab.besov import besov_norm, detect_regularity, detect_smooth, embed
 from besovlab.errors import BesovlabError, DegenerateProfile, InvalidParameter
 from besovlab.kernels import (
     Kernel,
@@ -34,6 +34,7 @@ from besovlab.scales import (
     convergence_verdict,
     critical_exponent,
     q_integral,
+    sweep,
 )
 from besovlab.signals import bump, constant, cosine, dirac, heaviside, lacunary, sine
 from besovlab.spectral import (
@@ -186,7 +187,8 @@ _G16 = ScaleGrid(0.1, 1.0, 16)
 _FLAT = ScaleProfile(_G16, np.ones(16))
 _ONE = constant_net(lambda e: 1.0, label="one")
 _SINE = function_net(lambda e: sine(_T8), label="sine")
-_PHI = build_lp_pair(32.0, 0.5)[0]
+_PAIR = build_lp_pair(32.0, 0.5)
+_PHI = _PAIR[0]
 _TYPED_ERRORS = {  # case -> (error class, message fragment, call)
     "net kind": (InvalidParameter, "unknown net kind", lambda: NetSpec("x", abs)),
     "minus of a constant net": (InvalidParameter, "two function nets", lambda: _ONE.minus(_SINE)),
@@ -291,6 +293,32 @@ _TYPED_ERRORS = {  # case -> (error class, message fragment, call)
     ),
     "localize with None first": (
         InvalidParameter, "operand must be a SpectralFunction", lambda: localize(None, sine(_T8))
+    ),
+    "besov_norm string s": (
+        InvalidParameter, "s must be", lambda: besov_norm(sine(_T8), "x", 2, 2, _PAIR, _G16)
+    ),
+    "lp_norm of None": (InvalidParameter, "f must be a SpectralFunction", lambda: lp_norm(None, 2)),
+    "convolve_scaled of None": (
+        InvalidParameter, "T must be a SpectralFunction", lambda: convolve_scaled(None, _PHI, 0.1)
+    ),
+    "convolve_scaled with None kernel": (
+        InvalidParameter, "kernel must be a Kernel", lambda: convolve_scaled(sine(_T8), None, 0.1)
+    ),
+    "sweep over a list": (
+        InvalidParameter, "grid must be a ScaleGrid", lambda: sweep(sine(_T8), _PHI, [0.1, 0.2])
+    ),
+    "detect_regularity of None": (
+        InvalidParameter, "T must be a SpectralFunction", lambda: detect_regularity(None, 2, 2, 1, _PAIR)
+    ),
+    "detect_regularity with None pair": (
+        InvalidParameter, "pair must be a tuple", lambda: detect_regularity(sine(_T8), 2, 2, 1, None)
+    ),
+    "detect_smooth of None": (
+        InvalidParameter, "T must be a SpectralFunction", lambda: detect_smooth(None, 2, 2, _PAIR)
+    ),
+    "embed with None kernel": (InvalidParameter, "phi must be a Kernel", lambda: embed(sine(_T8), None)),
+    "profile from an empty dict": (
+        InvalidParameter, "grid and norms", lambda: ScaleProfile.from_dict({})
     ),
 }
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -240,6 +241,80 @@ class TestBandTorus:
         misses = [c.cache_info().misses for c in caches]
         detect_smooth(T, 2, "inf", pair32, k_max=8)
         assert [c.cache_info().misses for c in caches] == misses
+
+
+def _translated(f, offset):
+    """f(x - offset) on every axis: coefficients with phases, unlike those of
+    a Dirac at 0."""
+    phase = np.exp(-1j * f.torus.frequencies() * offset)
+    if f.torus.dimension == 2:
+        phase = phase[:, None] * phase[None, :]
+    return SpectralFunction(f.torus, f.coefficients * phase, f.tag)
+
+
+_ESCALATED = {  # field -> its builder
+    "heaviside": lambda: heaviside(Torus(1, 1.0, 256)),
+    "complex": lambda: _random_field(Torus(1, 1.0, 256)),
+    "2-d dirac": lambda: _translated(dirac(Torus(2, 1.0, 64)), 0.3),
+}
+
+
+@pytest.fixture
+def convolutions(monkeypatch):
+    """Scales convolved by scales._profiles, in call order."""
+    scales_seen = []
+    original = scales.convolve_scaled
+
+    def spy(T, kernel, y):
+        scales_seen.append(y)
+        return original(T, kernel, y)
+
+    monkeypatch.setattr(scales, "convolve_scaled", spy)
+    return scales_seen
+
+
+class TestKeptBoxes:
+    """At p != 2 each scale's convolution is kept as the box of its nonzero
+    modes, and an escalation rebuilds the fields from the boxes."""
+
+    @pytest.mark.parametrize(
+        "field,p",
+        [(f, p) for f in ("heaviside", "complex") for p in (1, 1.5, "inf")] + [("2-d dirac", "inf")],
+    )
+    def test_escalation_matches_a_one_shot_sweep(self, pair32, convolutions, field, p):
+        T = _ESCALATED[field]()
+        assert T.is_real() == (field != "complex")
+        phi = pair32[0]
+        grid = default_grid(T.torus, phi)
+        profile_at = scales._profiles(T, phi, grid, p)
+        profile_at(1)
+        escalated = profile_at(3).norms
+        assert len(convolutions) == grid.count  # the escalation convolved nothing
+        np.testing.assert_array_equal(escalated, sweep(T, phi, grid, 3, p).norms)
+
+    def test_2d_dirac_detection_holds_boxes_not_fields(self, pair32):
+        # 48 full 128^2 fields are 12.8 MB; their boxes about half of that
+        T = dirac(Torus(2, 1.0, 128))
+        detect_regularity(T, "inf", "inf", 1, pair32)  # warm the caches
+        tracemalloc.start()
+        try:
+            detect_regularity(T, "inf", "inf", 1, pair32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+
+    def test_smooth_detection_takes_every_order_in_one_pass(
+        self, torus4k, pair32, lp_torus_sizes, convolutions, monkeypatch
+    ):
+        unboxed = []
+        original = scales._unbox
+        monkeypatch.setattr(scales, "_unbox", lambda *a: unboxed.append(a) or original(*a))
+        grid = default_grid(torus4k, pair32[0])
+        detect_smooth(heaviside(torus4k), 1, "inf", pair32, k_max=8)
+        assert len(convolutions) == grid.count
+        assert len(lp_torus_sizes) == grid.count * 9
+        assert unboxed == []
 
 
 def test_warm_p2_sweep_builds_no_torus(torus4k, pair32, monkeypatch):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from besovlab import spectral
 from besovlab.association import association_verdict, bump_battery
 from besovlab.besov import besov_norm, default_grid, detect_regularity, detect_smooth, embed
-from besovlab.errors import AliasingRisk, InvalidParameter, ScaleOutOfRange
+from besovlab.errors import AliasingRisk, InvalidParameter, QuadratureInaccurate, ScaleOutOfRange
 from besovlab.kernels import Kernel, build_lp_pair, build_mollifier
 from besovlab.nets import classify_moderate, classify_negligible, constant_net, perturbed_net
 from besovlab.scales import ScaleGrid, convergence_verdict, q_integral, sweep
@@ -981,6 +981,13 @@ class TestL1Rule:
         exact = trigonometric_l1(f.coefficients, torus1k.length)
         assert lp_norm(f, 1) == pytest.approx(exact, rel=1e-8)
         assert sizes == [8 * 256]
+
+    def test_missed_target_raises(self, torus1k, pair32, monkeypatch):
+        # no estimate reaches 0, so the rule refines to the 16x grid and gives up
+        monkeypatch.setattr(spectral, "_L1_RTOL", 0.0)
+        f = convolve_scaled(heaviside(torus1k), pair32[0], 0.05)
+        with pytest.raises(QuadratureInaccurate, match=r"16384 points: error estimate \S+ of a norm"):
+            lp_norm(f, 1)
 
     def test_zeros_on_grid_nodes(self, torus64):
         # zeros at x = j/6, among them the nodes x = 0 and 1/2
