@@ -27,6 +27,7 @@ from .spectral import (
     _band_torus,
     _central,
     _require,
+    _support_bandwidth,
     convolve_scaled,
     derivative_order,
     parse_exponent,
@@ -145,11 +146,12 @@ def _profiles(T, kernel, grid: ScaleGrid, p):
     once to each.  Made one at a time between the norms instead, the
     fields, which grow toward the fine scales, cost a warm N = 16384
     analysis about 160 minor faults.  At other p the first call streams
-    the full-torus fields to sobolev_table, one at a time, and keeps each
-    as its _box; a later call rebuilds the fields on T's torus from the
-    boxes, one at a time, with the same norms.  The order columns are kept
-    in a list; a call for a higher k appends the missing orders in one
-    sobolev_table pass, and profile k is the max of columns 0..k.
+    the full-torus fields to sobolev_table, one at a time, and keeps the
+    modes of each that can be nonzero, in its box of _boxes; a later call
+    rebuilds the fields on T's torus from the boxes, one at a time, with
+    the same norms.  The order columns are kept in a list; a call for a
+    higher k appends the missing orders in one sobolev_table pass, and
+    profile k is the max of columns 0..k.
     """
     _require(T, SpectralFunction, "T")
     _require(kernel, Kernel, "kernel")
@@ -170,17 +172,18 @@ def _profiles(T, kernel, grid: ScaleGrid, p):
         def fields():
             return convs
     else:
-        boxes = []
+        boxes, reals = _boxes(T, kernel, grid), []
 
-        def keep(f):
-            boxes.append(_box(f))
+        def keep(box, f):
+            box[...] = f.coefficients[_central(f.torus, box.shape[0] // 2)]
+            reals.append(f.is_real())
             return f
 
         def fields():
             if columns:
-                return (_unbox(T, *box) for box in boxes)
+                return (_unbox(T, box, real) for box, real in zip(boxes, reals))
             # a generator: it holds no field between two scales
-            return (keep(convolve_scaled(T, kernel, y)) for y in grid.values())
+            return (keep(box, convolve_scaled(T, kernel, y)) for box, y in zip(boxes, grid.values()))
 
     def profile_at(k):
         if k >= len(columns):
@@ -191,15 +194,30 @@ def _profiles(T, kernel, grid: ScaleGrid, p):
     return profile_at
 
 
-def _box(f):
-    """f's central (2B+1)^d coefficients, B = f.active_bandwidth(rtol=0), and
-    f.is_real(): the kept form of a p != 2 profile's convolution.  Every mode
-    outside the box is exactly 0, so _unbox gives back f's norms."""
-    return f.coefficients[_central(f.torus, f.active_bandwidth(rtol=0.0))].copy(), f.is_real()
+def _boxes(T, kernel, grid):
+    """Views of one new array, one per scale y of grid: the central (2b+1)^d
+    coefficient box, b = _support_bandwidth(kernel, T.torus, y), outside of
+    which every mode of convolve_scaled(T, kernel, y) is exactly 0, so
+    _unbox of a filled box gives back the convolution's norms.
+
+    One array, not one per scale: its size is fixed by the kernel, the grid
+    and the torus (5.2 MB for default_grid at 128^2, 0.7 MB at N = 4096),
+    whatever T.  glibc's malloc serves a block that size by mmap the first
+    time and, when it is freed, raises its mmap and trim thresholds past
+    it.  The heap then keeps the pages of an analysis's transient arrays
+    instead of trimming them after each scale and faulting them back in,
+    which, with 48 small boxes, happened or not according to the order in
+    which a process had run its analyses.
+    """
+    shapes = [(2 * _support_bandwidth(kernel, T.torus, y) + 1,) * T.torus.dimension for y in grid.values()]
+    sizes = [math.prod(shape) for shape in shapes]
+    parts = np.split(np.empty(sum(sizes), complex), np.cumsum(sizes)[:-1])
+    return [part.reshape(shape) for part, shape in zip(parts, shapes)]
 
 
 def _unbox(T, box, real):
-    """The function-tagged field on T's torus with the modes of a _box."""
+    """The function-tagged field on T's torus with the modes of a filled box
+    of _boxes, real when the convolution was."""
     full = np.zeros(T.torus.coeff_shape(), complex)
     full[_central(T.torus, box.shape[0] // 2)] = box
     return T._derived(full, tag="function", real=real)

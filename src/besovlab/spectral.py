@@ -906,6 +906,18 @@ def _kernel_multiplier(kernel, torus, y):
     return out
 
 
+@functools.lru_cache(maxsize=_TORUS_CACHE_SIZE)
+def _support_bandwidth(kernel, torus, y):
+    """The largest max_i |m_i| over the modes where K_hat(y xi_m) may be
+    nonzero: every mode of convolve_scaled(T, kernel, y) outside the central
+    (2b+1)^d box is exactly 0, whatever T.  Read from the radii up to the
+    last nonzero entry of _kernel_multiplier, with no pass over a field."""
+    nonzero = np.flatnonzero(_kernel_multiplier(kernel, torus, y))
+    if not nonzero.size:
+        return 0
+    return int(torus.band_index()[_distinct_radii(torus)[1] <= nonzero[-1]].max())
+
+
 def _band_restrict(T: SpectralFunction, kernel, y):
     """T's central (n+1)^d modes on the band torus _band_torus(kernel, T.torus, y).
 

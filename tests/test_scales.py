@@ -292,6 +292,16 @@ class TestKeptBoxes:
         assert len(convolutions) == grid.count  # the escalation convolved nothing
         np.testing.assert_array_equal(escalated, sweep(T, phi, grid, 3, p).norms)
 
+    @pytest.mark.parametrize("torus", [Torus(1, 1.0, 4096), Torus(2, 1.0, 64)], ids=["1-d", "2-d"])
+    def test_boxes_are_a_dirac_convolutions_modes_in_one_array(self, pair32, torus):
+        # every mode of a Dirac is nonzero, so each box is the tightest one
+        T, phi = dirac(torus), pair32[0]
+        grid = default_grid(torus, phi)
+        boxes = scales._boxes(T, phi, grid)
+        widths = [convolve_scaled(T, phi, y).active_bandwidth(rtol=0.0) for y in grid.values()]
+        assert [box.shape for box in boxes] == [(2 * b + 1,) * torus.dimension for b in widths]
+        assert len({id(box.base) for box in boxes}) == 1
+
     def test_2d_dirac_detection_holds_boxes_not_fields(self, pair32):
         # 48 full 128^2 fields are 12.8 MB; their boxes about half of that
         T = dirac(Torus(2, 1.0, 128))
