@@ -205,9 +205,9 @@ def _boxes(T, kernel, grid):
     whatever T.  glibc's malloc serves a block that size by mmap the first
     time and, when it is freed, raises its mmap and trim thresholds past
     it.  The heap then keeps the pages of an analysis's transient arrays
-    instead of trimming them after each scale and faulting them back in,
-    which, with 48 small boxes, happened or not according to the order in
-    which a process had run its analyses.
+    instead of trimming them after each scale and faulting them back in.
+    Boxes of their own, each below the threshold, leave that to the order
+    in which a process happens to run its analyses.
     """
     shapes = [(2 * _support_bandwidth(kernel, T.torus, y) + 1,) * T.torus.dimension for y in grid.values()]
     sizes = [math.prod(shape) for shape in shapes]
