@@ -17,10 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParameter
+from .nets import NetSpec
 from .scales import ScaleGrid, ScaleProfile, critical_exponent
 from .signals import bump
-from .spectral import SpectralFunction, derivative_order, pairing, parse_exponent, real_parameter
-from .spectral import to_jsonable
+from .spectral import SpectralFunction, Torus, _require, derivative_order, pairing, parse_exponent
+from .spectral import real_parameter, to_jsonable
 
 __all__ = [
     "AssociationReport",
@@ -35,6 +36,7 @@ DEFAULT_BATTERY_SIZE = 16
 
 def bump_battery(torus, count=DEFAULT_BATTERY_SIZE, seed=7):
     """Seeded battery of band-limited bumps: (label, function) pairs."""
+    _require(torus, Torus, "torus")
     rng = np.random.default_rng(real_parameter(seed, "battery seed", at_least=0, integer=True))
     out = []
     for i in range(real_parameter(count, "battery count", at_least=0, integer=True)):
@@ -51,8 +53,10 @@ def bump_battery(torus, count=DEFAULT_BATTERY_SIZE, seed=7):
 
 def _pairing_profiles(T, net, rhos, eps_grid):
     """One |<T - f_eps, rho>| profile per rho, evaluating the net once per eps."""
+    _require(T, SpectralFunction, "T")
+    _require(net, NetSpec, "net")
     table = []
-    for e in eps_grid.values():
+    for e in _require(eps_grid, ScaleGrid, "eps_grid").values():
         diff = T - net(e)
         table.append([abs(pairing(diff, rho)) for rho in rhos])
     return [ScaleProfile(eps_grid, col, {"net": net.label}) for col in np.asarray(table).T]
@@ -94,29 +98,17 @@ def association_verdict(T, net, battery, q, eps_grid: ScaleGrid, seed=None):
         seed = real_parameter(seed, "battery seed", at_least=0, integer=True)
     if not battery:
         raise InvalidParameter("test-function battery is empty")
-    ids, slopes, stderrs = [], [], []
-    sentinels = 0
-    worst = np.inf
-    worst_err = 0.0
     profiles = _pairing_profiles(T, net, [rho for _, rho in battery], eps_grid)
-    for (label, _), profile in zip(battery, profiles):
-        fit = critical_exponent(profile)
-        ids.append(label)
-        if fit.is_sentinel:
-            sentinels += 1
-            slopes.append(None)
-            stderrs.append(0.0)
-            continue
-        slopes.append(fit.slope)
-        stderrs.append(fit.stderr)
-        if fit.slope < worst:
-            worst = fit.slope
-            worst_err = fit.stderr
-    if sentinels == len(battery):
+    fits = [critical_exponent(profile) for profile in profiles]
+    ids = [label for label, _ in battery]
+    slopes = [None if fit.is_sentinel else fit.slope for fit in fits]
+    stderrs = [fit.stderr for fit in fits]  # a sentinel's is 0
+    worst = min(fits, key=lambda fit: fit.slope)  # a sentinel's slope is +inf
+    if worst.is_sentinel:
         return AssociationReport("rapid", np.inf, f"{q:g}", ids, slopes, stderrs, 0.0, seed)
-    m = max(3.0 * worst_err, 0.05)
-    verdict = "strong" if worst > m else "none"
-    return AssociationReport(verdict, float(worst), f"{q:g}", ids, slopes, stderrs, m, seed)
+    m = max(3.0 * worst.stderr, 0.05)
+    verdict = "strong" if worst.slope > m else "none"
+    return AssociationReport(verdict, float(worst.slope), f"{q:g}", ids, slopes, stderrs, m, seed)
 
 
 def holder_bound(s, b, k, d=1, k0=0):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParameter, InvalidPair
-from .kernels import Kernel, verify_lp_conditions
+from .kernels import Kernel, _pair, verify_lp_conditions
 from .nets import NetSpec
 from .scales import (
     ScaleGrid,
@@ -74,7 +74,7 @@ def embed(T: SpectralFunction, phi, grid: ScaleGrid = None) -> NetSpec:
     _require(T, SpectralFunction, "T")
     if _require(phi, Kernel, "phi").kind != "mollifier":
         raise InvalidParameter("embedding requires a mollifier-kind kernel")
-    eps_min = grid.y_min if grid is not None else min_scale(phi, T.torus)
+    eps_min = min_scale(phi, T.torus) if grid is None else _require(grid, ScaleGrid, "grid").y_min
     return NetSpec(
         "function",
         lambda e: convolve_scaled(T, phi, e),
@@ -93,23 +93,16 @@ def besov_norm(T, s, p, q, pair, grid: ScaleGrid):
     """
     s = real_parameter(s, "s")
     q = parse_exponent(q, "q")
-    phi, psi = _pair(pair)
     diag = verify_lp_conditions(pair, s)
     if not diag.passed:
         raise InvalidPair("; ".join(diag.failures))
+    phi, psi = pair
     first = lp_norm(convolve_scaled(T, phi, 1.0), p)
     profile = sweep(T, psi, grid, k=0, p=p)
     tail = q_integral(profile, -s, q)
     if math.isinf(q):
         return first + tail
     return first + tail ** (1.0 / q)
-
-
-def _pair(pair):
-    """pair, when it is a tuple (phi, psi) of two kernels, else InvalidParameter."""
-    if not (isinstance(pair, tuple) and len(pair) == 2 and all(isinstance(k, Kernel) for k in pair)):
-        raise InvalidParameter(f"pair must be a tuple (phi, psi) of two Kernels, got {pair!r}")
-    return pair
 
 
 @dataclass(frozen=True)
@@ -147,7 +140,7 @@ def detect_regularity(T, p, q, k, pair, grid: ScaleGrid = None) -> RegularityRep
     phi = _pair(pair)[0]
     p, q = parse_exponent(p), parse_exponent(q, "q")
     k = 1 if k == "auto" or k is None else derivative_order(k, "derivative order k")
-    grid = grid or default_grid(T.torus, phi)
+    grid = default_grid(T.torus, phi) if grid is None else _require(grid, ScaleGrid, "grid")
     settings = {
         "kernel": phi.label,
         "grid": [grid.y_min, grid.y_max, grid.count],
@@ -204,13 +197,10 @@ def detect_smooth(T, p, q, pair, grid: ScaleGrid = None, k_max=8) -> SmoothEvide
     k_max = derivative_order(k_max, "k_max")
     if k_max < 4:
         raise InvalidParameter("k_max must be at least 4")
-    grid = grid or default_grid(T.torus, phi)
+    grid = default_grid(T.torus, phi) if grid is None else _require(grid, ScaleGrid, "grid")
     profile_at = _profiles(T, phi, grid, p)
     profile_at(k_max)  # every column in one pass; the loop reads them
-    s_hats = []
-    for k in range(k_max + 1):
-        fit = critical_exponent(profile_at(k))
-        s_hats.append(-fit.slope if not fit.is_sentinel else -math.inf)
+    s_hats = [-critical_exponent(profile_at(k)).slope for k in range(k_max + 1)]  # the sentinel's is -inf
     ks = np.arange(k_max + 1, dtype=float)
     finite = np.isfinite(s_hats)
     if finite.sum() >= 2:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParameter
-from .spectral import derivative_order, real_parameter, to_jsonable
+from .spectral import _require, derivative_order, real_parameter, to_jsonable
 
 __all__ = [
     "Kernel",
@@ -190,6 +190,7 @@ def moment(kernel, alpha):
     every profile is constant: it is profile(0) for alpha = 0 and exactly 0
     for every |alpha| >= 1, in 1-d and 2-d.
     """
+    _require(kernel, Kernel, "kernel")
     idx = tuple(derivative_order(a, "moment order") for a in np.atleast_1d(alpha))
     if len(idx) not in (1, 2):
         raise InvalidParameter("moment supports d = 1 or d = 2 multi-indices")
@@ -203,7 +204,7 @@ def moment(kernel, alpha):
 
 @dataclass
 class LPDiagnostics:
-    """Outcome of a pair compatibility check (never raises)."""
+    """Outcome of a pair compatibility check."""
 
     passed: bool
     order: float
@@ -218,8 +219,16 @@ class LPDiagnostics:
         return to_jsonable(self)
 
 
+def _pair(pair):
+    """pair, when it is a tuple (phi, psi) of two kernels, else InvalidParameter."""
+    if not (isinstance(pair, tuple) and len(pair) == 2 and all(isinstance(k, Kernel) for k in pair)):
+        raise InvalidParameter(f"pair must be a tuple (phi, psi) of two Kernels, got {pair!r}")
+    return pair
+
+
 def verify_lp_conditions(pair, s):
-    """Check pair compatibility at order s; returns diagnostics, never raises.
+    """Check pair compatibility at order s; returns diagnostics, and raises
+    only when pair is not two Kernels.
 
     Non-vanishing is checked exactly: a profile rises, then falls, so its
     minimum on a witness range is the smaller end value.  The ranges are
@@ -229,7 +238,7 @@ def verify_lp_conditions(pair, s):
     floor(s); for s < 0 the moment requirement is empty.  An s that is not
     a finite real number is a failure, with no moments checked.
     """
-    phi, psi = pair
+    phi, psi = _pair(pair)
     failures = []
     try:
         order = real_parameter(s, "order")

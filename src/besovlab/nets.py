@@ -24,6 +24,7 @@ from .scales import ExponentFit, ScaleGrid, ScaleProfile, _fit_verdict, _line_fi
 from .scales import critical_exponent  # by name: tests monkeypatch nets.critical_exponent
 from .spectral import (
     SpectralFunction,
+    _require,
     derivative_order,
     localize,
     parse_exponent,
@@ -78,7 +79,7 @@ class NetSpec:
         return self.evaluator(real_parameter(eps, "net eps", self.eps_min, at_most=1.0))
 
     def minus(self, other):
-        if self.kind != "function" or other.kind != "function":
+        if self.kind != "function" or _require(other, NetSpec, "other").kind != "function":
             raise InvalidParameter("difference needs two function nets")
         return NetSpec(
             "function",
@@ -90,7 +91,7 @@ class NetSpec:
 
     def scaled_by(self, cnet):
         """Pointwise product with a constant net (module action)."""
-        if cnet.kind != "constant":
+        if _require(cnet, NetSpec, "cnet").kind != "constant":
             raise InvalidParameter("scaled_by takes a constant net")
         return NetSpec(
             self.kind,
@@ -111,6 +112,8 @@ def function_net(fn, eps_min=0.0, label="function-net"):
 
 def perturbed_net(base: NetSpec, g: SpectralFunction, amplitude, label=None):
     """f_eps = base(eps) + amplitude(eps) * g."""
+    _require(base, NetSpec, "base")
+    _require(g, SpectralFunction, "g")
     return NetSpec(
         "function",
         lambda e: base(e) + amplitude(e) * g,
@@ -248,6 +251,7 @@ def spike_integral(net: SpikeNet, s, q_test, n_max=SPIKE_N_MAX):
     at half the horizon and at its last ten spikes.  The partial sums
     (log_value, last_ratio) are diagnostics and do not enter the verdict.
     """
+    _require(net, SpikeNet, "net")
     s = real_parameter(s, "s")
     q_test = parse_exponent(q_test, "q")
     n_max = real_parameter(n_max, "n_max", SPIKE_N_MIN, integer=True)
@@ -300,10 +304,10 @@ def net_sobolev_profile(net: NetSpec, k, p, window=None, eps_grid=None):
     of the net: a band-limited mollifier keeps O(1) values at distances
     comparable to eps.
     """
-    if net.kind != "function":
+    if _require(net, NetSpec, "net").kind != "function":
         raise InvalidParameter("net_sobolev_profile needs a function net")
     k, p = derivative_order(k), parse_exponent(p)
-    grid = eps_grid or _default_eps_grid(net)
+    grid = _default_eps_grid(net) if eps_grid is None else _require(eps_grid, ScaleGrid, "eps_grid")
     fields = (net(e) if window is None else localize(net(e), window) for e in grid.values())
     norms = sobolev_table(fields, range(k + 1), p).max(axis=1)
     return ScaleProfile(grid, norms, {"k": k, "p": f"{p:g}", "net": net.label})
@@ -368,12 +372,12 @@ def _convergence_test(net, q, k, p, window, eps_grid):
     not finite, or its sampled norms grow superpolynomially.
     """
     q = parse_exponent(q, "q")
-    if isinstance(net, SpikeNet):
+    if isinstance(_require(net, (NetSpec, SpikeNet), "net"), SpikeNet):
         n = np.arange(SPIKE_N_MIN, CLASSIFY_N_MAX + 1, dtype=float)
         n = n[_rule_spikes(n)]
         terms = _spike_terms(net, q, n)
         return lambda s: not _divergence(terms(s), n)[0]
-    grid = eps_grid or _default_eps_grid(net)
+    grid = _default_eps_grid(net) if eps_grid is None else _require(eps_grid, ScaleGrid, "eps_grid")
     if net.kind == "constant" and net.log_magnitude is not None:
         fit = _analytic_fit(net, grid)
     else:

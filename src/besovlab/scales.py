@@ -92,6 +92,7 @@ class ScaleProfile:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        _require(self.grid, ScaleGrid, "grid")
         n = np.asarray(self.norms, dtype=float)
         if n.shape != (self.grid.count,):
             raise InvalidParameter("profile length does not match grid")
@@ -120,16 +121,8 @@ class ScaleProfile:
 
 def sweep(T, kernel, grid: ScaleGrid, k=0, p=2):
     """Profile N(y_j) = ||T * K_{y_j}||_{W^{k,p}} over the grid: at each scale
-    the max over the order columns 0..k of sobolev_table.
-
-    At p = 2 each scale is convolved on its band torus, the smallest
-    power-of-two torus that holds the support of K_y's transform: the
-    norms are those on T's torus (Parseval does not see the storage grid),
-    at a fraction of the modes for the coarse scales.  Other p keep T's
-    torus, because the grid sup and the rectangle rules sample on it, and
-    stream the convolutions to the norms: one full-torus field is held at
-    a time, beside the box of each scale's nonzero modes (_profiles).  At
-    p = 2 the band-torus fields are all made first.
+    the max over the order columns 0..k of sobolev_table, from the
+    convolutions of _profiles.
     """
     k = derivative_order(k)
     return _profiles(T, kernel, grid, p)(k)
@@ -139,19 +132,19 @@ def _profiles(T, kernel, grid: ScaleGrid, p):
     """k -> sweep(T, kernel, grid, k, p), each norm computed once: the engine
     of sweep and of the detectors.
 
-    Each scale is convolved once, as sweep describes, and its convolution
-    is kept for the orders a later call adds.  At p = 2 the fields on their
-    band tori are made first and kept: the scales share few band tori (8
-    for the 48 scales of default_grid at N = 16384), and T is restricted
-    once to each.  Made one at a time between the norms instead, the
-    fields, which grow toward the fine scales, cost a warm N = 16384
-    analysis about 160 minor faults.  At other p the first call streams
-    the full-torus fields to sobolev_table, one at a time, and keeps the
-    modes of each that can be nonzero, in its box of _boxes; a later call
-    rebuilds the fields on T's torus from the boxes, one at a time, with
-    the same norms.  The order columns are kept in a list; a call for a
-    higher k appends the missing orders in one sobolev_table pass, and
-    profile k is the max of columns 0..k.
+    Each scale is convolved once.  At p = 2 it is convolved on its band
+    torus (_band_restrict), and the fields are made first and kept: the
+    scales share few band tori (8 for the 48 scales of default_grid at N =
+    16384), and T is restricted once to each.  Made one at a time between
+    the norms instead, the fields, which grow toward the fine scales, cost
+    a warm N = 16384 analysis about 160 minor faults.  Other p keep T's
+    torus, on which the grid sup and the rectangle rules sample: the first
+    call streams the full-torus fields to sobolev_table, one at a time, and
+    keeps the modes of each that can be nonzero, in its box of _boxes; a
+    later call rebuilds the fields on T's torus from the boxes, one at a
+    time, with the same norms.  The order columns are kept in a list; a
+    call for a higher k appends the missing orders in one sobolev_table
+    pass, and profile k is the max of columns 0..k.
     """
     _require(T, SpectralFunction, "T")
     _require(kernel, Kernel, "kernel")
@@ -172,16 +165,15 @@ def _profiles(T, kernel, grid: ScaleGrid, p):
         def fields():
             return convs
     else:
-        boxes, reals = _boxes(T, kernel, grid), []
+        boxes = _boxes(T, kernel, grid)
 
         def keep(box, f):
             box[...] = f.coefficients[_central(f.torus, box.shape[0] // 2)]
-            reals.append(f.is_real())
             return f
 
         def fields():
             if columns:
-                return (_unbox(T, box, real) for box, real in zip(boxes, reals))
+                return (_unbox(T, box) for box in boxes)
             # a generator: it holds no field between two scales
             return (keep(box, convolve_scaled(T, kernel, y)) for box, y in zip(boxes, grid.values()))
 
@@ -215,12 +207,12 @@ def _boxes(T, kernel, grid):
     return [part.reshape(shape) for part, shape in zip(parts, shapes)]
 
 
-def _unbox(T, box, real):
+def _unbox(T, box):
     """The function-tagged field on T's torus with the modes of a filled box
-    of _boxes, real when the convolution was."""
+    of _boxes, real by T._derived's rule: with no compare when T is real."""
     full = np.zeros(T.torus.coeff_shape(), complex)
     full[_central(T.torus, box.shape[0] // 2)] = box
-    return T._derived(full, tag="function", real=real)
+    return T._derived(full, tag="function")
 
 
 def q_integral(profile: ScaleProfile, s, q):
@@ -231,6 +223,7 @@ def q_integral(profile: ScaleProfile, s, q):
     target for steep integrands); q = inf: max of y^s N(y).  May return inf
     when the weighted terms overflow.
     """
+    _require(profile, ScaleProfile, "profile")
     s = real_parameter(s, "s")
     q = parse_exponent(q, "q")
     y = profile.grid.values()
@@ -273,6 +266,7 @@ def critical_exponent(profile: ScaleProfile):
     sentinel slope.  Raises DegenerateProfile when more than half of the
     candidate window has underflowed.
     """
+    _require(profile, ScaleProfile, "profile")
     y = profile.grid.values()
     n = profile.norms
     zero_tol = ZERO_RTOL * max(1.0, float(n.max()))

@@ -10,7 +10,7 @@ functions.  All emit Nyquist-balanced coefficient arrays.
 import numpy as np
 
 from .errors import InvalidParameter
-from .spectral import SpectralFunction, Torus, real_parameter
+from .spectral import SpectralFunction, Torus, _require, real_parameter
 
 __all__ = [
     "dirac",
@@ -26,18 +26,20 @@ __all__ = [
 
 def dirac(torus: Torus):
     """Unit Dirac at x = 0: every coefficient equals 1/L^d."""
+    _require(torus, Torus, "torus")
     c = np.full(torus.coeff_shape(), 1.0 / torus.length**torus.dimension, dtype=complex)
     return SpectralFunction(torus, c, "distribution")
 
 
 def constant(torus: Torus, value=1.0):
+    _require(torus, Torus, "torus")
     c = np.zeros(torus.coeff_shape(), dtype=complex)
     c[(torus.mode_max,) * torus.dimension] = real_parameter(value, "constant value")
     return SpectralFunction(torus, c, "function")
 
 
 def _empty_1d(torus):
-    if torus.dimension != 1:
+    if _require(torus, Torus, "torus").dimension != 1:
         raise InvalidParameter("this generator is one-dimensional")
     return np.zeros(torus.coeff_shape(), dtype=complex)
 
@@ -115,7 +117,7 @@ def bump(torus: Torus, center=0.5, halfwidth=0.1):
     halfwidth >~ 10/N.  The center is taken modulo L, so a huge one does
     not overflow the phase.
     """
-    if torus.dimension != 1:
+    if _require(torus, Torus, "torus").dimension != 1:
         raise InvalidParameter("bump is one-dimensional")
     h = real_parameter(halfwidth, "halfwidth", 0.0)
     center = real_parameter(center, "center")

@@ -10,15 +10,8 @@ samples: the grid sup at p = inf, the rectangle rule with closed-form kink
 terms at p = 1 for real 1-d inputs, and the plain rectangle rule
 otherwise.  Real-valued inputs are synthesized from the half spectrum.
 
-T * K_y is a trigonometric polynomial of degree below outer_support L /
-(2 pi y), so at a coarse scale most of T's modes are multiplied by 0.  A
-p = 2 scale sweep therefore convolves each scale on the band torus
-(_band_restrict): the smallest power-of-two torus holding K_y's support,
-with the same modes, frequencies and multipliers, cached per (kernel,
-torus, y) (_band_torus).  The scales of a grid share few band tori (8 for
-the 48 scales of a default grid at N = 16384), and a sweep restricts T
-once to each.  Parseval does not see the storage grid, so the L^2 norms
-are those of the full torus up to summation order.  Other p keep T's
+A p = 2 scale sweep convolves each scale on its band torus, the smallest
+power-of-two torus holding K_y's support (_band_restrict); other p keep T's
 torus, whose size sets the errors of the grid sup and rectangle rules.
 
 Arrays enter a SpectralFunction by one of two doors.  An outside array
@@ -37,12 +30,8 @@ arithmetic that derives one object from another (derivative, a scalar
 multiple, a sum or difference) reads from it whether its result can
 overflow, and only if it can runs under np.errstate (_overflow_guarded).
 
-Every detector and study applies the same multipliers K_hat(y |xi|) on the
-same grids and tori, so each is evaluated once per (kernel, torus, y) and
-cached (_kernel_multiplier), as one value per distinct radius |xi| of the
-torus (N/2 + 1 in 1-d, 1,782 of the 16,641 modes at 128^2) up to the edge
-of K_hat(y .)'s support.  Each coefficient reads its value through a
-per-torus index (_distinct_radii).
+The multipliers K_hat(y |xi|) are cached per (kernel, torus, y), one value
+per distinct radius |xi| of the torus (_kernel_multiplier).
 
 A field is real exactly when its coefficients are conjugate-symmetric,
 c_m == conj(c_-m) for every m: a bool kept from when it is made.  The
@@ -431,11 +420,12 @@ def _finite_sum_sq(c):
 
 
 def _require(x, cls, name):
-    """x when it is an instance of cls, else InvalidParameter: the entry check
-    of an object argument, so that a wrong type never gets as far as a raw
-    AttributeError or TypeError."""
+    """x when it is an instance of cls (a class or a tuple of classes), else
+    InvalidParameter: the entry check of an object argument, so that a wrong
+    type never gets as far as a raw AttributeError or TypeError."""
     if not isinstance(x, cls):
-        raise InvalidParameter(f"{name} must be a {cls.__name__}, got {x!r}")
+        kinds = " or ".join(c.__name__ for c in (cls if isinstance(cls, tuple) else (cls,)))
+        raise InvalidParameter(f"{name} must be a {kinds}, got {x!r}")
     return x
 
 
@@ -537,6 +527,7 @@ def dft_synthesize(f: SpectralFunction, oversample=1):
     Returns a complex array of shape (oversample*N,)*d.  Round trip with
     dft_analyze is the identity for Nyquist-balanced coefficients.
     """
+    _require(f, SpectralFunction, "f")
     oversample = real_parameter(oversample, "oversample", at_least=1, integer=True)
     return _synthesize(f, oversample * f.torus.grid_size, real=False)
 
@@ -554,6 +545,7 @@ def dft_analyze(values, torus: Torus):
     result is Nyquist-balanced.  Real samples, whose FFT is symmetric up to
     rounding, give an exactly symmetric, real field (the constructor's rule).
     """
+    _require(torus, Torus, "torus")
     v = np.asarray(values)
     if v.dtype.kind not in "biufc":
         raise InvalidParameter(f"samples must be numeric, got dtype {v.dtype}")
@@ -647,8 +639,7 @@ def lp_norm(f: SpectralFunction, p):
     p = 2 is exact by Parseval, sqrt(L^d * sum_m |c_m|^2) over all stored
     modes, with no synthesis: the sum is the one f kept when it was made
     (one BLAS pass, which also checked f finite), so the norm costs no pass
-    over f.  A p = 2 sweep convolves on band tori, restricting T once per
-    band torus (scales._profiles).  A zero field has norm 0 at every p,
+    over f.  A zero field has norm 0 at every p,
     with no synthesis: its kept sum is 0, and since moduli below 1e-162
     square to 0, every coefficient is then checked to be 0.  p = inf is
     the sup over the 2x-oversampled grid.  p = 1 on a real 1-d input is
@@ -837,14 +828,12 @@ def sobolev_table(fields, orders, p):
     """
     orders = [derivative_order(j) for j in orders]
     p = parse_exponent(p)
-    alphas = {d: [(a, any(a)) for j in orders for a in _multi_indices(j, d)] for d in (1, 2)}
-    # a 2-d row is the max over each order's j + 1 multi-indices, ending at ends[i]
-    ends = list(itertools.accumulate(j + 1 for j in orders))
+    # per dimension, each order's multi-indices a, each with nz = any(a)
+    alphas = {d: [[(a, any(a)) for a in _multi_indices(j, d)] for j in orders] for d in (1, 2)}
     rows = []
     for f in fields:
-        d = f.torus.dimension
-        norms = [lp_norm(f.derivative(a) if nonzero else f, p) for a, nonzero in alphas[d]]
-        rows.append(norms if d == 1 else [max(norms[e - j - 1 : e]) for j, e in zip(orders, ends)])
+        d = _require(f, SpectralFunction, "field").torus.dimension
+        rows.append([max([lp_norm(f.derivative(a) if nz else f, p) for a, nz in g]) for g in alphas[d]])
         del f  # released before the next field is made
     return np.asarray(rows, dtype=float)
 
@@ -857,7 +846,8 @@ def sobolev_norm(f: SpectralFunction, k, p):
 
 def min_scale(kernel, torus: Torus):
     """Smallest scale keeping the kernel's spectral support below Nyquist."""
-    return kernel.outer_support / torus.nyquist
+    _require(kernel, kernels.Kernel, "kernel")
+    return kernel.outer_support / _require(torus, Torus, "torus").nyquist
 
 
 def _scale_floor(kernel, torus: Torus):
@@ -872,9 +862,7 @@ def convolve_scaled(T: SpectralFunction, kernel, y):
     coefficients are c_m * K_hat(y xi_m): exact, no quadrature.  Scales below
     min_scale(kernel, torus) are rejected (the scaled spectrum would extend
     past Nyquist, silently truncating the result), and so are non-finite
-    ones.  The multiplier is cached per (kernel, torus, y), one value per
-    distinct radius |xi| of the torus inside K_hat(y .)'s support
-    (_kernel_multiplier).
+    ones.  The multiplier is read from _kernel_multiplier.
     """
     _require(T, SpectralFunction, "T")
     _require(kernel, kernels.Kernel, "kernel")
@@ -890,7 +878,10 @@ def convolve_scaled(T: SpectralFunction, kernel, y):
 @functools.lru_cache(maxsize=_TORUS_CACHE_SIZE)
 def _kernel_multiplier(kernel, torus, y):
     """kernel.profile(y |xi|) at the torus's distinct radii (read-only, cached),
-    up to and including the first 0 past the last nonzero value.
+    up to and including the first 0 past the last nonzero value: at most
+    N/2 + 1 radii in 1-d, and 1,782 for the 16,641 modes at 128^2.  Each
+    coefficient reads its value through the per-torus index of
+    _distinct_radii.
 
     Stopping at the support's edge cuts the entries of a default grid on
     T's torus 2.9-fold at 128^2 and 4.5-fold at N = 4096.  A finite y whose
@@ -924,8 +915,9 @@ def _band_restrict(T: SpectralFunction, kernel, y):
     Every mode left out, and every kept mode on the band's edge, has
     |xi| >= pi n / L, where K_hat(y xi) is exactly 0, so the convolution on
     the band torus carries exactly the nonzero modes of
-    convolve_scaled(T, kernel, y).  A y that no smaller torus accepts gets
-    T itself.
+    convolve_scaled(T, kernel, y).  Parseval does not see the storage grid,
+    so the L^2 norms are those on T's torus up to summation order.  A y
+    that no smaller torus accepts gets T itself.
     """
     band = _band_torus(kernel, T.torus, y)
     if band == T.torus:

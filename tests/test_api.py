@@ -11,21 +11,25 @@ import numpy as np
 import pytest
 
 import besovlab
-from besovlab.association import AssociationReport, association_verdict, bump_battery
-from besovlab.besov import besov_norm, detect_regularity, detect_smooth, embed
+from besovlab.association import AssociationReport, association_verdict, bump_battery, pairing_profile
+from besovlab.besov import besov_norm, default_grid, detect_regularity, detect_smooth, embed
 from besovlab.errors import BesovlabError, DegenerateProfile, InvalidParameter
 from besovlab.kernels import (
     Kernel,
     build_lp_pair,
     build_mollifier,
+    moment,
     verify_lp_conditions,
 )
 from besovlab.nets import (
     NetSpec,
     SpikeNet,
+    classify_moderate,
+    classify_negligible,
     constant_net,
     function_net,
     net_sobolev_profile,
+    perturbed_net,
     spike_integral,
 )
 from besovlab.scales import (
@@ -36,14 +40,16 @@ from besovlab.scales import (
     q_integral,
     sweep,
 )
-from besovlab.signals import bump, constant, cosine, dirac, heaviside, lacunary, sine
+from besovlab.signals import bump, constant, cosine, dirac, heaviside, kink, lacunary, sine
 from besovlab.spectral import (
     SpectralFunction,
     Torus,
     convolve_scaled,
+    dft_analyze,
     dft_synthesize,
     localize,
     lp_norm,
+    min_scale,
     pairing,
     sobolev_norm,
     sobolev_table,
@@ -319,6 +325,140 @@ _TYPED_ERRORS = {  # case -> (error class, message fragment, call)
     "embed with None kernel": (InvalidParameter, "phi must be a Kernel", lambda: embed(sine(_T8), None)),
     "profile from an empty dict": (
         InvalidParameter, "grid and norms", lambda: ScaleProfile.from_dict({})
+    ),
+    # object arguments of the wrong type: InvalidParameter, never a raw
+    # AttributeError or TypeError from deeper in the call
+    "min_scale with None kernel": (
+        InvalidParameter, "kernel must be a Kernel", lambda: min_scale(None, _T8)
+    ),
+    "min_scale on None torus": (InvalidParameter, "torus must be a Torus", lambda: min_scale(_PHI, None)),
+    "default_grid with None kernel": (
+        InvalidParameter, "kernel must be a Kernel", lambda: default_grid(_T8, None)
+    ),
+    "default_grid on None torus": (
+        InvalidParameter, "torus must be a Torus", lambda: default_grid(None, _PHI)
+    ),
+    "sobolev_table of None": (
+        InvalidParameter, "field must be a SpectralFunction", lambda: sobolev_table([None], [0], 2)
+    ),
+    "sobolev_table of a field then None": (
+        InvalidParameter, "field must be a SpectralFunction", lambda: sobolev_table([sine(_T8), None], [0], 2)
+    ),
+    "sobolev_norm of None": (
+        InvalidParameter, "must be a SpectralFunction", lambda: sobolev_norm(None, 1, 2)
+    ),
+    "dft_synthesize of None": (
+        InvalidParameter, "f must be a SpectralFunction", lambda: dft_synthesize(None)
+    ),
+    "dft_analyze on None torus": (
+        InvalidParameter, "torus must be a Torus", lambda: dft_analyze(np.zeros(8), None)
+    ),
+    "ScaleProfile on a list grid": (
+        InvalidParameter, "grid must be a ScaleGrid", lambda: ScaleProfile([0.1, 0.2], np.ones(2))
+    ),
+    "critical_exponent of None": (
+        InvalidParameter, "profile must be a ScaleProfile", lambda: critical_exponent(None)
+    ),
+    "q_integral of None": (
+        InvalidParameter, "profile must be a ScaleProfile", lambda: q_integral(None, 0.0, 2)
+    ),
+    "convergence_verdict of None": (
+        InvalidParameter, "profile must be a ScaleProfile", lambda: convergence_verdict(None, 0.0, 2)
+    ),
+    "net_sobolev_profile of None": (
+        InvalidParameter, "net must be a NetSpec", lambda: net_sobolev_profile(None, 0, 2)
+    ),
+    "net_sobolev_profile of a SpikeNet": (
+        InvalidParameter, "net must be a NetSpec", lambda: net_sobolev_profile(SpikeNet(2.0), 0, 2)
+    ),
+    "net_sobolev_profile on a list grid": (
+        InvalidParameter,
+        "eps_grid must be a ScaleGrid",
+        lambda: net_sobolev_profile(_SINE, 0, 2, eps_grid=[0.1, 0.2]),
+    ),
+    "classify_moderate of None": (
+        InvalidParameter, "net must be a NetSpec or SpikeNet", lambda: classify_moderate(None, 2)
+    ),
+    "classify_negligible of None": (
+        InvalidParameter, "net must be a NetSpec or SpikeNet", lambda: classify_negligible(None, 2)
+    ),
+    "classify_moderate on a list grid": (
+        InvalidParameter, "eps_grid must be a ScaleGrid", lambda: classify_moderate(_SINE, 2, eps_grid=[0.1])
+    ),
+    "classify_negligible on a list grid": (
+        InvalidParameter, "eps_grid must be a ScaleGrid", lambda: classify_negligible(_ONE, 2, eps_grid=[0.1])
+    ),
+    "moment of None": (InvalidParameter, "kernel must be a Kernel", lambda: moment(None, 0)),
+    "verify_lp_conditions of None": (
+        InvalidParameter, "pair must be a tuple", lambda: verify_lp_conditions(None, 1.0)
+    ),
+    "verify_lp_conditions of one kernel": (
+        InvalidParameter, "pair must be a tuple", lambda: verify_lp_conditions((_PHI,), 1.0)
+    ),
+    "embed on a list grid": (
+        InvalidParameter, "grid must be a ScaleGrid", lambda: embed(sine(_T8), _PHI, [0.1, 0.2])
+    ),
+    "detect_regularity on a list grid": (
+        InvalidParameter,
+        "grid must be a ScaleGrid",
+        lambda: detect_regularity(sine(_T8), 2, 2, 1, _PAIR, [0.1, 0.2]),
+    ),
+    # an empty list is not a grid, whatever its truth value
+    "detect_regularity on an empty grid": (
+        InvalidParameter, "grid must be a ScaleGrid", lambda: detect_regularity(sine(_T8), 2, 2, 1, _PAIR, [])
+    ),
+    "detect_smooth on an empty grid": (
+        InvalidParameter, "grid must be a ScaleGrid", lambda: detect_smooth(sine(_T8), 2, 2, _PAIR, [])
+    ),
+    "net_sobolev_profile on an empty grid": (
+        InvalidParameter, "eps_grid must be a ScaleGrid", lambda: net_sobolev_profile(_SINE, 0, 2, eps_grid=[])
+    ),
+    "classify_moderate on an empty grid": (
+        InvalidParameter, "eps_grid must be a ScaleGrid", lambda: classify_moderate(_ONE, 2, eps_grid=[])
+    ),
+    "association_verdict on None eps_grid": (
+        InvalidParameter,
+        "eps_grid must be a ScaleGrid",
+        lambda: association_verdict(sine(_T8), _SINE, bump_battery(_T8, 1), 2, None),
+    ),
+    "association_verdict of None": (
+        InvalidParameter,
+        "T must be a SpectralFunction",
+        lambda: association_verdict(None, _SINE, bump_battery(_T8, 1), 2, _G16),
+    ),
+    "association_verdict with a plain function net": (
+        InvalidParameter,
+        "net must be a NetSpec",
+        lambda: association_verdict(sine(_T8), sine, bump_battery(_T8, 1), 2, _G16),
+    ),
+    "pairing_profile on None eps_grid": (
+        InvalidParameter, "eps_grid must be a ScaleGrid", lambda: pairing_profile(sine(_T8), _SINE, sine(_T8), None)
+    ),
+    "spike_integral of None": (
+        InvalidParameter, "net must be a SpikeNet", lambda: spike_integral(None, 0.0, 2.0)
+    ),
+    "minus None": (InvalidParameter, "other must be a NetSpec", lambda: _SINE.minus(None)),
+    "scaled_by None": (InvalidParameter, "cnet must be a NetSpec", lambda: _SINE.scaled_by(None)),
+    # generator inputs
+    **{
+        f"{name} on None torus": (InvalidParameter, "torus must be a Torus", lambda make=make: make(None))
+        for name, make in {
+            "dirac": dirac,
+            "constant": constant,
+            "heaviside": heaviside,
+            "kink": kink,
+            "sine": sine,
+            "cosine": cosine,
+            "lacunary": lambda torus: lacunary(torus, 0.5),
+            "bump": bump,
+            "bump_battery": bump_battery,
+        }.items()
+    },
+    "perturbed_net by None": (
+        InvalidParameter, "g must be a SpectralFunction", lambda: perturbed_net(_SINE, None, lambda e: e)
+    ),
+    "perturbed_net of None": (
+        InvalidParameter, "base must be a NetSpec", lambda: perturbed_net(None, sine(_T8), lambda e: e)
     ),
 }
 

@@ -275,11 +275,14 @@ def convolutions(monkeypatch):
 
 class TestKeptBoxes:
     """At p != 2 each scale's convolution is kept as the box of its nonzero
-    modes, and an escalation rebuilds the fields from the boxes."""
+    modes, and an escalation rebuilds the fields from the boxes; at p = 2
+    the band-torus fields are kept, and an escalation reads them again."""
 
     @pytest.mark.parametrize(
         "field,p",
-        [(f, p) for f in ("heaviside", "complex") for p in (1, 1.5, "inf")] + [("2-d dirac", "inf")],
+        [(f, p) for f in ("heaviside", "complex") for p in (1, 1.5, "inf")]
+        + [("2-d dirac", "inf")]
+        + [(f, 2) for f in _ESCALATED],
     )
     def test_escalation_matches_a_one_shot_sweep(self, pair32, convolutions, field, p):
         T = _ESCALATED[field]()
@@ -291,6 +294,29 @@ class TestKeptBoxes:
         escalated = profile_at(3).norms
         assert len(convolutions) == grid.count  # the escalation convolved nothing
         np.testing.assert_array_equal(escalated, sweep(T, phi, grid, 3, p).norms)
+
+    @pytest.mark.parametrize("field", ["heaviside", "complex", "complex at -N/2", "2-d dirac"])
+    def test_an_unboxed_field_is_its_convolution(self, pair32, field):
+        # real by T._derived's rule: every field of a real T is real, and a
+        # complex T's are compared, so that a kernel dropping T's only
+        # asymmetric mode (-N/2) gives real fields
+        if field == "complex at -N/2":
+            T = heaviside(Torus(1, 1.0, 256))
+            T = SpectralFunction(T.torus, T.coefficients + np.eye(1, 257)[0])
+        else:
+            T = _ESCALATED[field]()
+        assert T.is_real() == (field in ("heaviside", "2-d dirac"))
+        phi = pair32[0]
+        grid = default_grid(T.torus, phi)
+        reals = []
+        for box, y in zip(scales._boxes(T, phi, grid), grid.values()):
+            f = convolve_scaled(T, phi, y)
+            box[...] = f.coefficients[spectral._central(T.torus, box.shape[0] // 2)]
+            unboxed = scales._unbox(T, box)
+            np.testing.assert_array_equal(unboxed.coefficients, f.coefficients)
+            assert (unboxed.tag, unboxed.is_real()) == ("function", f.is_real())
+            reals.append(f.is_real())
+        assert set(reals) == {field != "complex"}
 
     @pytest.mark.parametrize("torus", [Torus(1, 1.0, 4096), Torus(2, 1.0, 64)], ids=["1-d", "2-d"])
     def test_boxes_are_a_dirac_convolutions_modes_in_one_array(self, pair32, torus):
