@@ -82,6 +82,13 @@ class AssociationReport:
         return to_jsonable(self)
 
 
+def _battery_entry(entry):
+    """entry, when it is a tuple (label, SpectralFunction), else InvalidParameter."""
+    if not (isinstance(entry, tuple) and len(entry) == 2 and isinstance(entry[1], SpectralFunction)):
+        raise InvalidParameter(f"battery entry must be a tuple (label, SpectralFunction), got {entry!r}")
+    return entry
+
+
 def association_verdict(T, net, battery, q, eps_grid: ScaleGrid, seed=None):
     """Classify the association of a net to T over a test-function battery.
 
@@ -98,9 +105,8 @@ def association_verdict(T, net, battery, q, eps_grid: ScaleGrid, seed=None):
         seed = real_parameter(seed, "battery seed", at_least=0, integer=True)
     if not battery:
         raise InvalidParameter("test-function battery is empty")
-    profiles = _pairing_profiles(T, net, [rho for _, rho in battery], eps_grid)
-    fits = [critical_exponent(profile) for profile in profiles]
-    ids = [label for label, _ in battery]
+    ids, rhos = map(list, zip(*map(_battery_entry, battery)))
+    fits = [critical_exponent(profile) for profile in _pairing_profiles(T, net, rhos, eps_grid)]
     slopes = [None if fit.is_sentinel else fit.slope for fit in fits]
     stderrs = [fit.stderr for fit in fits]  # a sentinel's is 0
     worst = min(fits, key=lambda fit: fit.slope)  # a sentinel's slope is +inf

@@ -6,6 +6,14 @@ of their norms converges for SOME s) or negligible (for EVERY s).  The "for
 every s" quantifier is rendered as signed integers |s| <= S_CAP plus the
 fitted-slope certificate; negative s is the binding direction.
 
+Nets compose, as the paper's algebra of nets does: minus, scaled_by and
+perturbed_net make new nets, and so does a cutoff.  The net chi * f_eps,
+localized by a window chi, is
+
+    function_net(lambda e: localize(net(e), chi), net.eps_min)
+
+whose profiles and verdicts are those of the localized norms.
+
 The two counterexample spike families live here as well: trains of
 plateau-with-ramp spikes centered at 1/n with width exp(-n) and heights
 n^{-2} exp(n/q) (a net whose square is not moderate) or exp(n/q - sqrt(n))
@@ -15,6 +23,7 @@ precision long before n reaches the default cap if handled naively.
 """
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -26,7 +35,6 @@ from .spectral import (
     SpectralFunction,
     _require,
     derivative_order,
-    localize,
     parse_exponent,
     real_parameter,
     sobolev_table,
@@ -74,6 +82,10 @@ class NetSpec:
     def __post_init__(self):
         if self.kind not in ("constant", "function"):
             raise InvalidParameter(f"unknown net kind {self.kind!r}")
+        _require(self.evaluator, Callable, "net evaluator")
+        _require(self.log_magnitude, (Callable, type(None)), "log_magnitude")
+        eps_min = real_parameter(self.eps_min, "net eps_min", at_least=0.0, below=1.0)
+        object.__setattr__(self, "eps_min", eps_min)
 
     def __call__(self, eps):
         return self.evaluator(real_parameter(eps, "net eps", self.eps_min, at_most=1.0))
@@ -114,6 +126,7 @@ def perturbed_net(base: NetSpec, g: SpectralFunction, amplitude, label=None):
     """f_eps = base(eps) + amplitude(eps) * g."""
     _require(base, NetSpec, "base")
     _require(g, SpectralFunction, "g")
+    _require(amplitude, Callable, "amplitude")
     return NetSpec(
         "function",
         lambda e: base(e) + amplitude(e) * g,
@@ -163,19 +176,22 @@ class SpikeNet:
         return replace(self, power=2 * self.power)
 
     def value(self, eps):
-        """Pointwise evaluation (continuous, zero between spikes)."""
-        for n in range(SPIKE_N_MIN, SPIKE_N_MAX + 1):
-            c = 1.0 / n
-            w = math.exp(-n)
-            if abs(eps - c) > w:
-                if eps > c + w:
-                    break
-                continue
-            d = abs(eps - c)
-            ramp = 1.0 if d <= w / 2.0 else (w - d) / (w / 2.0)
-            lh = float(self.log_height(n))
-            return ramp * math.exp(lh) if lh < 700.0 else math.inf
-        return 0.0
+        """Pointwise evaluation (continuous, zero between spikes).
+
+        Only the spike n = round(1/eps) can hold eps: w_n is below half the
+        spike spacing for every n >= SPIKE_N_MIN.  A nan eps raises.
+        """
+        eps = real_parameter(eps, "spike eps", at_least=-math.inf, at_most=math.inf)
+        # no spike holds eps <= 1/(2 SPIKE_N_MAX), where 1/eps may be inf
+        n = round(1.0 / eps) if 0.5 / SPIKE_N_MAX < eps <= 1.0 else 0
+        if not SPIKE_N_MIN <= n <= SPIKE_N_MAX:
+            return 0.0
+        d, w = abs(eps - 1.0 / n), math.exp(-n)
+        if d > w:
+            return 0.0
+        ramp = 1.0 if d <= w / 2.0 else (w - d) / (w / 2.0)
+        lh = float(self.log_height(n))
+        return ramp * math.exp(lh) if lh < 700.0 else math.inf
 
     def as_net(self):
         return constant_net(self.value, label=f"spike-{self.variant}(q={self.q:g})^{self.power}")
@@ -194,12 +210,6 @@ class SpikeIntegral:
 
     def to_dict(self):
         return to_jsonable(self)
-
-
-def _log_terms(net: SpikeNet, s, q_test, n_max):
-    """The terms of _spike_terms at s for every spike n = SPIKE_N_MIN..n_max, and n."""
-    n = np.arange(SPIKE_N_MIN, n_max + 1, dtype=float)
-    return _spike_terms(net, q_test, n)(s), n
 
 
 def _spike_terms(net: SpikeNet, q_test, n):
@@ -255,7 +265,8 @@ def spike_integral(net: SpikeNet, s, q_test, n_max=SPIKE_N_MAX):
     s = real_parameter(s, "s")
     q_test = parse_exponent(q_test, "q")
     n_max = real_parameter(n_max, "n_max", SPIKE_N_MIN, integer=True)
-    terms, n = _log_terms(net, s, q_test, n_max)
+    n = np.arange(SPIKE_N_MIN, n_max + 1, dtype=float)
+    terms = _spike_terms(net, q_test, n)(s)
     # running logsumexp for the partial-sum diagnostics
     order = np.maximum.accumulate(terms)
     partial = order + np.log(np.cumsum(np.exp(terms - order)))
@@ -295,27 +306,22 @@ class NegligibleVerdict:
         return "negligible" if self.negligible else f"not-negligible(s_fail={self.s_fail})"
 
 
-def net_sobolev_profile(net: NetSpec, k, p, window=None, eps_grid=None):
-    """Sample ||f_eps||_{W^{k,p}} (optionally window-localized) over eps.
-
-    A window chi applies spectral.localize, the pointwise product chi * f_eps,
-    before the norm.  The localized norms become small only once eps is
-    small next to the distance between the window and the singular support
-    of the net: a band-limited mollifier keeps O(1) values at distances
-    comparable to eps.
-    """
+def net_sobolev_profile(net: NetSpec, k, p, eps_grid=None):
+    """Sample ||f_eps||_{W^{k,p}} over eps."""
     if _require(net, NetSpec, "net").kind != "function":
         raise InvalidParameter("net_sobolev_profile needs a function net")
     k, p = derivative_order(k), parse_exponent(p)
-    grid = _default_eps_grid(net) if eps_grid is None else _require(eps_grid, ScaleGrid, "eps_grid")
-    fields = (net(e) if window is None else localize(net(e), window) for e in grid.values())
-    norms = sobolev_table(fields, range(k + 1), p).max(axis=1)
+    grid = _eps_grid(net, eps_grid)
+    norms = sobolev_table((net(e) for e in grid.values()), range(k + 1), p).max(axis=1)
     return ScaleProfile(grid, norms, {"k": k, "p": f"{p:g}", "net": net.label})
 
 
-def _default_eps_grid(net: NetSpec):
-    """64 scales from just above the net's eps_min (at least 1e-4) to 1."""
-    return ScaleGrid(max(1.05 * net.eps_min, 1e-4), 1.0, 64)
+def _eps_grid(net: NetSpec, eps_grid):
+    """The eps grid of a net: eps_grid, which must be a ScaleGrid, or when it
+    is None 64 scales from just above the net's eps_min (at least 1e-4) to 1."""
+    if eps_grid is None:
+        return ScaleGrid(max(1.05 * net.eps_min, 1e-4), 1.0, 64)
+    return _require(eps_grid, ScaleGrid, "eps_grid")
 
 
 def _magnitude_profile(net: NetSpec, grid):
@@ -356,7 +362,7 @@ def _superpolynomial_growth(profile):
     return half < full - 1.0 and half < -S_CAP
 
 
-def _convergence_test(net, q, k, p, window, eps_grid):
+def _convergence_test(net, q, k, p, eps_grid):
     """s -> whether the eps^{qs}-weighted q-integral of the net's norms converges.
 
     q is parsed first, for every net.  SpikeNet inputs use the divergence
@@ -377,12 +383,12 @@ def _convergence_test(net, q, k, p, window, eps_grid):
         n = n[_rule_spikes(n)]
         terms = _spike_terms(net, q, n)
         return lambda s: not _divergence(terms(s), n)[0]
-    grid = _default_eps_grid(net) if eps_grid is None else _require(eps_grid, ScaleGrid, "eps_grid")
+    grid = _eps_grid(net, eps_grid)
     if net.kind == "constant" and net.log_magnitude is not None:
         fit = _analytic_fit(net, grid)
     else:
         if net.kind == "function":
-            profile = net_sobolev_profile(net, k, p, window, grid)
+            profile = net_sobolev_profile(net, k, p, grid)
         else:
             profile = _magnitude_profile(net, grid)
         bad = profile is None or _superpolynomial_growth(profile)
@@ -392,16 +398,16 @@ def _convergence_test(net, q, k, p, window, eps_grid):
     return lambda s: _fit_verdict(fit, -s, q) == "convergent"
 
 
-def classify_moderate(net, q, k=0, p="inf", window=None, eps_grid=None):
+def classify_moderate(net, q, k=0, p="inf", eps_grid=None):
     """Smallest integer s, |s| <= S_CAP, making the weighted integral converge."""
-    converges = _convergence_test(net, q, k, p, window, eps_grid)
+    converges = _convergence_test(net, q, k, p, eps_grid)
     if converges is None:
         return ModerateVerdict(False)
     s_star = next((s for s in _S_SCAN if converges(s)), None)
     return ModerateVerdict(s_star is not None, s_star)
 
 
-def classify_negligible(net, q, p="inf", window=None, eps_grid=None):
+def classify_negligible(net, q, p="inf", eps_grid=None):
     """Negligibility: convergence for every signed integer |s| <= S_CAP.
 
     Only the k = 0 (L^p) profile is consulted: for compactly supported nets
@@ -411,11 +417,12 @@ def classify_negligible(net, q, p="inf", window=None, eps_grid=None):
 
     The verdict is limited by grid resolution: the fine half of eps_grid
     must show a slope above S_CAP.  On a 1024-point unit torus, the Dirac
-    net localized by bump(center=0.5, halfwidth=0.08) decays faster than
-    any power, yet ScaleGrid(0.02, 0.5, 16) reads not-negligible(s_fail=-10):
-    its fine-half slope is only about 6.5.
+    net localized by chi = bump(center=0.5, halfwidth=0.08),
+    function_net(lambda e: localize(net(e), chi), net.eps_min), decays
+    faster than any power, yet ScaleGrid(0.02, 0.5, 16) reads
+    not-negligible(s_fail=-10): its fine-half slope is only about 6.5.
     """
-    converges = _convergence_test(net, q, 0, p, window, eps_grid)
+    converges = _convergence_test(net, q, 0, p, eps_grid)
     if converges is None:
         return NegligibleVerdict(False, -S_CAP)
     s_fail = next((s for s in _S_SCAN if not converges(s)), None)

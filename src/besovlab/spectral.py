@@ -961,6 +961,11 @@ def localize(T: SpectralFunction, window: SpectralFunction) -> SpectralFunction:
     give a real product: its coefficients, symmetric up to rounding, are
     stored as their symmetric part 0.5 c_m + 0.5 conj(c_-m).  Any other
     product is real exactly when its coefficients are symmetric.
+
+    Localizing each field of a mollifier net gives a net too (see nets).
+    Its norms become small only once eps is small next to the distance
+    between the window and the singular support of the net: a band-limited
+    mollifier keeps O(1) values at distances comparable to eps.
     """
     _check_operands(T, window)
     wvals = dft_synthesize(window, 2)

@@ -252,3 +252,24 @@ def longest_first_window(t, b, shortest, tol):
         if np.max(np.abs(bb - (slope * tt + icept))) <= tol:
             return w
     return t.size
+
+
+def spike_value_scan(net, eps):
+    """SpikeNet.value by a scan over its spikes n = 4..120, nearest first.
+
+    The spike supports [1/n - exp(-n), 1/n + exp(-n)] are visited in
+    decreasing order of their centers; the scan stops at the first spike
+    that lies wholly below eps.
+    """
+    for n in range(4, 121):
+        c = 1.0 / n
+        w = math.exp(-n)
+        if abs(eps - c) > w:
+            if eps > c + w:
+                break
+            continue
+        d = abs(eps - c)
+        ramp = 1.0 if d <= w / 2.0 else (w - d) / (w / 2.0)
+        lh = float(net.log_height(n))
+        return ramp * math.exp(lh) if lh < 700.0 else math.inf
+    return 0.0

@@ -460,6 +460,44 @@ _TYPED_ERRORS = {  # case -> (error class, message fragment, call)
     "perturbed_net of None": (
         InvalidParameter, "base must be a NetSpec", lambda: perturbed_net(None, sine(_T8), lambda e: e)
     ),
+    # a net's callables, refused when the net is made, not at its first evaluation
+    "constant_net of None": (InvalidParameter, "net evaluator must be a Callable", lambda: constant_net(None)),
+    "function_net of None": (InvalidParameter, "net evaluator must be a Callable", lambda: function_net(None)),
+    "constant_net with a number log_magnitude": (
+        InvalidParameter, "log_magnitude must be a Callable or NoneType", lambda: constant_net(abs, log_magnitude=1.0)
+    ),
+    "perturbed_net by a number amplitude": (
+        InvalidParameter, "amplitude must be a Callable", lambda: perturbed_net(_SINE, sine(_T8), 0.1)
+    ),
+    "association_verdict with a None battery entry": (
+        InvalidParameter,
+        "battery entry must be a tuple",
+        lambda: association_verdict(sine(_T8), _SINE, [None], 2, _G16),
+    ),
+    "association_verdict with a battery entry of one field": (
+        InvalidParameter,
+        "battery entry must be a tuple",
+        lambda: association_verdict(sine(_T8), _SINE, [sine(_T8)], 2, _G16),
+    ),
+    "association_verdict with a battery entry of three items": (
+        InvalidParameter,
+        "battery entry must be a tuple",
+        lambda: association_verdict(sine(_T8), _SINE, [("rho", sine(_T8), 1)], 2, _G16),
+    ),
+    "association_verdict with a battery entry of a label and None": (
+        InvalidParameter,
+        "battery entry must be a tuple",
+        lambda: association_verdict(sine(_T8), _SINE, [*bump_battery(_T8, 1), ("rho", None)], 2, _G16),
+    ),
+    # a net's eps_min, checked when the net is made
+    "function_net string eps_min": (
+        InvalidParameter, r"net eps_min must be in \[0, 1\), got 'x'", lambda: function_net(abs, eps_min="x")
+    ),
+    "function_net eps_min 2": (InvalidParameter, "net eps_min", lambda: function_net(abs, eps_min=2.0)),
+    "function_net eps_min 1": (InvalidParameter, "net eps_min", lambda: function_net(abs, eps_min=1.0)),
+    "function_net nan eps_min": (InvalidParameter, "net eps_min", lambda: function_net(abs, eps_min=math.nan)),
+    "function_net negative eps_min": (InvalidParameter, "net eps_min", lambda: function_net(abs, eps_min=-0.1)),
+    "NetSpec None eps_min": (InvalidParameter, "net eps_min", lambda: NetSpec("function", abs, None)),
 }
 
 

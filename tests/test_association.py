@@ -14,7 +14,7 @@ from besovlab.errors import InvalidParameter
 from besovlab.nets import classify_negligible, function_net, perturbed_net
 from besovlab.scales import ScaleGrid, critical_exponent
 from besovlab.signals import bump, dirac, heaviside, kink, sine
-from besovlab.spectral import Torus, pairing
+from besovlab.spectral import Torus, localize, pairing
 
 
 @pytest.fixture(scope="module")
@@ -120,9 +120,11 @@ class TestAssociationVerdict:
         rep = association_verdict(T, net_b, battery, 2, grid, seed=7)
         assert rep.verdict == "rapid"
         eps_grid = ScaleGrid(grid.y_min * 1.001, grid.y_max, grid.count)
+        diff = net_a.minus(net_b)
         for window in (None, bump(torus, 0.3, 0.1), bump(torus, 0.7, 0.08)):
-            v = classify_negligible(net_a.minus(net_b), 2, window=window, eps_grid=eps_grid)
-            assert v.negligible
+            # a localized net is the net of localized fields
+            net = diff if window is None else function_net(lambda e: localize(diff(e), window), diff.eps_min)
+            assert classify_negligible(net, 2, eps_grid=eps_grid).negligible
 
 
 class TestSupportPreservationDecay:

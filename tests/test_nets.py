@@ -23,8 +23,8 @@ from besovlab.nets import (
 )
 from besovlab.scales import ScaleGrid, convergence_verdict, critical_exponent
 from besovlab.signals import bump, dirac, heaviside, sine
-from besovlab.spectral import Torus
-from oracles import direct_mode_sum, periodized_kernel_samples
+from besovlab.spectral import Torus, localize
+from oracles import direct_mode_sum, periodized_kernel_samples, spike_value_scan
 
 
 def spike_term_oracle(variant, q_net, power, s, q_test, n):
@@ -75,12 +75,37 @@ class TestSpikeNetGeometry:
             SpikeNet(q=2.0, variant="remark9")
 
 
+class TestSpikeLookup:
+    """SpikeNet.value reads the spike at n = round(1/eps); a scan over every
+    spike is the reference, compared bitwise."""
+
+    _RNG_EPS = np.random.default_rng(7).uniform(0.0, 1.0, 20_000)
+    # 61 points across +-1.5 w_n of every spike, and of its neighbours n = 3, 121..124
+    _NEAR_EPS = np.concatenate(
+        [1.0 / n + np.linspace(-1.5, 1.5, 61) * math.exp(-n) for n in range(3, 125)]
+    )
+    _EDGE_EPS = [0.0, -0.0, -0.25, 5e-324, 1e-300, 2.0, math.inf, -math.inf]
+
+    @pytest.mark.parametrize("variant", ["remark1", "remark2"])
+    @pytest.mark.parametrize("power", [1, 2, 3])
+    def test_lookup_is_the_scan(self, variant, power):
+        net = SpikeNet(q=2.0, variant=variant, power=power)
+        eps = [*self._NEAR_EPS.tolist(), *self._RNG_EPS.tolist(), *self._EDGE_EPS]
+        got = np.array([net.value(e) for e in eps])
+        want = np.array([spike_value_scan(net, e) for e in eps])
+        np.testing.assert_array_equal(got, want)
+        assert np.count_nonzero(got) > 61 * 117 // 2  # the spikes were hit
+
+    def test_nan_raises(self):
+        with pytest.raises(InvalidParameter, match="spike eps"):
+            SpikeNet(q=2.0).value(math.nan)
+
+
 class TestSpikeIntegral:
     def test_remark1_log_terms_match_oracle(self):
         net = SpikeNet(q=2.0, variant="remark1")
-        from besovlab.nets import _log_terms
-
-        terms, n = _log_terms(net, 0.5, 2.0, 120)
+        n = np.arange(4, 121, dtype=float)
+        terms = nets._spike_terms(net, 2.0, n)(0.5)
         np.testing.assert_allclose(
             terms, spike_term_oracle("remark1", 2.0, 1, 0.5, 2.0, n), rtol=1e-12
         )
@@ -126,7 +151,7 @@ class TestSpikeVerdicts:
     def test_verdicts_equal_spike_integral(self, variant, power, q):
         net = SpikeNet(q=q, variant=variant, power=power)
         for q_test in (1.0, 1.5, 2.0, 3.0, 4.0):
-            converges = nets._convergence_test(net, q_test, 0, "inf", None, None)
+            converges = nets._convergence_test(net, q_test, 0, "inf", None)
             for s in range(-10, 11):
                 assert converges(s) == spike_integral(net, s, q_test, n_max=CLASSIFY_N_MAX).finite
 
@@ -134,7 +159,8 @@ class TestSpikeVerdicts:
     def test_rule_terms_are_the_full_terms(self, n_max):
         net = SpikeNet(q=1.5, variant="remark2", power=2)
         for s in (-10.0, 0.5, 7.0):
-            terms, n = nets._log_terms(net, s, 3.0, n_max)
+            n = np.arange(nets.SPIKE_N_MIN, n_max + 1, dtype=float)
+            terms = nets._spike_terms(net, 3.0, n)(s)
             rule = nets._rule_spikes(n)
             np.testing.assert_array_equal(nets._spike_terms(net, 3.0, n[rule])(s), terms[rule])
             assert rule[0] == np.searchsorted(n, n[-1] / 2.0)
@@ -380,7 +406,8 @@ class TestNetSobolevProfile:
         grid = ScaleGrid(0.02, 0.5, 16)
         w = bump(torus1k, center=0.5, halfwidth=0.08)
         net = embed(dirac(torus1k), pair32[0], grid)
-        prof = net_sobolev_profile(net, 0, "inf", window=w, eps_grid=grid)
+        localized = function_net(lambda e: localize(net(e), w), net.eps_min)
+        prof = net_sobolev_profile(localized, 0, "inf", eps_grid=grid)
         # the flat-top phi is band-limited, not compactly supported: at
         # eps = 0.5 the mollified Dirac is still -0.457 at x = 0.5, so the
         # windowed norms are small only at fine scales.  Check the values
