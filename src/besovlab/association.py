@@ -12,6 +12,7 @@ band-limited bumps with seeded random centers and widths; the seed is part
 of the report.
 """
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,9 +104,10 @@ def association_verdict(T, net, battery, q, eps_grid: ScaleGrid, seed=None):
     q = parse_exponent(q, "q")
     if seed is not None:
         seed = real_parameter(seed, "battery seed", at_least=0, integer=True)
+    battery = [_battery_entry(entry) for entry in _require(battery, Iterable, "test-function battery")]
     if not battery:
         raise InvalidParameter("test-function battery is empty")
-    ids, rhos = map(list, zip(*map(_battery_entry, battery)))
+    ids, rhos = map(list, zip(*battery))
     fits = [critical_exponent(profile) for profile in _pairing_profiles(T, net, rhos, eps_grid)]
     slopes = [None if fit.is_sentinel else fit.slope for fit in fits]
     stderrs = [fit.stderr for fit in fits]  # a sentinel's is 0

@@ -140,11 +140,12 @@ def _profiles(T, kernel, grid: ScaleGrid, p):
     a warm N = 16384 analysis about 160 minor faults.  Other p keep T's
     torus, on which the grid sup and the rectangle rules sample: the first
     call streams the full-torus fields to sobolev_table, one at a time, and
-    keeps the modes of each that can be nonzero, in its box of _boxes; a
-    later call rebuilds the fields on T's torus from the boxes, one at a
-    time, with the same norms.  The order columns are kept in a list; a
-    call for a higher k appends the missing orders in one sobolev_table
-    pass, and profile k is the max of columns 0..k.
+    keeps the modes of each that can be nonzero, in its box of _boxes: for
+    a real T only the half with last-axis modes 0..b, since the other half
+    is their conjugate.  A later call rebuilds the fields on T's torus from
+    the boxes, one at a time, with the same norms.  The order columns are
+    kept in a list; a call for a higher k appends the missing orders in one
+    sobolev_table pass, and profile k is the max of columns 0..k.
     """
     _require(T, SpectralFunction, "T")
     _require(kernel, Kernel, "kernel")
@@ -167,15 +168,16 @@ def _profiles(T, kernel, grid: ScaleGrid, p):
     else:
         boxes = _boxes(T, kernel, grid)
 
-        def keep(box, f):
-            box[...] = f.coefficients[_central(f.torus, box.shape[0] // 2)]
+        def keep(b, box, y):
+            f = convolve_scaled(T, kernel, y)
+            box[...] = f.coefficients[_box_index(T.torus, b, T.is_real())]
             return f
 
         def fields():
             if columns:
-                return (_unbox(T, box) for box in boxes)
+                return (_unbox(T, b, box) for b, box in boxes)
             # a generator: it holds no field between two scales
-            return (keep(box, convolve_scaled(T, kernel, y)) for box, y in zip(boxes, grid.values()))
+            return (keep(b, box, y) for (b, box), y in zip(boxes, grid.values()))
 
     def profile_at(k):
         if k >= len(columns):
@@ -186,32 +188,51 @@ def _profiles(T, kernel, grid: ScaleGrid, p):
     return profile_at
 
 
-def _boxes(T, kernel, grid):
-    """Views of one new array, one per scale y of grid: the central (2b+1)^d
-    coefficient box, b = _support_bandwidth(kernel, T.torus, y), outside of
-    which every mode of convolve_scaled(T, kernel, y) is exactly 0, so
-    _unbox of a filled box gives back the convolution's norms.
+def _box_index(torus, b, real):
+    """The index of the modes a box keeps in torus's coefficient array: -b..b
+    on every axis, but 0..b on the last one for a real field, whose modes
+    -b..-1 there are the conjugates of the all-axes flip (_unbox)."""
+    m = torus.mode_max
+    return _central(torus, b)[:-1] + (slice(m if real else m - b, m + b + 1),)
 
-    One array, not one per scale: its size is fixed by the kernel, the grid
-    and the torus (5.2 MB for default_grid at 128^2, 0.7 MB at N = 4096),
-    whatever T.  glibc's malloc serves a block that size by mmap the first
-    time and, when it is freed, raises its mmap and trim thresholds past
-    it.  The heap then keeps the pages of an analysis's transient arrays
-    instead of trimming them after each scale and faulting them back in.
-    Boxes of their own, each below the threshold, leave that to the order
-    in which a process happens to run its analyses.
+
+def _boxes(T, kernel, grid):
+    """Pairs (b, box), one per scale y of grid: b = _support_bandwidth(kernel,
+    T.torus, y), outside of whose central (2b+1)^d modes every mode of
+    convolve_scaled(T, kernel, y) is exactly 0, and a view of one new array
+    shaped for the modes of _box_index(T.torus, b, T's realness), so _unbox
+    of a filled box gives back the convolution.  A real T's box holds
+    (2b+1)^(d-1) (b+1) modes, a complex T's (2b+1)^d.
+
+    One array, not one per scale: its size is fixed by the kernel, the grid,
+    the torus and T's realness (for default_grid, 2.7 MB at 128^2 and 0.35
+    MB at N = 4096 for a real T; 5.4 and 0.70 MB for a complex T).  glibc's
+    malloc serves a block that size by mmap the first time and, when it is
+    freed, raises its mmap and trim thresholds past it.  The heap then keeps
+    the pages of an analysis's transient arrays instead of trimming them
+    after each scale and faulting them back in.  Boxes of their own, each
+    below the threshold, leave that to the order in which a process happens
+    to run its analyses.
     """
-    shapes = [(2 * _support_bandwidth(kernel, T.torus, y) + 1,) * T.torus.dimension for y in grid.values()]
+    bands = [_support_bandwidth(kernel, T.torus, y) for y in grid.values()]
+    shapes = [tuple(s.stop - s.start for s in _box_index(T.torus, b, T.is_real())) for b in bands]
     sizes = [math.prod(shape) for shape in shapes]
     parts = np.split(np.empty(sum(sizes), complex), np.cumsum(sizes)[:-1])
-    return [part.reshape(shape) for part, shape in zip(parts, shapes)]
+    return [(b, part.reshape(shape)) for b, part, shape in zip(bands, parts, shapes)]
 
 
-def _unbox(T, box):
+def _unbox(T, b, box):
     """The function-tagged field on T's torus with the modes of a filled box
-    of _boxes, real by T._derived's rule: with no compare when T is real."""
+    (b, box) of _boxes, real by T._derived's rule: with no compare when T is
+    real.  For a real T the stored modes are written first, then the last
+    axis's modes -b..-1 are the conjugates of the all-axes flip: bitwise the
+    convolution's, since its multiplier is even and has a zero imaginary
+    part, so the product keeps T's exact symmetry."""
     full = np.zeros(T.torus.coeff_shape(), complex)
-    full[_central(T.torus, box.shape[0] // 2)] = box
+    full[_box_index(T.torus, b, T.is_real())] = box
+    if T.is_real():
+        m = T.torus.mode_max
+        full[..., m - b : m] = np.conj(np.flip(full[..., m + 1 : m + b + 1]))
     return T._derived(full, tag="function")
 
 

@@ -484,6 +484,17 @@ _TYPED_ERRORS = {  # case -> (error class, message fragment, call)
         "battery entry must be a tuple",
         lambda: association_verdict(sine(_T8), _SINE, [("rho", sine(_T8), 1)], 2, _G16),
     ),
+    # the battery is taken as a list once: an empty iterator is an empty battery
+    "association_verdict with an empty iterator battery": (
+        InvalidParameter,
+        "test-function battery is empty",
+        lambda: association_verdict(sine(_T8), _SINE, iter([]), 2, _G16),
+    ),
+    "association_verdict with a number battery": (
+        InvalidParameter,
+        "test-function battery must be a Iterable, got 5",
+        lambda: association_verdict(sine(_T8), _SINE, 5, 2, _G16),
+    ),
     "association_verdict with a battery entry of a label and None": (
         InvalidParameter,
         "battery entry must be a tuple",

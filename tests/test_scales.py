@@ -243,19 +243,21 @@ class TestBandTorus:
         assert [c.cache_info().misses for c in caches] == misses
 
 
-def _translated(f, offset):
-    """f(x - offset) on every axis: coefficients with phases, unlike those of
-    a Dirac at 0."""
-    phase = np.exp(-1j * f.torus.frequencies() * offset)
-    if f.torus.dimension == 2:
-        phase = phase[:, None] * phase[None, :]
+def _translated(f, *offsets):
+    """f(x - offsets), one offset per axis: coefficients with phases, unlike
+    those of a Dirac at 0."""
+    phases = [np.exp(-1j * f.torus.frequencies() * offset) for offset in offsets]
+    phase = phases[0] if f.torus.dimension == 1 else phases[0][:, None] * phases[1][None, :]
     return SpectralFunction(f.torus, f.coefficients * phase, f.tag)
 
 
 _ESCALATED = {  # field -> its builder
     "heaviside": lambda: heaviside(Torus(1, 1.0, 256)),
+    "translated heaviside": lambda: _translated(heaviside(Torus(1, 1.0, 256)), 0.23),
     "complex": lambda: _random_field(Torus(1, 1.0, 256)),
-    "2-d dirac": lambda: _translated(dirac(Torus(2, 1.0, 64)), 0.3),
+    "2-d dirac": lambda: _translated(dirac(Torus(2, 1.0, 64)), 0.3, 0.3),
+    # no symmetry of its own on either axis, nor under swapping them
+    "2-d dirac at (0.3, 0.1)": lambda: _translated(dirac(Torus(2, 1.0, 64)), 0.3, 0.1),
 }
 
 
@@ -275,13 +277,16 @@ def convolutions(monkeypatch):
 
 class TestKeptBoxes:
     """At p != 2 each scale's convolution is kept as the box of its nonzero
-    modes, and an escalation rebuilds the fields from the boxes; at p = 2
-    the band-torus fields are kept, and an escalation reads them again."""
+    modes, half of it for a real T, and an escalation rebuilds the fields
+    from the boxes; at p = 2 the band-torus fields are kept, and an
+    escalation reads them again."""
 
     @pytest.mark.parametrize(
         "field,p",
         [(f, p) for f in ("heaviside", "complex") for p in (1, 1.5, "inf")]
         + [("2-d dirac", "inf")]
+        # real fields with phases on every axis, through the half boxes
+        + [(f, p) for f in ("translated heaviside", "2-d dirac at (0.3, 0.1)") for p in (1, "inf")]
         + [(f, 2) for f in _ESCALATED],
     )
     def test_escalation_matches_a_one_shot_sweep(self, pair32, convolutions, field, p):
@@ -295,7 +300,7 @@ class TestKeptBoxes:
         assert len(convolutions) == grid.count  # the escalation convolved nothing
         np.testing.assert_array_equal(escalated, sweep(T, phi, grid, 3, p).norms)
 
-    @pytest.mark.parametrize("field", ["heaviside", "complex", "complex at -N/2", "2-d dirac"])
+    @pytest.mark.parametrize("field", ["complex at -N/2", *_ESCALATED])
     def test_an_unboxed_field_is_its_convolution(self, pair32, field):
         # real by T._derived's rule: every field of a real T is real, and a
         # complex T's are compared, so that a kernel dropping T's only
@@ -305,14 +310,14 @@ class TestKeptBoxes:
             T = SpectralFunction(T.torus, T.coefficients + np.eye(1, 257)[0])
         else:
             T = _ESCALATED[field]()
-        assert T.is_real() == (field in ("heaviside", "2-d dirac"))
+        assert T.is_real() == ("complex" not in field)
         phi = pair32[0]
         grid = default_grid(T.torus, phi)
         reals = []
-        for box, y in zip(scales._boxes(T, phi, grid), grid.values()):
+        for (b, box), y in zip(scales._boxes(T, phi, grid), grid.values()):
             f = convolve_scaled(T, phi, y)
-            box[...] = f.coefficients[spectral._central(T.torus, box.shape[0] // 2)]
-            unboxed = scales._unbox(T, box)
+            box[...] = f.coefficients[scales._box_index(T.torus, b, T.is_real())]
+            unboxed = scales._unbox(T, b, box)
             np.testing.assert_array_equal(unboxed.coefficients, f.coefficients)
             assert (unboxed.tag, unboxed.is_real()) == ("function", f.is_real())
             reals.append(f.is_real())
@@ -320,16 +325,24 @@ class TestKeptBoxes:
 
     @pytest.mark.parametrize("torus", [Torus(1, 1.0, 4096), Torus(2, 1.0, 64)], ids=["1-d", "2-d"])
     def test_boxes_are_a_dirac_convolutions_modes_in_one_array(self, pair32, torus):
-        # every mode of a Dirac is nonzero, so each box is the tightest one
-        T, phi = dirac(torus), pair32[0]
+        # every mode of a Dirac is nonzero, so each b is the tightest one; a
+        # real T's box keeps the last axis's modes 0..b, a complex T's -b..b
+        real = dirac(torus)
+        complex_ = SpectralFunction(torus, 1j * real.coefficients)
+        phi, d = pair32[0], torus.dimension
         grid = default_grid(torus, phi)
-        boxes = scales._boxes(T, phi, grid)
-        widths = [convolve_scaled(T, phi, y).active_bandwidth(rtol=0.0) for y in grid.values()]
-        assert [box.shape for box in boxes] == [(2 * b + 1,) * torus.dimension for b in widths]
-        assert len({id(box.base) for box in boxes}) == 1
+        widths = [convolve_scaled(real, phi, y).active_bandwidth(rtol=0.0) for y in grid.values()]
+        for T, last in ((real, lambda b: b + 1), (complex_, lambda b: 2 * b + 1)):
+            boxes = scales._boxes(T, phi, grid)
+            assert [b for b, _ in boxes] == widths
+            for b, box in boxes:
+                assert box.shape == T.coefficients[scales._box_index(torus, b, T.is_real())].shape
+                assert box.size == (2 * b + 1) ** (d - 1) * last(b)
+            assert len({id(box.base) for _, box in boxes}) == 1
 
     def test_2d_dirac_detection_holds_boxes_not_fields(self, pair32):
-        # 48 full 128^2 fields are 12.8 MB; their boxes about half of that
+        # 48 full 128^2 fields are 12.8 MB; their boxes, half of each kept
+        # for a real T, 2.7 MB
         T = dirac(Torus(2, 1.0, 128))
         detect_regularity(T, "inf", "inf", 1, pair32)  # warm the caches
         tracemalloc.start()
@@ -338,7 +351,7 @@ class TestKeptBoxes:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 10 * 2**20
+        assert peak < 5 * 2**20
 
     def test_smooth_detection_takes_every_order_in_one_pass(
         self, torus4k, pair32, lp_torus_sizes, convolutions, monkeypatch
