@@ -134,7 +134,7 @@ def _profiles(T, kernel, grid: ScaleGrid, p):
 
     Each scale is convolved once.  At p = 2 it is convolved on its band
     torus (_band_restrict), and the fields are made first and kept: the
-    scales share few band tori (8 for the 48 scales of default_grid at N =
+    scales share few band tori (8 for the 24 scales of default_grid at N =
     16384), and T is restricted once to each.  Made one at a time between
     the norms instead, the fields, which grow toward the fine scales, cost
     a warm N = 16384 analysis about 160 minor faults.  Other p keep T's
@@ -205,14 +205,17 @@ def _boxes(T, kernel, grid):
     (2b+1)^(d-1) (b+1) modes, a complex T's (2b+1)^d.
 
     One array, not one per scale: its size is fixed by the kernel, the grid,
-    the torus and T's realness (for default_grid, 2.7 MB at 128^2 and 0.35
-    MB at N = 4096 for a real T; 5.4 and 0.70 MB for a complex T).  glibc's
+    the torus and T's realness (for default_grid, 1.37 MB at 128^2 and 0.18
+    MB at N = 4096 for a real T; 2.72 and 0.36 MB for a complex T).  glibc's
     malloc serves a block that size by mmap the first time and, when it is
     freed, raises its mmap and trim thresholds past it.  The heap then keeps
     the pages of an analysis's transient arrays instead of trimming them
     after each scale and faulting them back in.  Boxes of their own, each
     below the threshold, leave that to the order in which a process happens
-    to run its analyses.
+    to run its analyses.  The trim threshold is twice the array, which at
+    128^2 is less than a 2-d analysis frees at its end: between analyses
+    the heap can still be trimmed, and the next 2-d one faults about 340
+    pages back in.
     """
     bands = [_support_bandwidth(kernel, T.torus, y) for y in grid.values()]
     shapes = [tuple(s.stop - s.start for s in _box_index(T.torus, b, T.is_real())) for b in bands]

@@ -130,7 +130,7 @@ _NO_OVERFLOW = sys.float_info.max / 2
 # log2(N/8) + 1 band tori, each with one multiplier per derivative order:
 # detect_smooth at N = 16384 uses about 8 tori x 8 orders.  A kernel
 # multiplier or band torus is one entry per scale: the detect-lp mix needs
-# 48 on its 1-d torus and 48 on its 2-d one.  These must stay cached.
+# 24 on its 1-d torus and 24 on its 2-d one.  These must stay cached.
 # An entry holds at most one array of the torus's coefficient shape (the
 # layouts, the radius index, a derivative multiplier); a kernel multiplier
 # holds at most one complex value per distinct radius: N/2 + 1 in 1-d, at

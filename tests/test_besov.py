@@ -196,14 +196,25 @@ class TestDetectRegularity:
         assert rep.r_hat == pytest.approx(want, abs=0.1)
         assert rep.k_used > rep.r_hat + 1.0
 
-    @pytest.mark.parametrize("alpha", [0.3, 0.7])
-    def test_lacunary_exponents(self, torus4k, pair32, alpha):
-        W = lacunary(torus4k, alpha)
+    @pytest.mark.parametrize(
+        "alpha,p,n",
+        [pytest.param(alpha, "inf", 4096, id=f"{alpha}") for alpha in (0.3, 0.7)]
+        # at N = 1024 a fit window within about one octave can sit on a flat
+        # tread between two lacunary modes: r_hat ~ 12.5, "inconclusive"
+        + [
+            pytest.param(alpha, p, 1024, id=f"{alpha}-p={p}-N=1024")
+            for alpha in (0.3, 0.5, 0.7)
+            for p in (1.0, 2.0, "inf")
+        ],
+    )
+    def test_lacunary_exponents(self, pair32, alpha, p, n):
+        W = lacunary(Torus(1, 1.0, n), alpha)
         # independent sampled-oscillation check of the corpus exponent:
         # lags start above the band-limit smoothing scale (top mode N/4)
         osc = second_difference_exponent(dft_synthesize(W, 2).real, 1.0, min_lag=32)
         assert osc == pytest.approx(alpha, abs=0.1)
-        rep = detect_regularity(W, "inf", "inf", "auto", pair32)
+        rep = detect_regularity(W, p, "inf", "auto", pair32)
+        assert rep.verdict == "besov"
         assert rep.r_hat == pytest.approx(alpha, abs=0.07)
 
     def test_starting_k_above_smoothness_is_kept(self, torus4k, pair32):
@@ -271,8 +282,12 @@ class TestDetectSmooth:
             assert ev.growth_rate < 0.1
 
     def test_singular_inputs_are_not_smooth(self, torus4k, pair32):
-        for T in (dirac(torus4k), heaviside(torus4k), lacunary(torus4k, 0.5)):
-            ev = detect_smooth(T, "inf", "inf", pair32)
+        cases = [(T, "inf") for T in (dirac(torus4k), heaviside(torus4k), lacunary(torus4k, 0.5))]
+        # at N = 512 and 1024 a fit window inside one octave can sit on a flat
+        # tread between two lacunary modes: s_hat(k) ~ 0 at every k, "smooth"
+        cases += [(lacunary(Torus(1, 1.0, n), 0.5), p) for n in (512, 1024) for p in (2.0, "inf")]
+        for T, p in cases:
+            ev = detect_smooth(T, p, "inf", pair32)
             assert not ev.smooth
             assert ev.growth_rate > 0.9
 

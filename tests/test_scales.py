@@ -341,8 +341,8 @@ class TestKeptBoxes:
             assert len({id(box.base) for _, box in boxes}) == 1
 
     def test_2d_dirac_detection_holds_boxes_not_fields(self, pair32):
-        # 48 full 128^2 fields are 12.8 MB; their boxes, half of each kept
-        # for a real T, 2.7 MB
+        # 24 full 128^2 fields are 6.4 MB; their boxes, half of each kept
+        # for a real T, 1.37 MB
         T = dirac(Torus(2, 1.0, 128))
         detect_regularity(T, "inf", "inf", 1, pair32)  # warm the caches
         tracemalloc.start()
@@ -351,7 +351,7 @@ class TestKeptBoxes:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 5 * 2**20
+        assert peak < 3.5 * 2**20
 
     def test_smooth_detection_takes_every_order_in_one_pass(
         self, torus4k, pair32, lp_torus_sizes, convolutions, monkeypatch
