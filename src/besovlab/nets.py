@@ -161,7 +161,7 @@ class SpikeNet:
     def __post_init__(self):
         if self.variant not in ("remark1", "remark2"):
             raise InvalidParameter(f"unknown spike variant {self.variant!r}")
-        real_parameter(self.power, "spike power", at_least=1, integer=True)
+        object.__setattr__(self, "power", real_parameter(self.power, "spike power", at_least=1, integer=True))
         object.__setattr__(self, "q", parse_exponent(self.q, "q"))
 
     def log_height(self, n):

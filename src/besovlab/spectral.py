@@ -13,6 +13,9 @@ otherwise.  Real-valued inputs are synthesized from the half spectrum.
 A p = 2 scale sweep convolves each scale on its band torus, the smallest
 power-of-two torus holding K_y's support (_band_restrict); other p keep T's
 torus, whose size sets the errors of the grid sup and rectangle rules.
+There, a scale whose kernel box (_support_bandwidth: every mode of the
+convolution outside it is 0) is narrower than half the torus multiplies
+only the box; on a band torus the box is never that narrow.
 
 Arrays enter a SpectralFunction by one of two doors.  An outside array
 goes through the public constructor, which checks it (a Torus, numbers
@@ -29,6 +32,10 @@ of its own.  The sum also bounds every modulus, |c_m| <= sqrt(sum): the
 arithmetic that derives one object from another (derivative, a scalar
 multiple, a sum or difference) reads from it whether its result can
 overflow, and only if it can runs under np.errstate (_overflow_guarded).
+A field also keeps its band, the largest max_i |m_i| over its nonzero
+coefficients (_band), computed on first need: the p = inf cosets and the
+p = 1 grid of a real 1-d field and the box a pairing reads are sized by
+it, so a band-limited field costs its band, not its torus.
 
 The multipliers K_hat(y |xi|) are cached per (kernel, torus, y), one value
 per distinct radius |xi| of the torus (_kernel_multiplier).
@@ -42,12 +49,18 @@ _band_restrict and a real multiple keep a real input's symmetry, and so do
 a sum and difference of real fields (IEEE rounding is symmetric under a
 sign change), with no compare; a field made from a complex one compares its
 coefficients once, since a route may drop its asymmetric modes.  A real g
-pairs by one contiguous np.vdot(g, f), with no reversed copy of g.  A zero
-field (sum |c_m|^2 = 0) has norm 0 at every p, with no synthesis.
+pairs by one np.vdot(g, f) over the box of g's band (contiguous in 1-d),
+with no reversed copy of g.  A zero field (sum |c_m|^2 = 0) has norm 0 at
+every p, with no synthesis.
 
 Every synthesis (_synthesize) places the modes of f into one array
 allocated per call and transforms it in place (numpy's out=), unscaled
-(norm="forward"); lp_norm takes |f| of a real grid in place.
+(norm="forward"); lp_norm takes |f| of a real grid in place.  The sup of a
+real 1-d field of band 0 < B < N/2 is read from the same 2N-point grid
+synthesized as 2N/M interleaved M-point irffts of the twisted half
+spectrum, M the power of two (at least 256) above 2B (_coset_sup); a band-0
+field is a constant, whose sup is |c_0|.  Complex and 2-d fields, a full
+band and a torus of fewer than 256 points take the one 2N-point synthesis.
 
 Conventions
 -----------
@@ -89,7 +102,8 @@ __all__ = [
 ]
 
 # Oversampling of the synthesis grid used by the norm quadratures.  The sup
-# at p = inf is the maximum over the 2x grid.  That grid misses the peak by
+# at p = inf is the maximum over the 2x grid (of a real 1-d field, from the
+# cosets of its band: _coset_sup).  That grid misses the peak by
 # up to a sub-cell phase, so the grid sup is biased low at the finest
 # scales (a jump's fitted exponent is off by up to 0.13 at N = 128); a
 # certified sup is still open.  Other finite p != 2 keep the second-order
@@ -98,6 +112,11 @@ __all__ = [
 # of two above twice its bandwidth (see _l1_norm), and doubles up to the 16x
 # grid.  p = 2 needs no grid (Parseval).
 _SUP_OVERSAMPLE = 2
+# The shortest transform of the p = inf cosets (_coset_sup).  Shorter ones
+# mean more of them, and numpy's batched irfft and the twist pay per coset:
+# at N = 4096 a band of 1-12 took 33-36 us with 256 points against 46-53 us
+# with 16.
+_COSET_MIN = 256
 _QUAD_OVERSAMPLE_GEN = 16
 _L1_OVERSAMPLE = 8
 # Relative error the p = 1 rule's estimate must reach by the 16x grid, else
@@ -134,7 +153,10 @@ _NO_OVERFLOW = sys.float_info.max / 2
 # An entry holds at most one array of the torus's coefficient shape (the
 # layouts, the radius index, a derivative multiplier); a kernel multiplier
 # holds at most one complex value per distinct radius: N/2 + 1 in 1-d, at
-# most (N/2 + 1)(N/2 + 2)/2 in 2-d.
+# most (N/2 + 1)(N/2 + 2)/2 in 2-d.  The one twiddle table of the p = inf
+# cosets (_roots) is per 2x grid size n = 2N: the n-th roots of unity
+# exp(2 pi i k / n), k < n/2, N complex values, 16 N bytes (64 KiB at N =
+# 4096); every band's cosets index into it.
 _TORUS_CACHE_SIZE = 128
 
 
@@ -296,7 +318,7 @@ class SpectralFunction:
         c.setflags(write=False)
         object.__setattr__(self, "coefficients", c)
 
-    def _derived(self, c, torus=None, tag=None, real=None):
+    def _derived(self, c, torus=None, tag=None, real=None, support=None):
         """The SpectralFunction of c, an array the library made from self.
 
         c is complex, of its torus's shape, and no caller holds it writeable,
@@ -305,14 +327,15 @@ class SpectralFunction:
         fail or needs is kept: the finiteness check with the kept sum, and
         read-only coefficients.  torus and tag default to self's; real (c
         exactly symmetric) to True for a real self, whose symmetry every
-        derived route keeps, else to one compare of c.
+        derived route keeps, else to one compare of c.  support, a view of c
+        outside of which c is 0, is the part the sum and the check read.
         """
         out = object.__new__(SpectralFunction)
         state = {
             "torus": self.torus if torus is None else torus,
             "coefficients": c,
             "tag": self.tag if tag is None else tag,
-            "_sum_sq": _finite_sum_sq(c),
+            "_sum_sq": _finite_sum_sq(c if support is None else support),
             "_real": (self._real or _is_conjugate_symmetric(c)) if real is None else real,
         }
         c.setflags(write=False)
@@ -365,6 +388,22 @@ class SpectralFunction:
             return 0
         active = c > rtol * peak
         return int(self.torus.band_index()[active].max()) if active.any() else 0
+
+    @functools.cached_property
+    def _band(self):
+        """The largest max_i |m_i| over the nonzero coefficients, the number
+        active_bandwidth(rtol=0.0) returns, computed on first need and kept:
+        the band the p = inf and p = 1 grids, the convolution box and the
+        pairing read.  In 1-d it is read off the first and last nonzero
+        float of the (real, imaginary) pairs.
+        """
+        c = self.coefficients
+        if c.ndim == 2:
+            nonzero = c != 0.0
+            return int(self.torus.band_index()[nonzero].max()) if nonzero.any() else 0
+        nonzero = (np.ascontiguousarray(c).view(float) != 0.0).nonzero()[0]
+        m = self.torus.mode_max
+        return int(max(m - nonzero[0] // 2, nonzero[-1] // 2 - m)) if nonzero.size else 0
 
     def spectrum_decayed(self):
         """True when the outer 1/16 of the mode range is below 1e-12 * max|c|."""
@@ -642,13 +681,16 @@ def lp_norm(f: SpectralFunction, p):
     over f.  A zero field has norm 0 at every p,
     with no synthesis: its kept sum is 0, and since moduli below 1e-162
     square to 0, every coefficient is then checked to be 0.  p = inf is
-    the sup over the 2x-oversampled grid.  p = 1 on a real 1-d input is
-    the rectangle rule with the kinks of |f| corrected in closed form, on a
-    grid sized by f's bandwidth and refined until its error estimate is
-    below 1e-7 of the norm, up to the 16x grid (_l1_norm).  Other finite
-    p, 2-d and complex inputs use the rectangle rule on the 16x grid.  Real
-    inputs (SpectralFunction.is_real) are synthesized from the half
-    spectrum, others by a complex transform.
+    the sup over the 2x-oversampled grid; for a real 1-d input of band B =
+    f._band below N/2 that grid is synthesized as cosets by transforms of
+    the power of two (at least 256) above 2B, when that is at most N
+    (_coset_sup), and a band-0 input, a constant, has sup |c_0|.  p = 1 on
+    a real 1-d input is the rectangle rule with the kinks of |f| corrected
+    in closed form, on a grid sized by f's bandwidth and refined until its
+    error estimate is below 1e-7 of the norm, up to the 16x grid
+    (_l1_norm).  Other finite p, 2-d and complex inputs use the rectangle
+    rule on the 16x grid.  Real inputs (SpectralFunction.is_real) are
+    synthesized from the half spectrum, others by a complex transform.
 
     Raises AliasingRisk for a distribution-tagged input with p < inf whose
     spectrum has not decayed at the band edge (the norm would be dominated
@@ -667,6 +709,12 @@ def lp_norm(f: SpectralFunction, p):
     real = f.is_real()
     if p == 1.0 and real and d == 1:
         return _l1_norm(f)
+    if math.isinf(p) and real and d == 1:
+        if f._band == 0:  # a constant
+            return abs(float(f.coefficients[f.torus.mode_max].real))
+        size = max(_COSET_MIN, 1 << (2 * f._band).bit_length())
+        if size <= f.torus.grid_size:
+            return _coset_sup(f, size)
     over = _SUP_OVERSAMPLE if math.isinf(p) else _QUAD_OVERSAMPLE_GEN
     vals = _synthesize(f, over * f.torus.grid_size, real)
     mags = np.abs(vals, out=vals) if real else np.abs(vals)
@@ -678,10 +726,42 @@ def lp_norm(f: SpectralFunction, p):
     return float((np.sum(mags) * cell) ** (1.0 / p))
 
 
+def _coset_sup(f: SpectralFunction, size):
+    """The sup of a real 1-d f over the 2x grid of n = 2N points, from r =
+    n/size interleaved size-point transforms (the pruned FFT: J. D. Markel,
+    "FFT pruning", 1971).
+
+    size is a power of two above twice the band B = f._band, so its modes
+    -B..B fall in distinct bins.  Grid point r k + s, s < r, is
+
+        f(x_{rk+s}) = sum_m (c_m w^{ms}) exp(2 pi i m k / size),  w = exp(2 pi i / n):
+
+    coset s is the size-point synthesis of the twisted spectrum c_m w^{ms},
+    conjugate-symmetric as c is, so one irfft of its modes 0..B.  The twist
+    reads _roots(n) at s m < n/2.  The r cosets hold the same n values as
+    the full grid, computed with n/size-fold shorter transforms.
+    """
+    n = _SUP_OVERSAMPLE * f.torus.grid_size
+    b, m = f._band, f.torus.mode_max
+    twist = _roots(n).take(np.multiply.outer(np.arange(n // size), np.arange(b + 1)))
+    spectra = np.zeros((n // size, size // 2 + 1), complex)
+    np.multiply(twist, f.coefficients[m : m + b + 1], out=spectra[:, : b + 1])
+    vals = np.fft.irfft(spectra, n=size, axis=-1, norm="forward")
+    return float(np.max(np.abs(vals, out=vals)))
+
+
+@functools.lru_cache(maxsize=_TORUS_CACHE_SIZE)
+def _roots(n):
+    """exp(2 pi i k / n) for k < n/2, read-only (cached per grid size)."""
+    out = np.exp((2j * np.pi / n) * np.arange(n // 2))
+    out.flags.writeable = False
+    return out
+
+
 def _l1_norm(f: SpectralFunction):
     """||f||_1 of a real 1-d f by _l1_rule, on a grid sized by its bandwidth.
 
-    f is a trigonometric polynomial of degree B = active_bandwidth(rtol=0),
+    f is a trigonometric polynomial of degree B = f._band,
     so its modes 0..nb/2, nb = min(N, max(8, smallest power of two > 2B)),
     synthesized on n = 8 nb points are exactly its values there.  nb stays
     above 2B: a top mode at nb/2, as a power-of-two band has, would fail
@@ -692,7 +772,7 @@ def _l1_norm(f: SpectralFunction):
     where an estimate still above it raises QuadratureInaccurate.
     """
     torus = f.torus
-    nb = min(torus.grid_size, max(8, 1 << (2 * f.active_bandwidth(rtol=0.0)).bit_length()))
+    nb = min(torus.grid_size, max(8, 1 << (2 * f._band).bit_length()))
     n = _L1_OVERSAMPLE * nb
     while True:
         vals = _synthesize(f, n, real=True)  # modes above B < n/2 are 0
@@ -835,7 +915,7 @@ def sobolev_table(fields, orders, p):
         d = _require(f, SpectralFunction, "field").torus.dimension
         rows.append([max([lp_norm(f.derivative(a) if nz else f, p) for a, nz in g]) for g in alphas[d]])
         del f  # released before the next field is made
-    return np.asarray(rows, dtype=float)
+    return np.asarray(rows, dtype=float).reshape(len(rows), len(orders))
 
 
 def sobolev_norm(f: SpectralFunction, k, p):
@@ -862,17 +942,31 @@ def convolve_scaled(T: SpectralFunction, kernel, y):
     coefficients are c_m * K_hat(y xi_m): exact, no quadrature.  Scales below
     min_scale(kernel, torus) are rejected (the scaled spectrum would extend
     past Nyquist, silently truncating the result), and so are non-finite
-    ones.  The multiplier is read from _kernel_multiplier.
+    ones.  The multiplier is read from _kernel_multiplier.  At a scale of
+    at least twice the smallest, the kernel's box (_support_bandwidth, the
+    modes -b..b per axis, b <= N/4) is narrower than half the torus: only
+    its modes are multiplied, and the result's sum of squares is read from
+    them, since every mode outside it is exactly 0.  Below that, as on
+    every band torus of a p = 2 sweep but the smallest, all modes are.
     """
     _require(T, SpectralFunction, "T")
     _require(kernel, kernels.Kernel, "kernel")
     y = real_parameter(y, "scale", 0.0, error=ScaleOutOfRange)
-    if y < _scale_floor(kernel, T.torus):
+    floor = _scale_floor(kernel, T.torus)
+    if y < floor:
         lo = min_scale(kernel, T.torus)
         raise ScaleOutOfRange(f"scale {y:.6g} below minimum {lo:.6g} for this kernel/torus")
-    # radii past the entry's end take its last value, 0
-    mult = _kernel_multiplier(kernel, T.torus, y).take(_distinct_radii(T.torus)[1], mode="clip")
-    return T._derived(T.coefficients * mult, tag="function")
+    table, where = _kernel_multiplier(kernel, T.torus, y), _distinct_radii(T.torus)[1]
+    # radii past the entry's end take its last value, 0; mult lives until the
+    # field is made: freed before, it left detect-lp's peak RSS 0.6 MiB higher
+    if y < 2.0 * floor:
+        mult = table.take(where, mode="clip")
+        return T._derived(T.coefficients * mult, tag="function")
+    box = _central(T.torus, _support_bandwidth(kernel, T.torus, y))
+    mult = table.take(where[box], mode="clip")
+    c = np.zeros(T.torus.coeff_shape(), complex)
+    np.multiply(T.coefficients[box], mult, out=c[box])
+    return T._derived(c, tag="function", support=c[box])
 
 
 @functools.lru_cache(maxsize=_TORUS_CACHE_SIZE)
@@ -999,17 +1093,21 @@ def pairing(f: SpectralFunction, g: SpectralFunction):
     """Distributional pairing <f, g> = integral of f*g over one period.
 
     Computed as the spectral sum L^d * sum_m f_m g_{-m}; exact for the
-    represented truncations.  A real g (g_{-m} == conj(g_m) exactly,
-    SpectralFunction.is_real) pairs by one contiguous np.vdot(g, f) =
-    sum_m conj(g_m) f_m: the same products in the same order as the
-    flipped dot that a complex g takes.
+    represented truncations.  Only the central box of g's band (the modes
+    -b..b per axis, b = g._band, kept by g) is read: every other g_m is 0.
+    A real g (g_{-m} == conj(g_m) exactly, SpectralFunction.is_real) pairs
+    by one np.vdot(g, f) = sum_m conj(g_m) f_m over the box, contiguous in
+    1-d: the same products in the same order as the flipped dot over the
+    same box that a complex g takes.
     """
     _check_operands(f, g)
+    box = _central(g.torus, g._band)
+    f_box, g_box = f.coefficients[box], g.coefficients[box]
     if g._real:
-        total = np.vdot(g.coefficients, f.coefficients)
+        total = np.vdot(g_box, f_box)
     else:
-        # the flat C-order array reversed is the flip on every axis: one dot
-        total = np.dot(f.coefficients.ravel(), g.coefficients.ravel()[::-1])
+        # the flat C-order box reversed is its flip on every axis: one dot
+        total = np.dot(f_box.ravel(), g_box.ravel()[::-1])
     return complex(total * f.torus.length ** f.torus.dimension)
 
 

@@ -70,6 +70,12 @@ class TestSpikeNetGeometry:
             with pytest.raises(InvalidParameter, match="q must be"):
                 SpikeNet(q=bad)
 
+    def test_power_parsed(self):
+        assert SpikeNet(q=1, power=True).as_net().label == "spike-remark1(q=1)^1"
+        net = SpikeNet(q=2.0, power=np.int64(2))
+        assert type(net.power) is int and net.power == 2
+        assert net.squared().power == 4 and type(net.squared().power) is int
+
     def test_rejects_unknown_variant(self):
         with pytest.raises(InvalidParameter):
             SpikeNet(q=2.0, variant="remark9")

@@ -350,6 +350,66 @@ class TestLpNorm:
             lp_norm(constant(torus64), 0.5)
 
 
+class TestCosetSup:
+    """The sup of a real 1-d field of band B > 0 is read from the cosets of
+    its band (_coset_sup) exactly when a power of two of at least 256 above
+    2B fits the torus, and equals the sup over the full 2x grid."""
+
+    @staticmethod
+    def _field(rng, torus, band, shift):
+        """A random real field with modes -band..band, all nonzero, moved by shift."""
+        m = torus.mode_max
+        z = np.zeros(torus.coeff_shape(), dtype=complex)
+        z[m - band : m + band + 1] = rng.standard_normal(2 * band + 1) + 1j * rng.standard_normal(2 * band + 1)
+        z *= np.exp(-1j * torus.frequencies() * shift)
+        return SpectralFunction(torus, _symmetric_part(z))
+
+    @pytest.mark.parametrize("cells", [0.0, 0.37], ids=["on-grid", "sub-cell"])
+    @pytest.mark.parametrize("n", [64, 1024, 4096])
+    def test_cosets_give_the_full_grid_sup(self, monkeypatch, n, cells):
+        t = Torus(1, 1.7, n)
+        rng = np.random.default_rng(n)
+        # for each power of two M up to N the last band it holds, M/2 - 1,
+        # and the first it does not, M/2: bands 0 and 1 among them
+        sizes = [1 << j for j in range(1, n.bit_length())]
+        bands = sorted({b for size in sizes for b in (size // 2 - 1, size // 2)})
+        used = []
+        coset_sup = spectral._coset_sup
+        monkeypatch.setattr(
+            spectral, "_coset_sup", lambda f, size: used.append(f._band) or coset_sup(f, size)
+        )
+        for band in bands:
+            shift = (cells + rng.integers(2 * n)) * t.length / (2 * n)
+            f = self._field(rng, t, band, shift)
+            assert f.is_real() and f._band == band
+            want = _allocating_norm(f, "inf")
+            assert abs(lp_norm(f, "inf") - want) <= 1e-14 * want
+        # a band-0 field is a constant, whose sup is |c_0| with no transform;
+        # the full band, or a torus shorter than the shortest coset, takes the
+        # one 2N-point synthesis
+        assert used == [b for b in bands if 0 < b < n // 2 and n >= spectral._COSET_MIN]
+
+    @pytest.mark.parametrize("d,n", [(1, 64), (1, 4096), (2, 16)])
+    def test_band_is_the_exact_active_bandwidth(self, d, n):
+        # complex fields of one to three nonzero modes anywhere, a real or an
+        # imaginary part alone, down to the smallest subnormal
+        t = Torus(d, 1.0, n)
+        rng = np.random.default_rng(d * n)
+        size = math.prod(t.coeff_shape())
+        fields = [SpectralFunction(t, np.zeros(t.coeff_shape())), _real_coefficients(rng, t)]
+        for _ in range(60):
+            z = np.zeros(size, dtype=complex)
+            z[rng.integers(size, size=rng.integers(1, 4))] = rng.choice([1.0, -2j, 5e-324, 5e-324j])
+            fields.append(SpectralFunction(t, z.reshape(t.coeff_shape())))
+        assert [f._band for f in fields] == [f.active_bandwidth(rtol=0.0) for f in fields]
+
+    @pytest.mark.parametrize("n", [64, 1024, 4096])
+    def test_constant_and_zero_fields(self, n):
+        t = Torus(1, 1.7, n)
+        assert lp_norm(constant(t, -2.5), "inf") == 2.5
+        assert lp_norm(constant(t, 0.0), "inf") == 0.0
+
+
 def _allocating_norm(f, p):
     """lp_norm's synthesized quadrature from allocating numpy calls: the
     scaled modes folded into fresh zero arrays, irfftn (real f, half
@@ -738,6 +798,11 @@ class TestSobolevTable:
             table[:, 1], 2 * np.pi * np.arange(1, 4) / np.sqrt(2), rtol=1e-12
         )
 
+    def test_one_row_per_field_one_column_per_order(self, torus64):
+        assert sobolev_table([], [0, 1], 2).shape == (0, 2)
+        assert sobolev_table([], [], "inf").shape == (0, 0)
+        assert sobolev_table([sine(torus64)] * 3, [], 1).shape == (3, 0)
+
     def test_rejects_bad_orders(self, torus64):
         for bad in (-1, 1.5, "1"):
             with pytest.raises(InvalidParameter):
@@ -893,15 +958,32 @@ class TestConvolveScaled:
 
     @pytest.mark.parametrize("which", [0, 1], ids=["phi", "psi"])
     @pytest.mark.parametrize("d,n", [(1, 4096), (2, 128)])
-    def test_cached_multiplier_is_the_profile(self, pair32, which, d, n):
-        # bit for bit, on T's torus and on every band torus of the grid
+    def test_cached_multiplier_is_the_profile(self, monkeypatch, pair32, which, d, n):
+        # bit for bit, on T's torus and on every band torus of the grid; a
+        # scale whose kernel box (_support_bandwidth) is narrower than half
+        # the torus multiplies only the box, and that never on a band torus
         kernel = pair32[which]
         t = Torus(d, 1.0, n)
         T = SpectralFunction(t, np.random.default_rng(5).standard_normal(t.coeff_shape()))
-        for y in default_grid(t, pair32[0]).values():
+        boxed = []
+        support = spectral._support_bandwidth
+        monkeypatch.setattr(
+            spectral, "_support_bandwidth", lambda *key: boxed.append(key) or support(*key)
+        )
+        grid = default_grid(t, pair32[0]).values()
+        for y in grid:
             for S in (T, spectral._band_restrict(T, kernel, y)):
                 want = S.coefficients * kernel.profile(y * S.torus.frequency_radius())
-                np.testing.assert_array_equal(convolve_scaled(S, kernel, y).coefficients, want)
+                out = convolve_scaled(S, kernel, y)
+                np.testing.assert_array_equal(out.coefficients, want)
+                outside = np.ones(S.torus.coeff_shape(), dtype=bool)
+                outside[spectral._central(S.torus, support(kernel, S.torus, y))] = False
+                assert not out.coefficients[outside].any()
+                rounding = want.size * np.finfo(float).eps
+                assert out._sum_sq == pytest.approx(float(np.vdot(want, want).real), rel=rounding)
+        wide = [y < 2 * spectral._scale_floor(kernel, t) for y in grid]
+        assert any(wide) and not all(wide)
+        assert boxed == [(kernel, t, y) for y, w in zip(grid, wide) if not w]
 
     @pytest.mark.parametrize("y", [0.2, 1e308])
     def test_2d_multiplier_holds_one_value_per_distinct_radius(self, pair32, y):
@@ -1559,17 +1641,31 @@ class TestZeroField:
 
 
 class TestSymmetricPairing:
-    """An exactly symmetric g pairs by one contiguous vdot; any other g by the flipped dot."""
+    """An exactly symmetric g pairs by one vdot over the box of its band; any
+    other g by the flipped dot over the same box."""
 
     @staticmethod
-    def _flipped(f, g):
-        total = np.dot(f.coefficients.ravel(), g.coefficients.ravel()[::-1])
+    def _flipped(f, g, band=None):
+        """The flipped dot over the modes -band..band per axis (all by default)."""
+        box = spectral._central(f.torus, f.torus.mode_max if band is None else band)
+        total = np.dot(f.coefficients[box].ravel(), g.coefficients[box].ravel()[::-1])
         return complex(total * f.torus.length**f.torus.dimension)
 
     @pytest.mark.parametrize(
-        "d,n,strided", [(1, 64, False), (1, 4096, False), (2, 16, False), (2, 16, True)]
+        "d,n,strided,band",
+        [
+            # g of full band: ids without a band
+            pytest.param(1, 64, False, None, id="1-64-False"),
+            pytest.param(1, 4096, False, None, id="1-4096-False"),
+            pytest.param(2, 16, False, None, id="2-16-False"),
+            pytest.param(2, 16, True, None, id="2-16-True"),
+            (1, 64, False, 0),
+            (1, 4096, False, 60),
+            (2, 16, False, 3),
+            (2, 16, True, 3),
+        ],
     )
-    def test_vdot_is_the_flipped_dot(self, monkeypatch, pair32, d, n, strided):
+    def test_vdot_is_the_flipped_dot(self, monkeypatch, pair32, d, n, strided, band):
         rng = np.random.default_rng(10 * d + strided)
         t = Torus(d, 1.7, n)
         shape = t.coeff_shape()
@@ -1577,24 +1673,39 @@ class TestSymmetricPairing:
         # the strided g is the band restriction of a 2-d field on twice the grid
         source = Torus(d, t.length, 2 * n) if strided else t
         big = source.coeff_shape()
-        wide = _symmetric_part(rng.standard_normal(big) + 1j * rng.standard_normal(big))
-        g = SpectralFunction(source, wide)
+        wide = rng.standard_normal(big) + 1j * rng.standard_normal(big)
+        if band is not None:  # g is band-limited: 0 outside its modes -band..band
+            inside = np.zeros(big, dtype=complex)
+            box = spectral._central(source, band)
+            inside[box] = wide[box]
+            wide = inside
+        g = SpectralFunction(source, _symmetric_part(wide))
         if strided:
             phi = pair32[0]
             g = spectral._band_restrict(g, phi, phi.outer_support * t.length / (math.pi * n))
         assert g.torus == t and g.coefficients.flags.c_contiguous != strided
+        b = t.mode_max if band is None else band
+        assert g._band == b
+        as_complex = g._derived(g.coefficients, real=False)
         calls = []
         vdot = np.vdot
 
-        def spy(a, b):
-            calls.append(a is g.coefficients)
-            return vdot(a, b)
+        def spy(a, b_):
+            calls.append(np.shares_memory(a, g.coefficients) and a.shape == (2 * b + 1,) * d)
+            return vdot(a, b_)
 
         monkeypatch.setattr(np, "vdot", spy)
         got = pairing(f, g)
         assert calls == [True]
-        size = np.sum(np.abs(f.coefficients * np.flip(g.coefficients))) * t.length**d
-        assert abs(got - self._flipped(f, g)) <= 1e-15 * size
+        # the same g kept complex takes the flipped dot over the same box: bitwise equal
+        assert pairing(f, as_complex) == got
+        assert calls == [True]
+        terms = np.abs(f.coefficients * np.flip(g.coefficients))
+        size = np.sum(terms) * t.length**d
+        assert abs(got - self._flipped(f, g, b)) <= 1e-15 * size
+        # the full-array dot adds only zeros: equal up to the rounding of the
+        # (2b+1)^d terms' sum in another order
+        assert abs(got - self._flipped(f, g)) <= (2 * b + 1) ** d * np.finfo(float).eps * size
 
     @pytest.mark.parametrize("d,n", [(1, 64), (2, 16)])
     def test_asymmetric_g_takes_the_flipped_dot(self, monkeypatch, d, n):
