@@ -351,7 +351,7 @@ class TestLpNorm:
 
 
 class TestCosetSup:
-    """The sup of a real 1-d field of band B > 0 is read from the cosets of
+    """The sup of a real 1-d field of band B is read from the cosets of
     its band (_coset_sup) exactly when a power of two of at least 256 above
     2B fits the torus, and equals the sup over the full 2x grid."""
 
@@ -384,10 +384,9 @@ class TestCosetSup:
             assert f.is_real() and f._band == band
             want = _allocating_norm(f, "inf")
             assert abs(lp_norm(f, "inf") - want) <= 1e-14 * want
-        # a band-0 field is a constant, whose sup is |c_0| with no transform;
         # the full band, or a torus shorter than the shortest coset, takes the
         # one 2N-point synthesis
-        assert used == [b for b in bands if 0 < b < n // 2 and n >= spectral._COSET_MIN]
+        assert used == [b for b in bands if 0 <= b < n // 2 and n >= spectral._COSET_MIN]
 
     @pytest.mark.parametrize("d,n", [(1, 64), (1, 4096), (2, 16)])
     def test_band_is_the_exact_active_bandwidth(self, d, n):
