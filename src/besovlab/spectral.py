@@ -55,12 +55,12 @@ every p, with no synthesis.
 
 Every synthesis (_synthesize) places the modes of f into one array
 allocated per call and transforms it in place (numpy's out=), unscaled
-(norm="forward"); lp_norm takes |f| of a real grid in place.  The sup of a
-real 1-d field of band B < N/2 is read from the same 2N-point grid
-synthesized as 2N/M interleaved M-point irffts of the twisted half
-spectrum, M the power of two (at least 256) above 2B (_coset_sup).
-Complex and 2-d fields, a full band and a torus of fewer than 256 points
-take the one 2N-point synthesis.
+(norm="forward"); lp_norm takes |f| of a real grid in place.  Every sup
+is one routine, _sup, over the 2N-point grid.  A real 1-d field of band B
+reads that grid as 2N/M interleaved M-point irffts of the twisted half
+spectrum, M the power of two above 2B, at least 256 and at most 2N: a full
+band, or a torus of at most 128 points, is one coset of 2N points.
+Complex and 2-d fields take the one 2N-point synthesis.
 
 Conventions
 -----------
@@ -102,20 +102,19 @@ __all__ = [
 ]
 
 # Oversampling of the synthesis grid used by the norm quadratures.  The sup
-# at p = inf is the maximum over the 2x grid (of a real 1-d field, from the
-# cosets of its band: _coset_sup).  That grid misses the peak by
-# up to a sub-cell phase, so the grid sup is biased low at the finest
-# scales (a jump's fitted exponent is off by up to 0.13 at N = 128); a
-# certified sup is still open.  Other finite p != 2 keep the second-order
+# at p = inf is the maximum over the 2x grid (_sup; of a real 1-d field, read
+# from the cosets of its band).  That grid misses the peak by up to a sub-cell
+# phase, so the grid sup is biased low at the finest scales (a jump's fitted
+# exponent is off by up to 0.13 at N = 128); a certified sup is still open.  Other finite p != 2 keep the second-order
 # rectangle rule but on a grid fine enough for kernel-scale oscillations.
 # p = 1 on a real 1-d field starts instead from 8 nb points, nb the power
 # of two above twice its bandwidth (see _l1_norm), and doubles up to the 16x
 # grid.  p = 2 needs no grid (Parseval).
 _SUP_OVERSAMPLE = 2
-# The shortest transform of the p = inf cosets (_coset_sup).  Shorter ones
-# mean more of them, and numpy's batched irfft and the twist pay per coset:
-# at N = 4096 a band of 1-12 took 33-36 us with 256 points against 46-53 us
-# with 16.
+# The shortest transform of the p = inf cosets (_sup), unless the 2x grid
+# itself is shorter: then the grid is one coset.  Shorter ones mean more of
+# them, and numpy's batched irfft and the twist pay per coset: at N = 4096 a
+# band of 1-12 took 33-36 us with 256 points against 46-53 us with 16.
 _COSET_MIN = 256
 _QUAD_OVERSAMPLE_GEN = 16
 _L1_OVERSAMPLE = 8
@@ -394,15 +393,15 @@ class SpectralFunction:
         """The largest max_i |m_i| over the nonzero coefficients, the number
         active_bandwidth(rtol=0.0) returns, computed on first need and kept:
         the band the p = inf and p = 1 grids and the pairing box read.  In
-        1-d it is read off the first and last nonzero float of the (real,
-        imaginary) pairs: on a Xeon host, 7 us at N = 4096 against 10-12 us
-        for the 2-d body's complex compare and gather, a gap worth about 3%
-        of an association study, which reads about 60 bands.
+        2-d it is active_bandwidth(0.0).  In 1-d it is read off the first and
+        last nonzero float of the (real, imaginary) pairs: on a Xeon host,
+        7 us at N = 4096 against 10-12 us for a complex compare and gather of
+        the band index, a gap worth about 3% of an association study, which
+        reads about 60 bands.
         """
         c = self.coefficients
         if c.ndim == 2:
-            nonzero = c != 0.0
-            return int(self.torus.band_index()[nonzero].max()) if nonzero.any() else 0
+            return self.active_bandwidth(0.0)
         nonzero = (np.ascontiguousarray(c).view(float) != 0.0).nonzero()[0]
         m = self.torus.mode_max
         return int(max(m - nonzero[0] // 2, nonzero[-1] // 2 - m)) if nonzero.size else 0
@@ -683,12 +682,11 @@ def lp_norm(f: SpectralFunction, p):
     over f.  A zero field has norm 0 at every p,
     with no synthesis: its kept sum is 0, and since moduli below 1e-162
     square to 0, every coefficient is then checked to be 0.  p = inf is
-    the sup over the 2x-oversampled grid; for a real 1-d input of band B =
-    f._band below N/2 that grid is synthesized as cosets by transforms of
-    the power of two (at least 256) above 2B, when that is at most N
-    (_coset_sup).  p = 1 on a real 1-d input is the rectangle rule with
-    the kinks of |f| corrected in closed form, on a grid sized by f's
-    bandwidth and refined until its error estimate is below 1e-7 of the
+    the sup over the 2x-oversampled grid, from _sup: a real 1-d input reads
+    it from the cosets of its band B = f._band, every other input from one
+    synthesis of the grid.  p = 1 on a real 1-d input is the rectangle
+    rule with the kinks of |f| corrected in closed form, on a grid sized by
+    f's bandwidth and refined until its error estimate is below 1e-7 of the
     norm, up to the 16x grid (_l1_norm).  Other finite p, 2-d and complex
     inputs use the rectangle rule on the 16x grid.  Real inputs
     (SpectralFunction.is_real) are synthesized from the half spectrum,
@@ -708,31 +706,29 @@ def lp_norm(f: SpectralFunction, p):
         return math.sqrt(f.torus.length**d * f._sum_sq)
     if f._sum_sq == 0.0 and not f.coefficients.any():
         return 0.0
+    if math.isinf(p):
+        return _sup(f)
     real = f.is_real()
     if p == 1.0 and real and d == 1:
         return _l1_norm(f)
-    if math.isinf(p) and real and d == 1:
-        size = max(_COSET_MIN, 1 << (2 * f._band).bit_length())
-        if size <= f.torus.grid_size:
-            return _coset_sup(f, size)
-    over = _SUP_OVERSAMPLE if math.isinf(p) else _QUAD_OVERSAMPLE_GEN
-    vals = _synthesize(f, over * f.torus.grid_size, real)
+    vals = _synthesize(f, _QUAD_OVERSAMPLE_GEN * f.torus.grid_size, real)
     mags = np.abs(vals, out=vals) if real else np.abs(vals)
-    if math.isinf(p):
-        return float(np.max(mags))
     if p != 1.0:
         mags **= p
-    cell = (f.torus.length / (f.torus.grid_size * over)) ** d
+    cell = (f.torus.length / (f.torus.grid_size * _QUAD_OVERSAMPLE_GEN)) ** d
     return float((np.sum(mags) * cell) ** (1.0 / p))
 
 
-def _coset_sup(f: SpectralFunction, size):
-    """The sup of a real 1-d f over the 2x grid of n = 2N points, from r =
-    n/size interleaved size-point transforms (the pruned FFT: J. D. Markel,
-    "FFT pruning", 1971).
+def _sup(f: SpectralFunction):
+    """The sup of f over the 2x grid, n = 2N points per axis.
 
-    size is a power of two above twice the band B = f._band, so its modes
-    -B..B fall in distinct bins.  Grid point r k + s, s < r, is
+    A 2-d or complex f is synthesized on that grid (_synthesize).  A real
+    1-d f is read from r = n/size interleaved size-point transforms (the
+    pruned FFT: J. D. Markel, "FFT pruning", 1971), size the power of two
+    above twice its band B = f._band, at least _COSET_MIN and at most n:
+    its modes -B..B fall in distinct bins, and a full band (B = N/2) or a
+    torus of at most _COSET_MIN / 2 points is one coset of n points.
+    Grid point r k + s, s < r, is
 
         f(x_{rk+s}) = sum_m (c_m w^{ms}) exp(2 pi i m k / size),  w = exp(2 pi i / n):
 
@@ -742,7 +738,11 @@ def _coset_sup(f: SpectralFunction, size):
     the full grid, computed with n/size-fold shorter transforms.
     """
     n = _SUP_OVERSAMPLE * f.torus.grid_size
+    if not f._real or f.torus.dimension == 2:
+        vals = _synthesize(f, n, f._real)
+        return float(np.max(np.abs(vals, out=vals) if f._real else np.abs(vals)))
     b, m = f._band, f.torus.mode_max
+    size = min(n, max(_COSET_MIN, 1 << (2 * b).bit_length()))
     twist = _roots(n).take(np.multiply.outer(np.arange(n // size), np.arange(b + 1)))
     spectra = np.zeros((n // size, size // 2 + 1), complex)
     np.multiply(twist, f.coefficients[m : m + b + 1], out=spectra[:, : b + 1])

@@ -82,6 +82,11 @@ class TestTorus:
         with pytest.raises(InvalidParameter):
             Torus(2.0, 1.0, 64)  # not an integer dimension
 
+    def test_a_torus_is_never_equal_to_another_type(self):
+        t = Torus(1, 1.0, 8)
+        assert (t == "x") is False and (t != "x") is True
+        assert t.__eq__("x") is NotImplemented
+
     def test_nyquist(self):
         t = Torus(1, 2.0, 64)
         assert t.nyquist == pytest.approx(np.pi * 64 / 2.0)
@@ -351,9 +356,10 @@ class TestLpNorm:
 
 
 class TestCosetSup:
-    """The sup of a real 1-d field of band B is read from the cosets of
-    its band (_coset_sup) exactly when a power of two of at least 256 above
-    2B fits the torus, and equals the sup over the full 2x grid."""
+    """Every sup is one routine, _sup: a real 1-d field of band B reads the
+    2x grid from the cosets of its band, transforms of the power of two
+    above 2B, at least 256 and at most the grid, and equals the sup over
+    the full 2x grid."""
 
     @staticmethod
     def _field(rng, torus, band, shift):
@@ -364,6 +370,11 @@ class TestCosetSup:
         z *= np.exp(-1j * torus.frequencies() * shift)
         return SpectralFunction(torus, _symmetric_part(z))
 
+    @staticmethod
+    def _grid_sup(f):
+        """The max of |f| over the one 2N-point synthesis of the 2x grid."""
+        return float(np.max(np.abs(spectral._synthesize(f, 2 * f.torus.grid_size, True))))
+
     @pytest.mark.parametrize("cells", [0.0, 0.37], ids=["on-grid", "sub-cell"])
     @pytest.mark.parametrize("n", [64, 1024, 4096])
     def test_cosets_give_the_full_grid_sup(self, monkeypatch, n, cells):
@@ -373,10 +384,11 @@ class TestCosetSup:
         # and the first it does not, M/2: bands 0 and 1 among them
         sizes = [1 << j for j in range(1, n.bit_length())]
         bands = sorted({b for size in sizes for b in (size // 2 - 1, size // 2)})
-        used = []
-        coset_sup = spectral._coset_sup
+        used, synthesized = [], []
+        sup, synthesize = spectral._sup, spectral._synthesize
+        monkeypatch.setattr(spectral, "_sup", lambda f: used.append(f._band) or sup(f))
         monkeypatch.setattr(
-            spectral, "_coset_sup", lambda f, size: used.append(f._band) or coset_sup(f, size)
+            spectral, "_synthesize", lambda f, *a, **k: synthesized.append(f._band) or synthesize(f, *a, **k)
         )
         for band in bands:
             shift = (cells + rng.integers(2 * n)) * t.length / (2 * n)
@@ -384,9 +396,32 @@ class TestCosetSup:
             assert f.is_real() and f._band == band
             want = _allocating_norm(f, "inf")
             assert abs(lp_norm(f, "inf") - want) <= 1e-14 * want
-        # the full band, or a torus shorter than the shortest coset, takes the
-        # one 2N-point synthesis
-        assert used == [b for b in bands if 0 <= b < n // 2 and n >= spectral._COSET_MIN]
+        # every band, the full one too, takes _sup's cosets: no grid synthesis
+        assert used == bands and synthesized == []
+
+    @pytest.mark.parametrize("kind", ["random", "dirac"])
+    @pytest.mark.parametrize("n", [64, 1024, 4096])
+    def test_a_full_band_is_one_coset_of_the_full_grid(self, n, kind):
+        t = Torus(1, 1.7, n)
+        rng = np.random.default_rng(n)
+        shift = (0.37 + rng.integers(2 * n)) * t.length / (2 * n)
+        if kind == "random":
+            f = self._field(rng, t, n // 2, shift)
+        else:
+            z = dirac(t).coefficients * np.exp(-1j * t.frequencies() * shift)
+            f = SpectralFunction(t, _symmetric_part(z), "distribution")
+        assert f.is_real() and f._band == n // 2
+        assert lp_norm(f, "inf") == self._grid_sup(f)
+
+    @pytest.mark.parametrize("n", [8, 64, 128])
+    def test_every_band_of_a_short_torus_is_one_coset(self, n):
+        t = Torus(1, 1.7, n)
+        rng = np.random.default_rng(n)
+        for band in range(n // 2 + 1):
+            shift = (0.37 + rng.integers(2 * n)) * t.length / (2 * n)
+            f = self._field(rng, t, band, shift)
+            assert f.is_real() and f._band == band
+            assert lp_norm(f, "inf") == self._grid_sup(f)
 
     @pytest.mark.parametrize("d,n", [(1, 64), (1, 4096), (2, 16)])
     def test_band_is_the_exact_active_bandwidth(self, d, n):
