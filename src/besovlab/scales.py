@@ -26,8 +26,8 @@ from .spectral import (
     _band_restrict,
     _band_torus,
     _central,
+    _kernel_multiplier,
     _require,
-    _support_bandwidth,
     convolve_scaled,
     derivative_order,
     parse_exponent,
@@ -110,7 +110,7 @@ class ScaleProfile:
         _require(d, dict, "profile dict")
         try:
             g, norms = d["grid"], np.asarray(d["norms"], dtype=float)
-            bounds = g["y_min"], g["y_max"], int(g["count"])
+            bounds = g["y_min"], g["y_max"], g["count"]
             meta = dict(d.get("meta", {}))
         except (KeyError, TypeError, ValueError):
             raise InvalidParameter(
@@ -153,15 +153,12 @@ def _profiles(T, kernel, grid: ScaleGrid, p):
     p = parse_exponent(p)
     columns = []  # columns[j]: the order-j norms at every scale
     if p == 2.0:
-        restricted = {}  # band torus -> T restricted to it
-
-        def source(y):
-            band = _band_torus(kernel, T.torus, y)
-            if band not in restricted:
-                restricted[band] = _band_restrict(T, kernel, y)
-            return restricted[band]
-
-        convs = [convolve_scaled(source(y), kernel, y) for y in grid.values()]
+        ys = grid.values()
+        bands = [_band_torus(kernel, T.torus, y) for y in ys]
+        # one scale per band torus restricts T to it: the restriction reads y
+        # only through its band torus
+        source = {band: _band_restrict(T, kernel, y) for band, y in dict(zip(bands, ys)).items()}
+        convs = [convolve_scaled(source[band], kernel, y) for band, y in zip(bands, ys)]
 
         def fields():
             return convs
@@ -197,12 +194,12 @@ def _box_index(torus, b, real):
 
 
 def _boxes(T, kernel, grid):
-    """Pairs (b, box), one per scale y of grid: b = _support_bandwidth(kernel,
-    T.torus, y), outside of whose central (2b+1)^d modes every mode of
-    convolve_scaled(T, kernel, y) is exactly 0, and a view of one new array
-    shaped for the modes of _box_index(T.torus, b, T's realness), so _unbox
-    of a filled box gives back the convolution.  A real T's box holds
-    (2b+1)^(d-1) (b+1) modes, a complex T's (2b+1)^d.
+    """Pairs (b, box), one per scale y of grid: b, the box half-width of
+    _kernel_multiplier(kernel, T.torus, y), outside of whose central
+    (2b+1)^d modes every mode of convolve_scaled(T, kernel, y) is exactly 0,
+    and a view of one new array shaped for the modes of _box_index(T.torus,
+    b, T's realness), so _unbox of a filled box gives back the convolution.
+    A real T's box holds (2b+1)^(d-1) (b+1) modes, a complex T's (2b+1)^d.
 
     One array, not one per scale: its size is fixed by the kernel, the grid,
     the torus and T's realness (for default_grid, 1.37 MB at 128^2 and 0.18
@@ -217,7 +214,7 @@ def _boxes(T, kernel, grid):
     the heap can still be trimmed, and the next 2-d one faults about 340
     pages back in.
     """
-    bands = [_support_bandwidth(kernel, T.torus, y) for y in grid.values()]
+    bands = [_kernel_multiplier(kernel, T.torus, y)[1] for y in grid.values()]
     shapes = [tuple(s.stop - s.start for s in _box_index(T.torus, b, T.is_real())) for b in bands]
     sizes = [math.prod(shape) for shape in shapes]
     parts = np.split(np.empty(sum(sizes), complex), np.cumsum(sizes)[:-1])

@@ -13,9 +13,9 @@ otherwise.  Real-valued inputs are synthesized from the half spectrum.
 A p = 2 scale sweep convolves each scale on its band torus, the smallest
 power-of-two torus holding K_y's support (_band_restrict); other p keep T's
 torus, whose size sets the errors of the grid sup and rectangle rules.
-There, a scale whose kernel box (_support_bandwidth: every mode of the
-convolution outside it is 0) is narrower than half the torus multiplies
-only the box; on a band torus the box is never that narrow.
+There, a scale whose kernel box (every mode of the convolution outside it
+is 0) is narrower than half the torus multiplies only the box; on a band
+torus the box is never that narrow.
 
 Arrays enter a SpectralFunction by one of two doors.  An outside array
 goes through the public constructor, which checks it (a Torus, numbers
@@ -38,7 +38,8 @@ p = 1 grid of a real 1-d field and the box a pairing reads are sized by
 it, so a band-limited field costs its band, not its torus.
 
 The multipliers K_hat(y |xi|) are cached per (kernel, torus, y), one value
-per distinct radius |xi| of the torus (_kernel_multiplier).
+per distinct radius |xi| of the torus, with the half-width of the kernel's
+box read in the same lookup (_kernel_multiplier).
 
 A field is real exactly when its coefficients are conjugate-symmetric,
 c_m == conj(c_-m) for every m: a bool kept from when it is made.  The
@@ -507,9 +508,14 @@ def _derivative_multiplier(torus, a):
     cached per (torus, a).
 
     Built as i^a * xi^a with xi^a by repeated real multiplication.  An order
-    whose multiplier overflows raises InvalidParameter, with no warning.
+    whose multiplier overflows raises InvalidParameter, with no warning; one
+    with a ln(max |xi|) more than 1 past ln(float max) raises before the
+    loop, whose time grows with a.
     """
     xi = torus.frequencies()
+    log_peak = math.log(torus.nyquist)
+    if log_peak > 0.0 and a > (math.log(sys.float_info.max) + 1.0) / log_peak:
+        raise InvalidParameter(f"derivative of order {a} overflows on {torus}")
     power = xi
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(a - 1):
@@ -942,9 +948,9 @@ def convolve_scaled(T: SpectralFunction, kernel, y):
     coefficients are c_m * K_hat(y xi_m): exact, no quadrature.  Scales below
     min_scale(kernel, torus) are rejected (the scaled spectrum would extend
     past Nyquist, silently truncating the result), and so are non-finite
-    ones.  The multiplier is read from _kernel_multiplier.  At a scale of
-    at least twice the smallest, the kernel's box (_support_bandwidth, the
-    modes -b..b per axis, b <= N/4) is narrower than half the torus: only
+    ones.  The multiplier and the kernel's box, the modes -b..b per axis,
+    are read from _kernel_multiplier.  At a scale of at least twice the
+    smallest, the box (b <= N/4) is narrower than half the torus: only
     its modes are multiplied, and the result's sum of squares is read from
     them, since every mode outside it is exactly 0.  Below that, as on
     every band torus of a p = 2 sweep but the smallest, all modes are.
@@ -956,13 +962,13 @@ def convolve_scaled(T: SpectralFunction, kernel, y):
     if y < floor:
         lo = min_scale(kernel, T.torus)
         raise ScaleOutOfRange(f"scale {y:.6g} below minimum {lo:.6g} for this kernel/torus")
-    table, where = _kernel_multiplier(kernel, T.torus, y), _distinct_radii(T.torus)[1]
+    (table, b), where = _kernel_multiplier(kernel, T.torus, y), _distinct_radii(T.torus)[1]
     # radii past the entry's end take its last value, 0; mult lives until the
     # field is made: freed before, it left detect-lp's peak RSS 0.6 MiB higher
     if y < 2.0 * floor:
         mult = table.take(where, mode="clip")
         return T._derived(T.coefficients * mult, tag="function")
-    box = _central(T.torus, _support_bandwidth(kernel, T.torus, y))
+    box = _central(T.torus, b)
     mult = table.take(where[box], mode="clip")
     c = np.zeros(T.torus.coeff_shape(), complex)
     np.multiply(T.coefficients[box], mult, out=c[box])
@@ -971,36 +977,28 @@ def convolve_scaled(T: SpectralFunction, kernel, y):
 
 @functools.lru_cache(maxsize=_TORUS_CACHE_SIZE)
 def _kernel_multiplier(kernel, torus, y):
-    """kernel.profile(y |xi|) at the torus's distinct radii (read-only, cached),
-    up to and including the first 0 past the last nonzero value: at most
-    N/2 + 1 radii in 1-d, and 1,782 for the 16,641 modes at 128^2.  Each
-    coefficient reads its value through the per-torus index of
-    _distinct_radii.
+    """(table, b), cached per (kernel, torus, y).  table is kernel.profile(y
+    |xi|) at the torus's distinct radii (read-only), up to and including the
+    first 0 past the last nonzero value: at most N/2 + 1 radii in 1-d, and
+    1,782 for the 16,641 modes at 128^2.  Each coefficient reads its value
+    through the per-torus index of _distinct_radii.  b, the box half-width,
+    is the largest max_i |m_i| over the modes up to that last nonzero
+    radius: every mode of convolve_scaled(T, kernel, y) outside the central
+    (2b+1)^d box is exactly 0, whatever T.
 
     Stopping at the support's edge cuts the entries of a default grid on
     T's torus 2.9-fold at 128^2 and 4.5-fold at N = 4096.  A finite y whose
     y |xi| overflows leaves profile(inf) = 0 exactly there.
     """
+    radii, where = _distinct_radii(torus)
     with np.errstate(over="ignore"):
-        out = kernel.profile(y * _distinct_radii(torus)[0])
-    nonzero = np.flatnonzero(out)
+        out = kernel.profile(y * radii)
+    last = np.flatnonzero(out).max(initial=-1)
     # complex, so that the convolution multiplies complex by complex: the same
     # product as by the float, without casting the float on every call
-    out = out[: nonzero[-1] + 2 if nonzero.size else 1].astype(complex)
+    out = out[: last + 2].astype(complex)
     out.flags.writeable = False
-    return out
-
-
-@functools.lru_cache(maxsize=_TORUS_CACHE_SIZE)
-def _support_bandwidth(kernel, torus, y):
-    """The largest max_i |m_i| over the modes where K_hat(y xi_m) may be
-    nonzero: every mode of convolve_scaled(T, kernel, y) outside the central
-    (2b+1)^d box is exactly 0, whatever T.  Read from the radii up to the
-    last nonzero entry of _kernel_multiplier, with no pass over a field."""
-    nonzero = np.flatnonzero(_kernel_multiplier(kernel, torus, y))
-    if not nonzero.size:
-        return 0
-    return int(torus.band_index()[_distinct_radii(torus)[1] <= nonzero[-1]].max())
+    return out, int(torus.band_index()[where <= last].max(initial=0))
 
 
 def _band_restrict(T: SpectralFunction, kernel, y):

@@ -570,3 +570,11 @@ class TestProfileSerialization:
         np.testing.assert_array_equal(again.norms, heaviside_profile.norms)
         assert again.grid == heaviside_profile.grid
         assert again.meta == heaviside_profile.meta
+
+    @pytest.mark.parametrize("count", [24.9, "24"])
+    def test_count_is_judged_by_the_grid(self, heaviside_profile, count):
+        # as ScaleGrid(0.01, 1.0, count) would be: not truncated or parsed
+        d = heaviside_profile.to_dict()
+        d["grid"]["count"] = count
+        with pytest.raises(InvalidParameter, match="scale count"):
+            ScaleProfile.from_dict(d)

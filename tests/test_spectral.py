@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import warnings
 import weakref
 
@@ -933,6 +934,15 @@ class TestSobolevNorm:
         with pytest.raises(InvalidParameter, match="order 134"):
             detect_regularity(heaviside(torus64), 2, 2, 140, build_lp_pair(8.0, 0.5))
 
+    @pytest.mark.parametrize("order", [200_000, 10**300, 1e300])
+    def test_an_order_far_past_overflow_raises_at_once(self, order):
+        # a ln(max |xi|) is far past ln(float max): raised before the a - 1
+        # multiplies, whose time grows with a
+        start = time.perf_counter()
+        with pytest.raises(InvalidParameter, match="overflows"):
+            sine(Torus(1, 1.0, 64)).derivative(order)
+        assert time.perf_counter() - start < 1.0
+
     def test_derivative_multi_index_2d(self):
         t = Torus(2, 1.0, 16)
         rng = np.random.default_rng(6)
@@ -994,16 +1004,21 @@ class TestConvolveScaled:
     @pytest.mark.parametrize("d,n", [(1, 4096), (2, 128)])
     def test_cached_multiplier_is_the_profile(self, monkeypatch, pair32, which, d, n):
         # bit for bit, on T's torus and on every band torus of the grid; a
-        # scale whose kernel box (_support_bandwidth) is narrower than half
-        # the torus multiplies only the box, and that never on a band torus
+        # scale whose kernel box (the b of _kernel_multiplier) is narrower
+        # than half the torus multiplies only the box, and that never on a
+        # band torus: the box route alone hands _derived a support
         kernel = pair32[which]
         t = Torus(d, 1.0, n)
         T = SpectralFunction(t, np.random.default_rng(5).standard_normal(t.coeff_shape()))
         boxed = []
-        support = spectral._support_bandwidth
-        monkeypatch.setattr(
-            spectral, "_support_bandwidth", lambda *key: boxed.append(key) or support(*key)
-        )
+        derived = SpectralFunction._derived
+
+        def spy(self, c, *args, support=None, **kwargs):
+            if support is not None:
+                boxed.append((self.torus, support.shape))
+            return derived(self, c, *args, support=support, **kwargs)
+
+        monkeypatch.setattr(SpectralFunction, "_derived", spy)
         grid = default_grid(t, pair32[0]).values()
         for y in grid:
             for S in (T, spectral._band_restrict(T, kernel, y)):
@@ -1011,13 +1026,26 @@ class TestConvolveScaled:
                 out = convolve_scaled(S, kernel, y)
                 np.testing.assert_array_equal(out.coefficients, want)
                 outside = np.ones(S.torus.coeff_shape(), dtype=bool)
-                outside[spectral._central(S.torus, support(kernel, S.torus, y))] = False
+                outside[spectral._central(S.torus, spectral._kernel_multiplier(kernel, S.torus, y)[1])] = False
                 assert not out.coefficients[outside].any()
                 rounding = want.size * np.finfo(float).eps
                 assert out._sum_sq == pytest.approx(float(np.vdot(want, want).real), rel=rounding)
         wide = [y < 2 * spectral._scale_floor(kernel, t) for y in grid]
         assert any(wide) and not all(wide)
-        assert boxed == [(kernel, t, y) for y, w in zip(grid, wide) if not w]
+        boxes = [2 * spectral._kernel_multiplier(kernel, t, y)[1] + 1 for y, w in zip(grid, wide) if not w]
+        assert boxed == [(t, (side,) * d) for side in boxes]
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["phi", "psi"])
+    @pytest.mark.parametrize("d,n", [(1, 4096), (2, 128)])
+    def test_kernel_box_is_tight(self, pair32, which, d, n):
+        # b is the largest max_i |m_i| over the nonzero modes of a Dirac's
+        # convolution, whose coefficients are all nonzero: not merely a box
+        # that holds them
+        kernel = pair32[which]
+        t = Torus(d, 1.0, n)
+        for y in default_grid(t, pair32[0]).values():
+            out = convolve_scaled(dirac(t), kernel, y).coefficients
+            assert spectral._kernel_multiplier(kernel, t, y)[1] == t.band_index()[out != 0].max()
 
     @pytest.mark.parametrize("y", [0.2, 1e308])
     def test_2d_multiplier_holds_one_value_per_distinct_radius(self, pair32, y):
@@ -1027,7 +1055,7 @@ class TestConvolveScaled:
         assert radii.shape == (1782,) and np.all(np.diff(radii) > 0)
         with np.errstate(over="ignore"):
             want = pair32[0].profile(y * radii)
-        got = spectral._kernel_multiplier(pair32[0], t, y)
+        got = spectral._kernel_multiplier(pair32[0], t, y)[0]
         np.testing.assert_array_equal(got, want[: np.flatnonzero(want)[-1] + 2])
 
     def test_result_is_function_tagged(self, torus1k, moll32):
@@ -1578,7 +1606,7 @@ class TestDerivedFields:
         t = Torus(1, 1.0, 1024)
         T = kink(t)
         got = convolve_scaled(T, pair32[0], 0.05).coefficients
-        mult = spectral._kernel_multiplier(pair32[0], t, 0.05)
+        mult = spectral._kernel_multiplier(pair32[0], t, 0.05)[0]
         assert mult.dtype == complex and not mult.imag.any()
         where = spectral._distinct_radii(t)[1]
         np.testing.assert_array_equal(got, T.coefficients * mult.real.take(where, mode="clip"))
