@@ -21,7 +21,7 @@ from .errors import InvalidParameter
 from .nets import NetSpec
 from .scales import ScaleGrid, ScaleProfile, critical_exponent
 from .signals import bump
-from .spectral import SpectralFunction, Torus, _require, derivative_order, pairing, parse_exponent
+from .spectral import SpectralFunction, Torus, _require, _shown, derivative_order, pairing, parse_exponent
 from .spectral import real_parameter, to_jsonable
 
 __all__ = [
@@ -86,7 +86,7 @@ class AssociationReport:
 def _battery_entry(entry):
     """entry, when it is a tuple (label, SpectralFunction), else InvalidParameter."""
     if not (isinstance(entry, tuple) and len(entry) == 2 and isinstance(entry[1], SpectralFunction)):
-        raise InvalidParameter(f"battery entry must be a tuple (label, SpectralFunction), got {entry!r}")
+        raise InvalidParameter(f"battery entry must be a tuple (label, SpectralFunction), got {_shown(entry)}")
     return entry
 
 

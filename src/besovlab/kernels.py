@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParameter
-from .spectral import _require, derivative_order, real_parameter, to_jsonable
+from .spectral import _require, _shown, derivative_order, real_parameter, to_jsonable
 
 __all__ = [
     "Kernel",
@@ -90,7 +90,7 @@ class Kernel:
         try:
             lo, hi = self.plateau
         except (TypeError, ValueError):
-            raise InvalidParameter(f"plateau must be a pair, got {self.plateau!r}") from None
+            raise InvalidParameter(f"plateau must be a pair, got {_shown(self.plateau)}") from None
         inner = real_parameter(self.inner_support, "inner_support")
         lo, hi = real_parameter(lo, "plateau"), real_parameter(hi, "plateau")
         outer = real_parameter(self.outer_support, "outer_support")
@@ -222,7 +222,7 @@ class LPDiagnostics:
 def _pair(pair):
     """pair, when it is a tuple (phi, psi) of two kernels, else InvalidParameter."""
     if not (isinstance(pair, tuple) and len(pair) == 2 and all(isinstance(k, Kernel) for k in pair)):
-        raise InvalidParameter(f"pair must be a tuple (phi, psi) of two Kernels, got {pair!r}")
+        raise InvalidParameter(f"pair must be a tuple (phi, psi) of two Kernels, got {_shown(pair)}")
     return pair
 
 
@@ -244,7 +244,7 @@ def verify_lp_conditions(pair, s):
         order = real_parameter(s, "order")
     except InvalidParameter:
         order = math.nan
-        failures.append(f"order must be a finite real number, got {s!r}")
+        failures.append(f"order must be a finite real number, got {_shown(s)}")
     sigma_w = min(phi.positive_up_to, psi.positive_up_to)
     inner_w = psi.positive_from if psi.positive_from > 0.0 else 0.5 * sigma_w
     eta_w = inner_w / sigma_w

@@ -34,6 +34,7 @@ from .scales import critical_exponent  # by name: tests monkeypatch nets.critica
 from .spectral import (
     SpectralFunction,
     _require,
+    _shown,
     derivative_order,
     parse_exponent,
     real_parameter,
@@ -81,7 +82,7 @@ class NetSpec:
 
     def __post_init__(self):
         if self.kind not in ("constant", "function"):
-            raise InvalidParameter(f"unknown net kind {self.kind!r}")
+            raise InvalidParameter(f"unknown net kind {_shown(self.kind)}")
         _require(self.evaluator, Callable, "net evaluator")
         _require(self.log_magnitude, (Callable, type(None)), "log_magnitude")
         eps_min = real_parameter(self.eps_min, "net eps_min", at_least=0.0, below=1.0)
@@ -160,7 +161,7 @@ class SpikeNet:
 
     def __post_init__(self):
         if self.variant not in ("remark1", "remark2"):
-            raise InvalidParameter(f"unknown spike variant {self.variant!r}")
+            raise InvalidParameter(f"unknown spike variant {_shown(self.variant)}")
         object.__setattr__(self, "power", real_parameter(self.power, "spike power", at_least=1, integer=True))
         object.__setattr__(self, "q", parse_exponent(self.q, "q"))
 

@@ -69,8 +69,11 @@ Conventions
 * A real-valued object has exactly conjugate-symmetric coefficients.
 * "Nyquist-balanced" arrays satisfy c[-N/2] == c[+N/2]; the analysis
   transform always emits balanced arrays (the Nyquist energy is split
-  between the two end slots), and synthesis folds the two end slots
-  onto the single grid-representable Nyquist mode.
+  between the two end slots).  A synthesis grid has more than N points
+  on every axis it folds (_synthesize), where the two end slots are
+  distinct modes; the N-point grid of dft_synthesize is read off the
+  2N-point one, and there the two slots sum onto the single
+  grid-representable Nyquist mode.
 """
 
 import functools
@@ -187,7 +190,7 @@ class Torus:
         length = real_parameter(self.length, "period", 0.0)
         n = real_parameter(self.grid_size, "grid size", at_least=8, integer=True)
         if n & (n - 1):
-            raise InvalidParameter(f"grid size must be a power of two >= 8, got {n}")
+            raise InvalidParameter(f"grid size must be a power of two >= 8, got {_shown(n)}")
         key = (d, length, n)
         for name, value in zip(("dimension", "length", "grid_size"), key):
             object.__setattr__(self, name, value)
@@ -291,7 +294,7 @@ class SpectralFunction:
         """The C-order copy of an outside array and its checks (see _derived
         for the arrays the library makes)."""
         if not isinstance(self.torus, Torus):
-            raise InvalidParameter(f"torus must be a Torus, got {self.torus!r}")
+            raise InvalidParameter(f"torus must be a Torus, got {_shown(self.torus)}")
         try:
             c = np.array(self.coefficients, dtype=complex, order="C")  # the caller cannot reach it
         except (TypeError, ValueError):
@@ -301,7 +304,7 @@ class SpectralFunction:
                 f"coefficient shape {c.shape} does not match torus {self.torus.coeff_shape()}"
             )
         if self.tag not in ("function", "distribution"):
-            raise InvalidParameter(f"unknown tag {self.tag!r}")
+            raise InvalidParameter(f"unknown tag {_shown(self.tag)}")
         sum_sq, real = _finite_sum_sq(c), _is_conjugate_symmetric(c)
         if not real:
             # within _REAL_RTOL max |c| of symmetry, c becomes its symmetric part
@@ -419,7 +422,7 @@ class SpectralFunction:
         d = self.torus.dimension
         alpha = _multi_index(order)
         if len(alpha) != d:
-            raise InvalidParameter(f"multi-index {alpha} does not match dimension {d}")
+            raise InvalidParameter(f"multi-index of length {len(alpha)} does not match dimension {d}")
         c, bound = self.coefficients, math.sqrt(self._sum_sq)
         for axis, a in enumerate(alpha):
             a = derivative_order(a)
@@ -443,7 +446,7 @@ def _multi_index(order):
         return tuple(order)
     except TypeError:
         raise InvalidParameter(
-            f"derivative order must be an integer or a multi-index, got {order!r}"
+            f"derivative order must be an integer or a multi-index, got {_shown(order)}"
         ) from None
 
 
@@ -460,13 +463,25 @@ def _finite_sum_sq(c):
     return sq
 
 
+def _shown(x):
+    """repr(x), for the message of a refused value.  An int past Python's
+    limit on int-to-string digits, whose repr raises ValueError, reads as
+    its bit length, and a container of one as its type."""
+    try:
+        return repr(x)
+    except ValueError:
+        if isinstance(x, int):
+            return f"{'a negative' if x < 0 else 'an'} int of {x.bit_length()} bits"
+        return f"a {type(x).__name__}"
+
+
 def _require(x, cls, name):
     """x when it is an instance of cls (a class or a tuple of classes), else
     InvalidParameter: the entry check of an object argument, so that a wrong
     type never gets as far as a raw AttributeError or TypeError."""
     if not isinstance(x, cls):
         kinds = " or ".join(c.__name__ for c in (cls if isinstance(cls, tuple) else (cls,)))
-        raise InvalidParameter(f"{name} must be a {kinds}, got {x!r}")
+        raise InvalidParameter(f"{name} must be a {kinds}, got {_shown(x)}")
     return x
 
 
@@ -510,19 +525,25 @@ def _derivative_multiplier(torus, a):
     Built as i^a * xi^a with xi^a by repeated real multiplication.  An order
     whose multiplier overflows raises InvalidParameter, with no warning; one
     with a ln(max |xi|) more than 1 past ln(float max) raises before the
-    loop, whose time grows with a.
+    loop, whose time grows with a.  When max |xi| <= 1/2 and a ln(max |xi|)
+    is more than 1 below ln(ulp(0)), the loop's product is exactly 0, since
+    once subnormal each step at least halves it: the multiplier is 0, with
+    peak 0, and no loop.
     """
     xi = torus.frequencies()
     log_peak = math.log(torus.nyquist)
     if log_peak > 0.0 and a > (math.log(sys.float_info.max) + 1.0) / log_peak:
-        raise InvalidParameter(f"derivative of order {a} overflows on {torus}")
-    power = xi
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(a - 1):
-            power = power * xi
-        out = power * (1j**a)
+        raise InvalidParameter(f"derivative of order {_shown(a)} overflows on {torus}")
+    if log_peak <= -math.log(2.0) and a > (math.log(math.ulp(0.0)) - 1.0) / log_peak:
+        power = out = np.zeros(xi.shape, complex)
+    else:
+        power = xi
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(a - 1):
+                power = power * xi
+            out = power * (1j**a)
     if not np.all(np.isfinite(out)):
-        raise InvalidParameter(f"derivative of order {a} overflows on {torus}")
+        raise InvalidParameter(f"derivative of order {_shown(a)} overflows on {torus}")
     out.flags.writeable = False
     return out, float(np.abs(power).max())
 
@@ -530,32 +551,25 @@ def _derivative_multiplier(torus, a):
 def _synthesize(f: SpectralFunction, n, real):
     """Grid samples of f on n points per axis, in a new array.
 
-    The modes are placed on the FFT layout in one array: per folded
-    axis, modes 0..M fill bins 0..M and modes -M..-1 bins n-M..n-1, with
-    zeros between; at n == 2M the two Nyquist slots are first summed onto
-    mode M.  A real f is synthesized by irfft from modes 0..M of its last
-    axis, zero-padded or cropped to n/2 + 1 bins: mode -M, implied by
-    symmetry, needs a bin of its own, so a real f needs n > 2M, or, in 1-d,
-    its modes from n/2 up to be 0 (as _l1_norm's are).  The transforms run
-    in place, except the real one into a float grid, with norm="forward":
-    the sum of the modes, unscaled.
+    The modes are placed on the FFT layout in one array: per folded axis,
+    modes 0..M fill bins 0..M and modes -M..-1 bins n-M..n-1, with zeros
+    between, so n > 2M on every folded axis, where each mode has a bin of
+    its own.  A real f is synthesized by irfft from modes 0..M of its last
+    axis, zero-padded or cropped to n/2 + 1 bins: that axis is not folded,
+    but mode -M, implied by symmetry, needs a bin of its own too, so a real
+    f needs n > 2M, or, in 1-d, its modes from n/2 up to be 0 (as
+    _l1_norm's are).  The transforms run in place, except the real one
+    into a float grid, with norm="forward": the sum of the modes, unscaled.
     """
     torus = f.torus
     m = torus.mode_max
     axes = tuple(range(torus.dimension))
     folded = axes[:-1] if real else axes
     c = f.coefficients[..., m:] if real else f.coefficients
-    if n == 2 * m:
-        c = c.copy()
-        for axis in folded:
-            v = np.moveaxis(c, axis, 0)
-            v[-1] += v[0]
-        c = c[(slice(1, None),) * len(folded)]
-    lo = c.shape[0] - (m + 1)  # negative modes per folded axis
     a = np.empty((n,) * len(folded) + c.shape[len(folded) :], complex)
     for axis in folded:
-        np.moveaxis(a, axis, 0)[m + 1 : n - lo] = 0.0
-    segments = ((slice(0, m + 1), slice(lo, None)), (slice(n - lo, n), slice(0, lo)))
+        np.moveaxis(a, axis, 0)[m + 1 : n - m] = 0.0
+    segments = ((slice(0, m + 1), slice(m, None)), (slice(n - m, n), slice(0, m)))
     for blocks in itertools.product(segments, repeat=len(folded)):
         dst = tuple(block[0] for block in blocks)
         src = tuple(block[1] for block in blocks)
@@ -571,11 +585,16 @@ def dft_synthesize(f: SpectralFunction, oversample=1):
     """Sample f on the (oversampled) uniform grid of its torus.
 
     Returns a complex array of shape (oversample*N,)*d.  Round trip with
-    dft_analyze is the identity for Nyquist-balanced coefficients.
+    dft_analyze is the identity for Nyquist-balanced coefficients.  The
+    N-point grid cannot tell the +-N/2 modes apart: at oversample 1 it is a
+    copy of the even points of the 2N-point grid, where they are distinct.
     """
     _require(f, SpectralFunction, "f")
     oversample = real_parameter(oversample, "oversample", at_least=1, integer=True)
-    return _synthesize(f, oversample * f.torus.grid_size, real=False)
+    n = oversample * f.torus.grid_size
+    if oversample > 1:
+        return _synthesize(f, n, real=False)
+    return _synthesize(f, 2 * n, real=False)[(slice(None, None, 2),) * f.torus.dimension].copy()
 
 
 def _gather_modes(a, mode_max):
@@ -609,16 +628,17 @@ def parse_exponent(p, name="p"):
     """The exponent p of an L^p norm (or q of a scale integral) as a float.
 
     A number >= 1, or a string float() reads as one ("inf", "2"), is
-    accepted; None reads as inf.  Anything else raises InvalidParameter.
+    accepted; None reads as inf.  Anything else, a number past the float
+    range too, raises InvalidParameter.
     """
     if p is None:
         return math.inf
     try:
         value = float(p)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         value = math.nan
     if not value >= 1.0:
-        raise InvalidParameter(f"{name} must be a number in [1, inf] or 'inf', got {p!r}")
+        raise InvalidParameter(f"{name} must be a number in [1, inf] or 'inf', got {_shown(p)}")
     return value
 
 
@@ -665,7 +685,7 @@ def real_parameter(x, name, above=-math.inf, below=math.inf, *, at_least=None, a
     hi = f"{below:g})" if at_most is None else f"{at_most:g}]"
     span = {"(0, inf)": "positive and finite", "(-inf, inf)": "finite and real"}
     span = span.get(f"{lo}, {hi}", f"in {lo}, {hi}")
-    raise error(f"{name} must be {'an integer ' * integer}{span}, got {x!r}")
+    raise error(f"{name} must be {'an integer ' * integer}{span}, got {_shown(x)}")
 
 
 def derivative_order(k, name="derivative order"):
@@ -675,7 +695,7 @@ def derivative_order(k, name="derivative order"):
     except (TypeError, ValueError, OverflowError):
         ok = False
     if not ok:
-        raise InvalidParameter(f"{name} must be a nonnegative integer, got {k!r}")
+        raise InvalidParameter(f"{name} must be a nonnegative integer, got {_shown(k)}")
     return int(k)
 
 
@@ -1001,17 +1021,17 @@ def _kernel_multiplier(kernel, torus, y):
     return out, int(torus.band_index()[where <= last].max(initial=0))
 
 
-def _band_restrict(T: SpectralFunction, kernel, y):
-    """T's central (n+1)^d modes on the band torus _band_torus(kernel, T.torus, y).
+def _band_restrict(T: SpectralFunction, band):
+    """T's central (n+1)^d modes on band, the n-point torus
+    _band_torus(kernel, T.torus, y) of the scales it serves.
 
     Every mode left out, and every kept mode on the band's edge, has
     |xi| >= pi n / L, where K_hat(y xi) is exactly 0, so the convolution on
     the band torus carries exactly the nonzero modes of
     convolve_scaled(T, kernel, y).  Parseval does not see the storage grid,
     so the L^2 norms are those on T's torus up to summation order.  A y
-    that no smaller torus accepts gets T itself.
+    that no smaller torus accepts has T's own torus as band, and gets T.
     """
-    band = _band_torus(kernel, T.torus, y)
     if band == T.torus:
         return T
     return T._derived(T.coefficients[_central(T.torus, band.mode_max)], band)

@@ -46,11 +46,13 @@ from besovlab.spectral import (
     Torus,
     convolve_scaled,
     dft_analyze,
+    derivative_order,
     dft_synthesize,
     localize,
     lp_norm,
     min_scale,
     pairing,
+    parse_exponent,
     sobolev_norm,
     sobolev_table,
     to_jsonable,
@@ -509,6 +511,33 @@ _TYPED_ERRORS = {  # case -> (error class, message fragment, call)
     "function_net nan eps_min": (InvalidParameter, "net eps_min", lambda: function_net(abs, eps_min=math.nan)),
     "function_net negative eps_min": (InvalidParameter, "net eps_min", lambda: function_net(abs, eps_min=-0.1)),
     "NetSpec None eps_min": (InvalidParameter, "net eps_min", lambda: NetSpec("function", abs, None)),
+    # an int past Python's int-to-string digit limit is shown by its bit length
+    "Torus grid size of 5001 digits": (
+        InvalidParameter, "grid size must be .*, got a negative int of 16610 bits", lambda: Torus(1, 1.0, -(10**5000))
+    ),
+    "Torus grid size of 5001 digits not a power of two": (
+        InvalidParameter, "power of two >= 8, got an int of 16610 bits", lambda: Torus(1, 1.0, 10**5000)
+    ),
+    "derivative_order of 5001 digits": (
+        InvalidParameter, "got a negative int of 16610 bits", lambda: derivative_order(-(10**5000))
+    ),
+    "sine mode of 5001 digits": (
+        InvalidParameter, "mode must be .*, got an int of 16610 bits", lambda: sine(Torus(1, 1.0, 64), 10**5000)
+    ),
+    "derivative of 5001 digits": (
+        InvalidParameter,
+        "order an int of 16610 bits overflows",
+        lambda: sine(Torus(1, 1.0, 64)).derivative(10**5000),
+    ),
+    "lp_norm of an int of 5001 digits": (
+        InvalidParameter, "f must be a SpectralFunction, got an int of 16610 bits", lambda: lp_norm(10**5000, 2)
+    ),
+    "profile dict keys of 5001 digits": (
+        InvalidParameter, "got keys a list", lambda: ScaleProfile.from_dict({10**5000: 1})
+    ),
+    # a number past the float range is not an exponent
+    "parse_exponent past the float range": (InvalidParameter, "p must be", lambda: parse_exponent(10**400)),
+    "lp_norm p past the float range": (InvalidParameter, "p must be", lambda: lp_norm(sine(_T8), 10**400)),
 }
 
 
@@ -517,6 +546,12 @@ def test_typed_errors(case):
     error, fragment, call = _TYPED_ERRORS[case]
     with pytest.raises(error, match=fragment):
         call()
+
+
+def test_an_order_of_5001_digits_is_a_failed_lp_condition():
+    diagnostics = verify_lp_conditions(_PAIR, 10**5000)
+    assert diagnostics.passed is False and math.isnan(diagnostics.order)
+    assert diagnostics.failures == ["order must be a finite real number, got an int of 16610 bits"]
 
 
 def test_bump_of_overflowing_halfwidth_is_the_constant_one():
@@ -548,7 +583,8 @@ _SCALAR_ARGUMENTS = {  # argument -> (call with the argument set to v, real-valu
     "bump halfwidth": (lambda v: bump(_T8, halfwidth=v), True),
     "bump center": (lambda v: bump(_T8, center=v), True),
     "convolve_scaled y": (lambda v: convolve_scaled(dirac(_T8), _PHI, v), True),
-    "NetSpec eps": (lambda v: embed(dirac(_T8), _PHI)(v), True),
+    # on 64 points the net's eps_min is 0.199, so each junk value reaches the eps check
+    "NetSpec eps": (lambda v: embed(dirac(Torus(1, 1.0, 64)), _PHI)(v), True),
     "bump_battery count": (lambda v: bump_battery(_T8, v), False),
     "bump_battery seed": (lambda v: bump_battery(_T8, 1, v), False),
     "SpectralFunction scalar factor": (lambda v: sine(_T8) * v, True),
@@ -556,15 +592,17 @@ _SCALAR_ARGUMENTS = {  # argument -> (call with the argument set to v, real-valu
     "Torus.grid oversample": (_T8.grid, False),
     "active_bandwidth rtol": (lambda v: sine(_T8).active_bandwidth(v), True),
 }
-_JUNK = ["0.5", None, 1j, np.array([0.5, 0.6])]
+# id -> junk value; -10**5000 lies below every range, so no call allocates
+# or loops on it, and its repr would pass Python's int-to-string digit limit
+_JUNK = {repr(v): v for v in ("0.5", None, 1j, np.array([0.5, 0.6]))} | {"-10**5000": -(10**5000)}
 
 
 @pytest.mark.parametrize(
     "argument,junk",
     [
-        pytest.param(argument, junk, id=f"{argument}={junk!r}")
+        pytest.param(argument, junk, id=f"{argument}={name}")
         for argument, (_, real) in _SCALAR_ARGUMENTS.items()
-        for junk in _JUNK + [math.nan] * real
+        for name, junk in [*_JUNK.items(), *[("nan", math.nan)] * real]
     ],
 )
 def test_junk_scalar_raises_a_typed_error(argument, junk):

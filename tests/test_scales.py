@@ -163,7 +163,7 @@ class TestBandTorus:
         sizes = 8 << np.arange(int(math.log2(n // 8)) + 1)
         for size in sizes:
             y = phi.outer_support * T.torus.length / (math.pi * size)
-            band = spectral._band_restrict(T, phi, y)
+            band = spectral._band_restrict(T, spectral._band_torus(phi, T.torus, y))
             assert band.torus.grid_size == size
             m, h = n // 2, int(size) // 2
             full = convolve_scaled(T, phi, y).coefficients
@@ -173,7 +173,7 @@ class TestBandTorus:
             outside[inside] = 0.0
             assert not np.any(outside)
             if size < n:  # just below the bound, the next torus up
-                assert spectral._band_restrict(T, phi, y * (1.0 - 1e-9)).torus.grid_size == 2 * size
+                assert spectral._band_torus(phi, T.torus, y * (1.0 - 1e-9)).grid_size == 2 * size
 
     def test_fields_live_on_band_tori_only_at_p2(self, torus4k, pair32, lp_torus_sizes):
         phi = pair32[0]
@@ -208,9 +208,9 @@ class TestBandTorus:
         restricted = []
         original = scales._band_restrict
 
-        def spy(T, kernel, y):
-            restricted.append(spectral._band_torus(kernel, T.torus, y))
-            return original(T, kernel, y)
+        def spy(T, band):
+            restricted.append(band)
+            return original(T, band)
 
         monkeypatch.setattr(scales, "_band_restrict", spy)
         T = dirac(torus16k)

@@ -216,6 +216,22 @@ class TestSynthesize:
         got = dft_synthesize(SpectralFunction(t, c), 1)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("real", [True, False])
+    def test_n_point_grid_is_the_even_points_of_the_2n_grid(self, d, real):
+        # N points cannot part the +-N/2 modes; unbalanced end slots (a real
+        # field's are conjugates) sum onto the one Nyquist point there
+        t = Torus(d, 1.0, 8)
+        rng = np.random.default_rng(11)
+        c = rng.standard_normal(t.coeff_shape()) + 1j * rng.standard_normal(t.coeff_shape())
+        if real:
+            c = c + np.conj(np.flip(c))
+        f = SpectralFunction(t, c)
+        assert f.is_real() is real and c[0].ravel()[0] != c[-1].ravel()[0]
+        got = dft_synthesize(f, 1)
+        assert got.shape == (8,) * d and got.flags.c_contiguous
+        np.testing.assert_array_equal(got, dft_synthesize(f, 2)[(slice(None, None, 2),) * d].copy())
+
 
 class TestLpNorm:
     def test_constant_l2(self, torus64):
@@ -787,7 +803,7 @@ class TestKeptSumOfSquares:
         T = SpectralFunction(self._T2, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         phi = pair32[0]
         y = phi.outer_support * self._T2.length / (math.pi * size)
-        band = spectral._band_restrict(T, phi, y)
+        band = spectral._band_restrict(T, spectral._band_torus(phi, self._T2, y))
         assert band.torus.grid_size == size and not band.coefficients.flags.c_contiguous
         for f in (band, convolve_scaled(band, phi, y), band.derivative((1, 2))):
             self._assert_kept(f)
@@ -943,6 +959,29 @@ class TestSobolevNorm:
             sine(Torus(1, 1.0, 64)).derivative(order)
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("order", [10**6, 10**300])
+    def test_an_order_far_past_underflow_is_zero_at_once(self, order):
+        # max |xi| = 0.025: (i xi)^a is exactly 0, returned with no a - 1 multiplies
+        start = time.perf_counter()
+        f = sine(Torus(1, 1000.0, 8)).derivative(order)
+        assert time.perf_counter() - start < 1.0
+        assert not f.coefficients.any() and f.is_real()
+
+    @pytest.mark.parametrize("length", [1000.0, 16 * math.pi])  # max |xi| 0.025 and 1/2
+    def test_an_underflowing_multiplier_is_the_repeated_product(self, length):
+        t = Torus(1, length, 8)
+        xi = t.frequencies()
+        # the first order whose a ln(max |xi|) is more than 1 below ln(ulp(0))
+        first = math.floor((math.log(math.ulp(0.0)) - 1.0) / math.log(t.nyquist)) + 1
+        for a in (first - 1, first, first + 1):
+            power = xi
+            for _ in range(a - 1):
+                power = power * xi
+            mult, peak = spectral._derivative_multiplier(t, a)
+            np.testing.assert_array_equal(mult, power * (1j**a))
+            assert peak == np.abs(power).max()
+        assert peak == 0.0
+
     def test_derivative_multi_index_2d(self):
         t = Torus(2, 1.0, 16)
         rng = np.random.default_rng(6)
@@ -1021,7 +1060,7 @@ class TestConvolveScaled:
         monkeypatch.setattr(SpectralFunction, "_derived", spy)
         grid = default_grid(t, pair32[0]).values()
         for y in grid:
-            for S in (T, spectral._band_restrict(T, kernel, y)):
+            for S in (T, spectral._band_restrict(T, spectral._band_torus(kernel, t, y))):
                 want = S.coefficients * kernel.profile(y * S.torus.frequency_radius())
                 out = convolve_scaled(S, kernel, y)
                 np.testing.assert_array_equal(out.coefficients, want)
@@ -1389,7 +1428,9 @@ class TestExactSymmetry:
             f,
             f.derivative(3 if d == 1 else (2, 1)),
             convolve_scaled(f, phi, 2 * min_scale(phi, t)),
-            spectral._band_restrict(f, phi, phi.outer_support * t.length / (math.pi * 8)),
+            spectral._band_restrict(
+                f, spectral._band_torus(phi, t, phi.outer_support * t.length / (math.pi * 8))
+            ),
             scalar * f,
             f + h,
             f - h,
@@ -1467,7 +1508,7 @@ class TestExactSymmetry:
         for T, T2 in ((real, real2), (other, real), (real, other)):
             derived = [T.derivative(a) for a in orders]
             derived.append(convolve_scaled(T, phi, 2 * min_scale(phi, t)))
-            derived.append(spectral._band_restrict(T, phi, y))
+            derived.append(spectral._band_restrict(T, spectral._band_torus(phi, t, y)))
             derived += [2.5 * T, T + T2, T - T2]
             for f in derived:
                 assert f.is_real() == spectral._is_conjugate_symmetric(f.coefficients.copy())
@@ -1582,7 +1623,7 @@ class TestDerivedFields:
         "derivative of order 0": lambda t, pair: kink(t).derivative(0),
         "convolve_scaled": lambda t, pair: convolve_scaled(dirac(t), pair[0], 0.2),
         "band restriction": lambda t, pair: spectral._band_restrict(
-            convolve_scaled(dirac(t), pair[0], 0.2), pair[0], 0.2
+            convolve_scaled(dirac(t), pair[0], 0.2), spectral._band_torus(pair[0], t, 0.2)
         ),
         "scalar multiple": lambda t, pair: 2.0 * kink(t),
         "sum": lambda t, pair: kink(t) + sine(t, 3),
@@ -1727,7 +1768,7 @@ class TestSymmetricPairing:
             (2, 16, True, 3),
         ],
     )
-    def test_vdot_is_the_flipped_dot(self, monkeypatch, pair32, d, n, strided, band):
+    def test_vdot_is_the_flipped_dot(self, monkeypatch, d, n, strided, band):
         rng = np.random.default_rng(10 * d + strided)
         t = Torus(d, 1.7, n)
         shape = t.coeff_shape()
@@ -1743,8 +1784,7 @@ class TestSymmetricPairing:
             wide = inside
         g = SpectralFunction(source, _symmetric_part(wide))
         if strided:
-            phi = pair32[0]
-            g = spectral._band_restrict(g, phi, phi.outer_support * t.length / (math.pi * n))
+            g = spectral._band_restrict(g, t)
         assert g.torus == t and g.coefficients.flags.c_contiguous != strided
         b = t.mode_max if band is None else band
         assert g._band == b
