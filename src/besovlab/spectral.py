@@ -28,10 +28,14 @@ Tori and kernels, the keys of every cache below, compute their hash once.
 
 Every SpectralFunction keeps sum_m |c_m|^2, the one BLAS pass of its
 finiteness check, so lp_norm at p = 2 is sqrt(L^d * that sum) with no pass
-of its own.  The sum also bounds every modulus, |c_m| <= sqrt(sum): the
-arithmetic that derives one object from another (derivative, a scalar
-multiple, a sum or difference) reads from it whether its result can
-overflow, and only if it can runs under np.errstate (_overflow_guarded).
+of its own, unless the sum left the normal float range (0 with a nonzero
+coefficient, subnormal or inf): then it is summed again over c / s, s a
+power of two near max |c| (_power_of_two).  The grid rules divide by such
+an s only where their powers of |f| would leave that range.  The sum also
+bounds every modulus, |c_m| <= sqrt(sum): the arithmetic that derives one
+object from another (derivative, a scalar multiple, a sum or difference)
+reads from it whether its result can overflow, and only if it can runs
+under np.errstate (_overflow_guarded).
 A field also keeps its band, the largest max_i |m_i| over its nonzero
 coefficients (_band), computed on first need: the p = inf cosets and the
 p = 1 grid of a real 1-d field and the box a pairing reads are sized by
@@ -54,13 +58,15 @@ pairs by one np.vdot(g, f) over the box of g's band (contiguous in 1-d),
 with no reversed copy of g.  A zero field (sum |c_m|^2 = 0) has norm 0 at
 every p, with no synthesis.
 
-Every synthesis (_synthesize) places the modes of f into one array
-allocated per call and transforms it in place (numpy's out=), unscaled
-(norm="forward"); lp_norm takes |f| of a real grid in place.  Every sup
-is one routine, _sup, over the 2N-point grid.  A real 1-d field of band B
-reads that grid as 2N/M interleaved M-point irffts of the twisted half
-spectrum, M the power of two above 2B, at least 256 and at most 2N: a full
-band, or a torus of at most 128 points, is one coset of 2N points.
+Every synthesis (_synthesize) of a complex or 2-d field places the modes
+of f into one array allocated per call and transforms it in place (numpy's
+out=), unscaled (norm="forward"); that of a real 1-d field is one irfft of
+the view of its modes 0..N/2.  lp_norm takes |f| of a real grid in place.
+Every sup is one routine, _sup, over the 2N-point grid.  A real 1-d field
+of band B reads that grid as 2N/M interleaved M-point irffts of the
+twisted half spectrum, M the power of two above 2B, at least 256 and at
+most 2N: a full band, or a torus of at most 128 points, is one coset of 2N
+points.
 Complex and 2-d fields take the one 2N-point synthesis.
 
 Conventions
@@ -138,6 +144,8 @@ _KINK_MAPS = np.vstack([
     np.array([1 / 2, 1 / 12, 0.0, -1 / 120, 0.0, 1 / 252]) @ _KINK_FIT,
 ])
 _P, _DP, _PINT, _E0 = slice(0, 6), slice(6, 11), slice(11, 17), 17
+# The rows the coarse pass of _l1_rule reads, _PINT then _E0: a contiguous view.
+_KINK_COARSE = _KINK_MAPS[_PINT.start :]
 
 # Relative floor below which outer-band coefficients count as decayed.
 _BAND_DECAY_RTOL = 1e-12
@@ -377,7 +385,7 @@ class SpectralFunction:
         conj(c_-m) for every m (a real-valued object); an array within 1e-10
         max|c| of symmetry is made so by the public constructor.
 
-        lp_norm's path switch: real objects are synthesized by irfftn from
+        lp_norm's path switch: real objects are synthesized by irfft from
         the modes 0..N/2 of the last axis, others by the complex ifftn.
         """
         return self._real
@@ -558,14 +566,18 @@ def _synthesize(f: SpectralFunction, n, real):
     axis, zero-padded or cropped to n/2 + 1 bins: that axis is not folded,
     but mode -M, implied by symmetry, needs a bin of its own too, so a real
     f needs n > 2M, or, in 1-d, its modes from n/2 up to be 0 (as
-    _l1_norm's are).  The transforms run in place, except the real one
-    into a float grid, with norm="forward": the sum of the modes, unscaled.
+    _l1_norm's are).  A real 1-d f has no folded axis: irfft reads the view
+    of its modes 0..M, with no staging copy.  The transforms run with
+    norm="forward", the sum of the modes, unscaled, and in place, except
+    the real one into a float grid.
     """
     torus = f.torus
     m = torus.mode_max
     axes = tuple(range(torus.dimension))
     folded = axes[:-1] if real else axes
     c = f.coefficients[..., m:] if real else f.coefficients
+    if not folded:  # irfft pads or crops the half spectrum itself
+        return np.fft.irfft(c, n=n, norm="forward")
     a = np.empty((n,) * len(folded) + c.shape[len(folded) :], complex)
     for axis in folded:
         np.moveaxis(a, axis, 0)[m + 1 : n - m] = 0.0
@@ -576,9 +588,9 @@ def _synthesize(f: SpectralFunction, n, real):
         a[dst] = c[src]
     if not real:
         return np.fft.ifftn(a, axes=axes, norm="forward", out=a)
-    for axis in folded:  # what irfftn does first, here in place
+    for axis in folded:  # what irfftn does before its irfft, here in place
         np.fft.ifft(a, axis=axis, norm="forward", out=a)
-    return np.fft.irfftn(a, s=(n,), axes=(-1,), norm="forward")
+    return np.fft.irfft(a, n=n, norm="forward")
 
 
 def dft_synthesize(f: SpectralFunction, oversample=1):
@@ -705,18 +717,22 @@ def lp_norm(f: SpectralFunction, p):
     p = 2 is exact by Parseval, sqrt(L^d * sum_m |c_m|^2) over all stored
     modes, with no synthesis: the sum is the one f kept when it was made
     (one BLAS pass, which also checked f finite), so the norm costs no pass
-    over f.  A zero field has norm 0 at every p,
-    with no synthesis: its kept sum is 0, and since moduli below 1e-162
-    square to 0, every coefficient is then checked to be 0.  p = inf is
+    over f while the sum is a normal float.  A sum that is 0 (moduli below
+    1e-162 square to 0), subnormal or inf is taken again of c / s, s the
+    power of two of max |c|, and the norm scaled back by s.  A zero field
+    has norm 0 at every p, with no synthesis: at p != 2 its kept sum is 0,
+    and every coefficient is then checked to be 0.  p = inf is
     the sup over the 2x-oversampled grid, from _sup: a real 1-d input reads
     it from the cosets of its band B = f._band, every other input from one
     synthesis of the grid.  p = 1 on a real 1-d input is the rectangle
     rule with the kinks of |f| corrected in closed form, on a grid sized by
     f's bandwidth and refined until its error estimate is below 1e-7 of the
     norm, up to the 16x grid (_l1_norm).  Other finite p, 2-d and complex
-    inputs use the rectangle rule on the 16x grid.  Real inputs
-    (SpectralFunction.is_real) are synthesized from the half spectrum,
-    others by a complex transform.
+    inputs use the rectangle rule on the 16x grid; where the p-th power of
+    the grid's max |f| would leave the normal float range (with room for
+    the sum), the powers are of |f| / s, s the power of two of that max.
+    Real inputs (SpectralFunction.is_real) are synthesized from the half
+    spectrum, others by a complex transform.
 
     Raises AliasingRisk for a distribution-tagged input with p < inf whose
     spectrum has not decayed at the band edge (the norm would be dominated
@@ -729,7 +745,11 @@ def lp_norm(f: SpectralFunction, p):
     if not math.isinf(p) and f.tag == "distribution" and not f.spectrum_decayed():
         raise AliasingRisk("L^p quadrature of a truncated distribution spectrum (p < inf)")
     if p == 2.0:
-        return math.sqrt(f.torus.length**d * f._sum_sq)
+        if sys.float_info.min <= f._sum_sq < math.inf:
+            return math.sqrt(f.torus.length**d * f._sum_sq)
+        scale = _power_of_two(np.max(np.abs(f.coefficients)))
+        c = f.coefficients / scale
+        return scale * math.sqrt(f.torus.length**d * float(np.vdot(c, c).real))
     if f._sum_sq == 0.0 and not f.coefficients.any():
         return 0.0
     if math.isinf(p):
@@ -739,10 +759,21 @@ def lp_norm(f: SpectralFunction, p):
         return _l1_norm(f)
     vals = _synthesize(f, _QUAD_OVERSAMPLE_GEN * f.torus.grid_size, real)
     mags = np.abs(vals, out=vals) if real else np.abs(vals)
+    peak, scale = float(mags.max()), 1.0
+    power = p * math.log2(peak) if peak else 0.0
+    if not sys.float_info.min_exp - 1 < power < sys.float_info.max_exp - math.log2(mags.size):
+        scale = _power_of_two(peak)
+        mags /= scale
     if p != 1.0:
         mags **= p
     cell = (f.torus.length / (f.torus.grid_size * _QUAD_OVERSAMPLE_GEN)) ** d
-    return float((np.sum(mags) * cell) ** (1.0 / p))
+    return scale * float((np.sum(mags) * cell) ** (1.0 / p))
+
+
+def _power_of_two(peak):
+    """2**e with peak in [2**(e-1), 2**e): a modulus divided by it keeps
+    every bit, and peak becomes 1/2 or more and below 1 (1.0 for peak 0)."""
+    return math.ldexp(1.0, math.frexp(peak)[1])
 
 
 def _sup(f: SpectralFunction):
@@ -795,21 +826,31 @@ def _l1_norm(f: SpectralFunction):
     The rule's error is O(h^7), so |I_n - I_{n/2}| / (2^7 - 1), I_{n/2} the
     rule on the even samples at I_n's zeros, estimates it at no extra
     transform; while that exceeds 1e-7 of the norm, n doubles, up to 16 N,
-    where an estimate still above it raises QuadratureInaccurate.
+    where an estimate still above it raises QuadratureInaccurate.  The
+    rule squares samples (_quadratic_zero): if the kept sum cannot bound
+    max |f| within 2**-500..2**500, the rule reads each grid divided by the
+    power of two of its max, and the norm is scaled back.
     """
     torus = f.torus
-    nb = min(torus.grid_size, max(8, 1 << (2 * f._band).bit_length()))
+    b = f._band
+    nb = min(torus.grid_size, max(8, 1 << (2 * b).bit_length()))
     n = _L1_OVERSAMPLE * nb
+    # sqrt(sum) <= max |f| <= sqrt((2B + 1) sum), sum the kept sum |c_m|^2
+    scaled = not (2.0**-1000 <= f._sum_sq and (2 * b + 1) * f._sum_sq <= 2.0**1000)
+    scale = 1.0
     while True:
         vals = _synthesize(f, n, real=True)  # modes above B < n/2 are 0
+        if scaled:
+            scale = _power_of_two(np.max(np.abs(vals)))
+            vals /= scale
         norm, coarse = _l1_rule(vals, torus.length / n)
         error = abs(norm - coarse) / 127.0
         if error <= _L1_RTOL * norm:
-            return float(norm)
+            return scale * float(norm)
         if n >= _QUAD_OVERSAMPLE_GEN * torus.grid_size:
             raise QuadratureInaccurate(
-                f"p = 1 rule on {n} points: error estimate {error:.3g} of a norm of "
-                f"{norm:.6g} misses the relative target {_L1_RTOL:g}"
+                f"p = 1 rule on {n} points: error estimate {scale * error:.3g} of a norm of "
+                f"{scale * norm:.6g} misses the relative target {_L1_RTOL:g}"
             )
         n *= 2
 
@@ -842,24 +883,29 @@ def _l1_rule(v, h):
     kink_places, kink_signs, kink_term = _kink_terms(v, kinks)
     dip_places, dip_signs, dip_term = _dip_terms(v, lows)
     nodes, theta = np.divmod(np.concatenate((kink_places, dip_places)) / 2.0, 1.0)  # cells of step 2h
-    maps = _KINK_MAPS @ v.take(2 * (nodes.astype(np.intp) + _KINK_STENCIL[:, None]), mode="wrap")
-    coarse = np.concatenate((kink_signs, dip_signs)) @ (maps[_E0] - theta * _horner(maps[_PINT], theta))
+    maps = _KINK_COARSE @ v.take(2 * (nodes.astype(np.intp) + _KINK_STENCIL[:, None]), mode="wrap")
+    coarse = np.concatenate((kink_signs, dip_signs)) @ _kink_e(maps[-1], maps[:-1], theta)
     fine = h * (float(mags.sum()) + 2.0 * (kink_term + dip_term))
     return fine, 2.0 * h * (float(mags[::2].sum()) + 2.0 * coarse)
 
 
 def _zero_places(m, p):
     """The kink cells and the dip nodes of a periodic grid, from |v| and
-    v > 0, each padded with one periodic neighbour on either side."""
-    m, p = (np.concatenate((a[-1:], a, a[:1])) for a in (m, p))
-    flips = p[:-1] != p[1:]  # flips[j]: between nodes j - 1 and j
-    kinks = np.flatnonzero(flips[1:])
+    v > 0, with no padded copy: the interior compares views of the two
+    arrays, and the entries across the wrap are set from scalars."""
+    flips = np.empty(p.size + 1, bool)  # flips[j]: between nodes j - 1 and j
+    np.not_equal(p[:-1], p[1:], out=flips[1:-1])
+    flips[0] = flips[-1] = p.item(-1) != p.item(0)
     # the parabola through three samples of one sign crosses 0 only if the
     # outer two add up to more than 10 times the middle one; 3 leaves room
     # for the quintic
-    low = 3.0 * m[1:-1] < m[:-2] + m[2:]
-    lows = np.flatnonzero(low > (flips[:-1] | flips[1:]))  # low and no flip
-    return kinks, lows
+    low = np.empty(m.size, bool)
+    np.less(3.0 * m[1:-1], m[:-2] + m[2:], out=low[1:-1])
+    low[0] = 3.0 * m.item(0) < m.item(-1) + m.item(1)
+    low[-1] = 3.0 * m.item(-1) < m.item(-2) + m.item(0)
+    either = flips[:-1] | flips[1:]
+    np.greater(low, either, out=either)  # low and no flip
+    return flips[1:].nonzero()[0], either.nonzero()[0]
 
 
 def _kink_terms(v, cells):
@@ -869,7 +915,13 @@ def _kink_terms(v, cells):
     maps = _KINK_MAPS @ s
     theta = _newton_step(maps, _quadratic_zero(s[2], s[3], maps[2]), 0.0)
     signs = np.where(s[3] > 0.0, 1.0, -1.0)
-    return cells + theta, signs, signs @ (maps[_E0] - theta * _horner(maps[_PINT], theta))
+    return cells + theta, signs, signs @ _kink_e(maps[_E0], maps[_PINT], theta)
+
+
+def _kink_e(e0, pint, theta):
+    """E(theta) = E(0) - theta * (the antiderivative of p divided by t at
+    theta), from the rows E(0) and _PINT of the kink maps."""
+    return e0 - theta * _horner(pint, theta)
 
 
 def _dip_terms(v, nodes):
@@ -887,11 +939,14 @@ def _dip_terms(v, nodes):
     bottom = np.clip(-0.5 * maps[1] / curv, -1.0, 1.0)
     depth = _horner(maps[_P], bottom)
     half = np.sqrt(np.maximum(-depth / curv, 0.0))  # 0: no zeros
-    lo = _newton_step(maps, bottom - half, -1.0)
-    hi = _newton_step(maps, bottom + half, -1.0)
-    area = hi * _horner(maps[_PINT], hi) - lo * _horner(maps[_PINT], lo)
+    # the lower zeros lo, then the upper ones hi, each quintic twice: one
+    # Newton step and one antiderivative for both
+    maps = np.tile(maps, 2)
+    ends = _newton_step(maps, np.concatenate((bottom - half, bottom + half)), -1.0)
+    area = ends * _horner(maps[_PINT], ends)
     signs = np.sign(curv)  # f falls through lo and rises through hi where v_j > 0
-    return np.concatenate((nodes + lo, nodes + hi)), np.concatenate((-signs, signs)), np.abs(area).sum()
+    k = nodes.size
+    return np.tile(nodes, 2) + ends, np.concatenate((-signs, signs)), np.abs(area[k:] - area[:k]).sum()
 
 
 def _quadratic_zero(v0, v1, curv):
@@ -907,15 +962,22 @@ def _quadratic_zero(v0, v1, curv):
 def _newton_step(maps, t, lowest):
     """One Newton step for a zero of each quintic, kept in [lowest, 1]."""
     slope = _horner(maps[_DP], t)
-    step = _horner(maps[_P], t) / np.where(slope != 0.0, slope, np.inf)
-    return np.minimum(np.maximum(t - step, lowest), 1.0)
+    slope[slope == 0.0] = np.inf
+    step = _horner(maps[_P], t)
+    step /= slope
+    np.subtract(t, step, out=step)
+    np.maximum(step, lowest, out=step)
+    return np.minimum(step, 1.0, out=step)
 
 
 def _horner(coeffs, t):
-    """sum_j coeffs[j] * t**j, one polynomial per column of coeffs."""
-    out = coeffs[-1]
-    for c in coeffs[-2::-1]:
-        out = out * t + c
+    """sum_j coeffs[j] * t**j, one polynomial per column of coeffs (at least
+    two rows), in one new array: each step multiplies and adds in place."""
+    out = coeffs[-1] * t
+    for c in coeffs[-2:0:-1]:
+        out += c
+        out *= t
+    out += coeffs[0]
     return out
 
 

@@ -143,6 +143,18 @@ def trigonometric_l1(coeffs, length, density=64, steps=40):
     return float(np.sum(np.abs(np.diff(mean * z + mode_sum(anti, z)))))
 
 
+def padded_zero_places(m, p):
+    """The kink cells and dip nodes of spectral._zero_places, from |v| = m
+    and v > 0 = p, by its first form: both arrays padded with one periodic
+    neighbour on either side, so that the wrap is one more interior entry."""
+    m, p = (np.concatenate((a[-1:], a, a[:1])) for a in (m, p))
+    flips = p[:-1] != p[1:]  # flips[j]: between nodes j - 1 and j
+    kinks = np.flatnonzero(flips[1:])
+    low = 3.0 * m[1:-1] < m[:-2] + m[2:]
+    lows = np.flatnonzero(low > (flips[:-1] | flips[1:]))  # low and no flip
+    return kinks, lows
+
+
 def kernel_space_samples(kernel, x, resolution=512.0):
     """K(x) by direct cosine quadrature of the spectral profile (even, real)."""
     dxi = min_transition(kernel) / resolution

@@ -39,6 +39,7 @@ from oracles import (
     antiderivative_lp,
     direct_mode_sum,
     kernel_space_norm,
+    padded_zero_places,
     synthetic_profile,
     trigonometric_l1,
 )
@@ -322,13 +323,13 @@ class TestLpNorm:
 
             return wrapped
 
-        for name in ("irfftn", "ifftn"):
+        for name in ("irfft", "ifftn"):
             monkeypatch.setattr(np.fft, name, spy(name))
         lp_norm(sine(torus64), 1)
         c = np.zeros(65, dtype=complex)
         c[33] = 1.0
         lp_norm(SpectralFunction(torus64, c), 1)
-        assert calls == ["irfftn", "ifftn"]
+        assert calls == ["irfft", "ifftn"]
 
     def test_one_p1_sweep_decides_realness_once(self, torus1k, pair32, monkeypatch):
         calls = []
@@ -1145,13 +1146,13 @@ class TestL1Rule:
 
     def test_grid_sized_by_bandwidth_then_refined(self, torus1k, pair32, monkeypatch):
         sizes = []
-        irfftn = np.fft.irfftn
+        irfft = np.fft.irfft
 
         def spy(*args, **kwargs):
-            sizes.append(kwargs["s"][0])
-            return irfftn(*args, **kwargs)
+            sizes.append(kwargs["n"])
+            return irfft(*args, **kwargs)
 
-        monkeypatch.setattr(np.fft, "irfftn", spy)
+        monkeypatch.setattr(np.fft, "irfft", spy)
         # band 318: 8 times the smallest power of two > 2 * 318
         f = convolve_scaled(dirac(torus1k), pair32[0], 0.02).derivative(1)
         assert f.active_bandwidth(rtol=0.0) == 318
@@ -1213,6 +1214,46 @@ class TestL1Rule:
         want = spectral._l1_rule(v, h)
         for k in range(0, 64, 2):
             np.testing.assert_allclose(spectral._l1_rule(np.roll(v, k), h), want, rtol=1e-13, err_msg=k)
+
+
+def _zero_place_grids():
+    """Grids for _zero_places: seeded ones for n = 8..64, with a sign flip
+    across the wrap and low nodes at 0 and n - 1 set on some, and the
+    samples of _shifted_sine and _zero_pair on 64 points, rolled."""
+    rng = np.random.default_rng(38)
+    for n in range(8, 65):
+        for _ in range(4):
+            v = rng.standard_normal(n)
+            yield v
+            w = np.abs(v) + 1.0  # one sign: no flip at all
+            w[0] = w[-1] = 0.01  # low nodes at 0 and n - 1
+            yield w
+            yield -w
+            w = w.copy()
+            w[-1] = -0.01  # a flip across the wrap, next to a low node 0
+            yield w
+    for field in [_shifted_sine(x0) for x0 in _CELL_OFFSETS] + [_zero_pair(c) for c in _PAIR_CENTRES]:
+        v = spectral._synthesize(field, 64, real=True)
+        for k in range(0, 64, 7):
+            yield np.roll(v, k)
+
+
+class TestZeroPlaces:
+    """_zero_places reads the wrap from scalars; the padded form is the reference."""
+
+    def test_matches_the_padded_form(self):
+        wrap_kink = low_ends = 0
+        for v in _zero_place_grids():
+            m, p = np.abs(v), v > 0
+            got, want = spectral._zero_places(m, p), padded_zero_places(m, p)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype
+                np.testing.assert_array_equal(g, w)
+            kinks, lows = got
+            wrap_kink += v.size - 1 in kinks
+            low_ends += 0 in lows and v.size - 1 in lows
+        # the wrap entries were exercised, not only the interior
+        assert wrap_kink > 50 and low_ends > 50
 
 
 class TestLineFieldNorms:
@@ -1734,13 +1775,62 @@ class TestZeroField:
         assert calls == []
 
     def test_moduli_that_square_to_zero_are_synthesized(self):
-        # |c|^2 underflows to 0 below about 1e-162; the sup still reads c
+        # |c|^2 underflows to 0 below about 1e-162; the sup still reads c,
+        # and p = 3 takes the cubes of |f| / s, s a power of two near 1e-200
         c = np.zeros(65, dtype=complex)
         c[32] = 1e-200
         f = SpectralFunction(Torus(1, 1.0, 64), c)
         assert f._sum_sq == 0.0
-        assert lp_norm(f, "inf") == pytest.approx(1e-200, rel=1e-12)
-        assert lp_norm(f, 3) == pytest.approx(1e-200, rel=1e-12)
+        assert lp_norm(f, "inf") == pytest.approx(1e-200, rel=1e-12, abs=0.0)
+        assert lp_norm(f, 3) == pytest.approx(1e-200, rel=1e-12, abs=0.0)
+
+
+_S3 = sine(Torus(1, 1.0, 64), 3)
+
+
+def _random_fields():
+    """Seeded real and complex fields on a 1-d and a 2-d torus, by name."""
+    rng = np.random.default_rng(2)
+    out = {}
+    for d, n in ((1, 64), (2, 16)):
+        t = Torus(d, 1.0, n)
+        shape = t.coeff_shape()
+        out[f"real-{d}d"] = _real_coefficients(rng, t)
+        out[f"complex-{d}d"] = SpectralFunction(t, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    return out
+
+
+_RANDOM_FIELDS = _random_fields()
+
+
+class TestFarFromUnitMagnitude:
+    """Norms of fields whose kept sum of squares or p-th powers leave the
+    float range: a power of two near the largest modulus is divided out."""
+
+    @pytest.mark.parametrize(
+        "factor,p",
+        [(1e155, 2), (1e-170, 2), (1e4, 100), (1e-4, 100), (1e-120, 3), (1e200, 1)],
+    )
+    def test_defects_of_the_sine(self, factor, p):
+        # inf, 0, inf with an overflow warning, 0, 0 and an overflow warning
+        # in the p = 1 rule's quadratic before the scaling
+        assert lp_norm(_S3 * factor, p) == pytest.approx(factor * lp_norm(_S3, p), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("k", [500, -500, 600, -600])
+    @pytest.mark.parametrize("p", [1, 2, 3, 100, "inf"])
+    @pytest.mark.parametrize("name", sorted(_RANDOM_FIELDS))
+    def test_homogeneity(self, name, p, k):
+        f = _RANDOM_FIELDS[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = lp_norm(f * 2.0**k, p)
+        assert got == pytest.approx(2.0**k * lp_norm(f, p), rel=1e-12, abs=0.0)
+
+    def test_normal_sums_keep_the_one_read(self, monkeypatch):
+        # a kept sum that is a normal float is the p = 2 norm, with no pass
+        monkeypatch.setattr(spectral, "_power_of_two", lambda peak: pytest.fail("rescaled"))
+        for f in (_S3, _S3 * 1e150, _S3 * 1e-150):
+            assert lp_norm(f, 2) == math.sqrt(f._sum_sq)
 
 
 class TestSymmetricPairing:
