@@ -28,14 +28,15 @@ Tori and kernels, the keys of every cache below, compute their hash once.
 
 Every SpectralFunction keeps sum_m |c_m|^2, the one BLAS pass of its
 finiteness check, so lp_norm at p = 2 is sqrt(L^d * that sum) with no pass
-of its own, unless the sum left the normal float range (0 with a nonzero
-coefficient, subnormal or inf): then it is summed again over c / s, s a
-power of two near max |c| (_power_of_two).  The grid rules divide by such
-an s only where their powers of |f| would leave that range.  The sum also
-bounds every modulus, |c_m| <= sqrt(sum): the arithmetic that derives one
-object from another (derivative, a scalar multiple, a sum or difference)
-reads from it whether its result can overflow, and only if it can runs
-under np.errstate (_overflow_guarded).
+of its own.  Magnitude is decided once, at lp_norm's entry, from that sum:
+p = 2 takes it while it is a normal float, and the grid routes while it is
+in [2**-1000, 2**1000 / (coefficient count)), which keeps max |f| within
+2**+-500.  A nonzero field outside its route's range is multiplied by
+2**600 (below) or 2**-600 (above), an exact scaling, and its norm divided
+by the same.  The sum also bounds every modulus, |c_m| <= sqrt(sum): the
+arithmetic that derives one object from another (derivative, a scalar
+multiple, a sum or difference) reads from it whether its result can
+overflow, and only if it can runs under np.errstate (_overflow_guarded).
 A field also keeps its band, the largest max_i |m_i| over its nonzero
 coefficients (_band), computed on first need: the p = inf cosets and the
 p = 1 grid of a real 1-d field and the box a pairing reads are sized by
@@ -530,30 +531,20 @@ def _derivative_multiplier(torus, a):
     """(i xi)^a over the torus's modes, read-only, and its peak max |xi|^a,
     cached per (torus, a).
 
-    Built as i^a * xi^a with xi^a by repeated real multiplication.  An order
-    whose multiplier overflows raises InvalidParameter, with no warning; one
-    with a ln(max |xi|) more than 1 past ln(float max) raises before the
-    loop, whose time grows with a.  When max |xi| <= 1/2 and a ln(max |xi|)
-    is more than 1 below ln(ulp(0)), the loop's product is exactly 0, since
-    once subnormal each step at least halves it: the multiplier is 0, with
-    peak 0, and no loop.
+    Built in closed form, one pow per mode whatever a: |xi|^a, with the
+    sign of xi for odd a, times i^(a mod 4).  An order past the float range
+    raises |xi| to float max, which reads 0 below 1, 1 at 1 and inf above.
+    An order whose multiplier overflows raises InvalidParameter, with no
+    warning; one that underflows gives 0 there.
     """
     xi = torus.frequencies()
-    log_peak = math.log(torus.nyquist)
-    if log_peak > 0.0 and a > (math.log(sys.float_info.max) + 1.0) / log_peak:
+    with np.errstate(over="ignore", under="ignore"):
+        power = np.abs(xi) ** float(min(a, sys.float_info.max))
+    if not np.all(np.isfinite(power)):
         raise InvalidParameter(f"derivative of order {_shown(a)} overflows on {torus}")
-    if log_peak <= -math.log(2.0) and a > (math.log(math.ulp(0.0)) - 1.0) / log_peak:
-        power = out = np.zeros(xi.shape, complex)
-    else:
-        power = xi
-        with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(a - 1):
-                power = power * xi
-            out = power * (1j**a)
-    if not np.all(np.isfinite(out)):
-        raise InvalidParameter(f"derivative of order {_shown(a)} overflows on {torus}")
+    out = (np.copysign(power, xi) if a % 2 else power) * 1j ** (a % 4)
     out.flags.writeable = False
-    return out, float(np.abs(power).max())
+    return out, float(power.max())
 
 
 def _synthesize(f: SpectralFunction, n, real):
@@ -717,22 +708,24 @@ def lp_norm(f: SpectralFunction, p):
     p = 2 is exact by Parseval, sqrt(L^d * sum_m |c_m|^2) over all stored
     modes, with no synthesis: the sum is the one f kept when it was made
     (one BLAS pass, which also checked f finite), so the norm costs no pass
-    over f while the sum is a normal float.  A sum that is 0 (moduli below
-    1e-162 square to 0), subnormal or inf is taken again of c / s, s the
-    power of two of max |c|, and the norm scaled back by s.  A zero field
-    has norm 0 at every p, with no synthesis: at p != 2 its kept sum is 0,
-    and every coefficient is then checked to be 0.  p = inf is
-    the sup over the 2x-oversampled grid, from _sup: a real 1-d input reads
-    it from the cosets of its band B = f._band, every other input from one
-    synthesis of the grid.  p = 1 on a real 1-d input is the rectangle
-    rule with the kinks of |f| corrected in closed form, on a grid sized by
-    f's bandwidth and refined until its error estimate is below 1e-7 of the
-    norm, up to the 16x grid (_l1_norm).  Other finite p, 2-d and complex
-    inputs use the rectangle rule on the 16x grid; where the p-th power of
-    the grid's max |f| would leave the normal float range (with room for
-    the sum), the powers are of |f| / s, s the power of two of that max.
-    Real inputs (SpectralFunction.is_real) are synthesized from the half
-    spectrum, others by a complex transform.
+    over f while the sum is a normal float.  The grid routes below take f
+    while the sum is in [2**-1000, 2**1000 / (coefficient count)), so that
+    max |f| is within 2**+-500.  Any other f has norm 0 if every
+    coefficient is 0, with no synthesis (moduli below 1e-162 square to 0),
+    and otherwise the norm of f * 2**600 (sum below the range) or
+    f * 2**-600 (above it), divided by that factor: one exact rescale, after
+    which f is in range.  p = inf is the sup over the 2x-oversampled grid,
+    from _sup: a real 1-d input reads it from the cosets of its band
+    B = f._band, every other input from one synthesis of the grid.  p = 1
+    on a real 1-d input is the rectangle rule with the kinks of |f|
+    corrected in closed form, on a grid sized by f's bandwidth and refined
+    until its error estimate is below 1e-7 of the norm, up to the 16x grid
+    (_l1_norm).  Other finite p, 2-d and complex inputs use the rectangle
+    rule on the 16x grid; where the p-th power of the grid's max |f| would
+    leave the normal float range (with room for the sum), the powers are of
+    |f| / s, s the power of two of that max.  Real inputs
+    (SpectralFunction.is_real) are synthesized from the half spectrum,
+    others by a complex transform.
 
     Raises AliasingRisk for a distribution-tagged input with p < inf whose
     spectrum has not decayed at the band edge (the norm would be dominated
@@ -747,32 +740,32 @@ def lp_norm(f: SpectralFunction, p):
     if p == 2.0:
         if sys.float_info.min <= f._sum_sq < math.inf:
             return math.sqrt(f.torus.length**d * f._sum_sq)
-        scale = _power_of_two(np.max(np.abs(f.coefficients)))
-        c = f.coefficients / scale
-        return scale * math.sqrt(f.torus.length**d * float(np.vdot(c, c).real))
-    if f._sum_sq == 0.0 and not f.coefficients.any():
+    elif 2.0**-1000 <= f._sum_sq < 2.0**1000 / f.coefficients.size:
+        if math.isinf(p):
+            return _sup(f)
+        real = f.is_real()
+        if p == 1.0 and real and d == 1:
+            return _l1_norm(f)
+        vals = _synthesize(f, _QUAD_OVERSAMPLE_GEN * f.torus.grid_size, real)
+        mags = np.abs(vals, out=vals) if real else np.abs(vals)
+        peak, scale = float(mags.max()), 1.0
+        if not sys.float_info.min_exp - 1 < p * math.log2(peak) < sys.float_info.max_exp - math.log2(mags.size):
+            scale = _power_of_two(peak)
+            mags /= scale
+        if p != 1.0:
+            mags **= p
+        cell = (f.torus.length / (f.torus.grid_size * _QUAD_OVERSAMPLE_GEN)) ** d
+        return scale * float((np.sum(mags) * cell) ** (1.0 / p))
+    if not f.coefficients.any():
         return 0.0
-    if math.isinf(p):
-        return _sup(f)
-    real = f.is_real()
-    if p == 1.0 and real and d == 1:
-        return _l1_norm(f)
-    vals = _synthesize(f, _QUAD_OVERSAMPLE_GEN * f.torus.grid_size, real)
-    mags = np.abs(vals, out=vals) if real else np.abs(vals)
-    peak, scale = float(mags.max()), 1.0
-    power = p * math.log2(peak) if peak else 0.0
-    if not sys.float_info.min_exp - 1 < power < sys.float_info.max_exp - math.log2(mags.size):
-        scale = _power_of_two(peak)
-        mags /= scale
-    if p != 1.0:
-        mags **= p
-    cell = (f.torus.length / (f.torus.grid_size * _QUAD_OVERSAMPLE_GEN)) ** d
-    return scale * float((np.sum(mags) * cell) ** (1.0 / p))
+    scale = 2.0**600 if f._sum_sq < 1.0 else 2.0**-600
+    return lp_norm(f * scale, p) / scale
 
 
 def _power_of_two(peak):
-    """2**e with peak in [2**(e-1), 2**e): a modulus divided by it keeps
-    every bit, and peak becomes 1/2 or more and below 1 (1.0 for peak 0)."""
+    """2**e with peak > 0 in [2**(e-1), 2**e): the divisor of the 16x rule
+    where the p-th powers of |f| would leave the float range.  A modulus
+    divided by it keeps every bit, and peak becomes 1/2 or more and below 1."""
     return math.ldexp(1.0, math.frexp(peak)[1])
 
 
@@ -827,30 +820,23 @@ def _l1_norm(f: SpectralFunction):
     rule on the even samples at I_n's zeros, estimates it at no extra
     transform; while that exceeds 1e-7 of the norm, n doubles, up to 16 N,
     where an estimate still above it raises QuadratureInaccurate.  The
-    rule squares samples (_quadratic_zero): if the kept sum cannot bound
-    max |f| within 2**-500..2**500, the rule reads each grid divided by the
-    power of two of its max, and the norm is scaled back.
+    rule squares samples (_quadratic_zero); lp_norm's entry has put max |f|
+    within 2**-500..2**500, so the squares stay in the float range.
     """
     torus = f.torus
     b = f._band
     nb = min(torus.grid_size, max(8, 1 << (2 * b).bit_length()))
     n = _L1_OVERSAMPLE * nb
-    # sqrt(sum) <= max |f| <= sqrt((2B + 1) sum), sum the kept sum |c_m|^2
-    scaled = not (2.0**-1000 <= f._sum_sq and (2 * b + 1) * f._sum_sq <= 2.0**1000)
-    scale = 1.0
     while True:
         vals = _synthesize(f, n, real=True)  # modes above B < n/2 are 0
-        if scaled:
-            scale = _power_of_two(np.max(np.abs(vals)))
-            vals /= scale
         norm, coarse = _l1_rule(vals, torus.length / n)
         error = abs(norm - coarse) / 127.0
         if error <= _L1_RTOL * norm:
-            return scale * float(norm)
+            return float(norm)
         if n >= _QUAD_OVERSAMPLE_GEN * torus.grid_size:
             raise QuadratureInaccurate(
-                f"p = 1 rule on {n} points: error estimate {scale * error:.3g} of a norm of "
-                f"{scale * norm:.6g} misses the relative target {_L1_RTOL:g}"
+                f"p = 1 rule on {n} points: error estimate {error:.3g} of a norm of "
+                f"{norm:.6g} misses the relative target {_L1_RTOL:g}"
             )
         n *= 2
 

@@ -953,20 +953,45 @@ class TestSobolevNorm:
 
     @pytest.mark.parametrize("order", [200_000, 10**300, 1e300])
     def test_an_order_far_past_overflow_raises_at_once(self, order):
-        # a ln(max |xi|) is far past ln(float max): raised before the a - 1
-        # multiplies, whose time grows with a
+        # max |xi|^a is inf: raised after one pow per mode, whatever a
         start = time.perf_counter()
         with pytest.raises(InvalidParameter, match="overflows"):
             sine(Torus(1, 1.0, 64)).derivative(order)
         assert time.perf_counter() - start < 1.0
 
-    @pytest.mark.parametrize("order", [10**6, 10**300])
-    def test_an_order_far_past_underflow_is_zero_at_once(self, order):
-        # max |xi| = 0.025: (i xi)^a is exactly 0, returned with no a - 1 multiplies
+    @pytest.mark.parametrize(
+        "length,order",
+        [pytest.param(1000.0, a, id=str(a)) for a in (10**6, 10**300)]  # max |xi| 0.025
+        + [
+            pytest.param(length, a, id=f"{top}-{name}")
+            for length, top in ((8 * math.pi / 0.75, 0.75), (8 * math.pi, 1.0))
+            for a, name in ((10**7, "1e7"), (10**300, "1e300"), (10**300 + 1, "1e300+1"), (10**5000, "1e5000"))
+        ],
+    )
+    def test_an_order_far_past_underflow_is_zero_at_once(self, length, order):
+        # sine's |xi| is max |xi| / 4: (i xi)^a is exactly 0 there, one pow
+        # per mode whatever a
         start = time.perf_counter()
-        f = sine(Torus(1, 1000.0, 8)).derivative(order)
+        f = sine(Torus(1, length, 8)).derivative(order)
         assert time.perf_counter() - start < 1.0
         assert not f.coefficients.any() and f.is_real()
+
+    @pytest.mark.parametrize(
+        "order",
+        [pytest.param(a, id=str(a)) for a in range(1, 6)]
+        + [pytest.param(10**300 + r, id=f"1e300+{r}") for r in range(4)],
+    )
+    def test_a_unit_frequency_keeps_its_modulus_at_any_order(self, order):
+        # max |xi| = 1 exactly: the +-N/2 modes keep modulus 1/2, turned by
+        # (i sgn xi)^a, whatever a
+        c = np.zeros(9, dtype=complex)
+        c[0] = c[-1] = 0.5  # xi = -1 and +1
+        start = time.perf_counter()
+        got = SpectralFunction(Torus(1, 8 * math.pi, 8), c).derivative(order).coefficients
+        assert time.perf_counter() - start < 1.0
+        turn = (1, 1j, -1, -1j)[order % 4]
+        np.testing.assert_array_equal(got[[0, -1]], [0.5 * turn * (-1) ** (order % 2), 0.5 * turn])
+        assert not got[1:-1].any()
 
     @pytest.mark.parametrize("length", [1000.0, 16 * math.pi])  # max |xi| 0.025 and 1/2
     def test_an_underflowing_multiplier_is_the_repeated_product(self, length):
@@ -1775,8 +1800,9 @@ class TestZeroField:
         assert calls == []
 
     def test_moduli_that_square_to_zero_are_synthesized(self):
-        # |c|^2 underflows to 0 below about 1e-162; the sup still reads c,
-        # and p = 3 takes the cubes of |f| / s, s a power of two near 1e-200
+        # |c|^2 underflows to 0 below about 1e-162, so the kept sum is 0 with
+        # a nonzero coefficient: lp_norm's entry takes the norms of f * 2**600
+        # and divides them by 2**600
         c = np.zeros(65, dtype=complex)
         c[32] = 1e-200
         f = SpectralFunction(Torus(1, 1.0, 64), c)
@@ -1803,9 +1829,25 @@ def _random_fields():
 _RANDOM_FIELDS = _random_fields()
 
 
+def _two_mode_field(torus, v, real):
+    """c_{+-2} = v (real), or c_2 = v and c_{-3} = -v/2 (complex), on the
+    last axis through mode 0."""
+    c = np.zeros(torus.coeff_shape(), dtype=complex)
+    m = torus.mode_max
+    row = c[(m,) * (torus.dimension - 1)]
+    row[m + 2] = v
+    if real:
+        row[m - 2] = v
+    else:
+        row[m - 3] = -v / 2
+    return SpectralFunction(torus, c)
+
+
 class TestFarFromUnitMagnitude:
     """Norms of fields whose kept sum of squares or p-th powers leave the
-    float range: a power of two near the largest modulus is divided out."""
+    float range: lp_norm's entry rescales a field outside its route's range
+    by 2**+-600, and the 16x rule divides a power of two near the largest
+    modulus out of p-th powers that would leave it."""
 
     @pytest.mark.parametrize(
         "factor,p",
@@ -1826,11 +1868,37 @@ class TestFarFromUnitMagnitude:
             got = lp_norm(f * 2.0**k, p)
         assert got == pytest.approx(2.0**k * lp_norm(f, p), rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("k", [1023, -1030, -1070])
+    @pytest.mark.parametrize("p", [1, 2, 3, 100, "inf"])
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_two_modes_at_the_ends_of_the_float_range(self, d, real, p, k):
+        t = Torus(d, 1.0, 64 if d == 1 else 16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            want = 2.0**k * lp_norm(_two_mode_field(t, 1.0, real), p)
+            got = lp_norm(_two_mode_field(t, 2.0**k, real), p)
+        # past the float range only the real sup at k = 1023: 2**1024
+        assert math.isinf(want) == (real and p == "inf" and k == 1023)
+        if math.isinf(want):
+            assert got == math.inf
+        else:
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
     def test_normal_sums_keep_the_one_read(self, monkeypatch):
         # a kept sum that is a normal float is the p = 2 norm, with no pass
-        monkeypatch.setattr(spectral, "_power_of_two", lambda peak: pytest.fail("rescaled"))
-        for f in (_S3, _S3 * 1e150, _S3 * 1e-150):
+        # and no rescale; a subnormal one is rescaled by the one multiply
+        fields = (_S3, _S3 * 1e150, _S3 * 1e-150)
+        tiny = _S3 * 1e-160
+        assert 0.0 < tiny._sum_sq < sys.float_info.min
+        factors = []
+        mul = SpectralFunction.__mul__
+        monkeypatch.setattr(SpectralFunction, "__mul__", lambda f, s: factors.append(s) or mul(f, s))
+        for f in fields:
             assert lp_norm(f, 2) == math.sqrt(f._sum_sq)
+        assert factors == []
+        assert lp_norm(tiny, 2) == pytest.approx(1e-160 * lp_norm(_S3, 2), rel=1e-12, abs=0.0)
+        assert factors == [2.0**600]
 
 
 class TestSymmetricPairing:
