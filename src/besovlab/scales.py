@@ -226,9 +226,10 @@ def _boxes(T, kernel, grid):
 
 def _unbox(T, b, box):
     """The function-tagged field on T's torus with the modes of a filled box
-    (b, box) of _boxes, real by T._derived's rule: with no compare when T is
-    real.  For a real T the stored modes are written first, then the last
-    axis's modes -b..-1 are the conjugates of the all-axes flip: bitwise the
+    (b, box) of _boxes, keeping b as its box (its band scans only that),
+    real by T._derived's rule: with no compare when T is real.  For a real
+    T the stored modes are written first, then the last axis's modes
+    -b..-1 are the conjugates of the all-axes flip: bitwise the
     convolution's, since its multiplier is even and has a zero imaginary
     part, so the product keeps T's exact symmetry."""
     full = np.zeros(T.torus.coeff_shape(), complex)
@@ -236,7 +237,7 @@ def _unbox(T, b, box):
     if T.is_real():
         m = T.torus.mode_max
         full[..., m - b : m] = np.conj(np.flip(full[..., m + 1 : m + b + 1]))
-    return T._derived(full, tag="function")
+    return T._derived(full, tag="function", box=b)
 
 
 def q_integral(profile: ScaleProfile, s, q):

@@ -40,7 +40,9 @@ overflow, and only if it can runs under np.errstate (_overflow_guarded).
 A field also keeps its band, the largest max_i |m_i| over its nonzero
 coefficients (_band), computed on first need: the p = inf cosets and the
 p = 1 grid of a real 1-d field and the box a pairing reads are sized by
-it, so a band-limited field costs its band, not its torus.
+it, so a band-limited field costs its band, not its torus.  A convolution
+keeps the half-width of its kernel's box (_box), and so do its derivatives
+and multiples, whose zeros are its own: its band scans only the box.
 
 The multipliers K_hat(y |xi|) are cached per (kernel, torus, y), one value
 per distinct radius |xi| of the torus, with the half-width of the kernel's
@@ -147,6 +149,8 @@ _KINK_MAPS = np.vstack([
 _P, _DP, _PINT, _E0 = slice(0, 6), slice(6, 11), slice(11, 17), 17
 # The rows the coarse pass of _l1_rule reads, _PINT then _E0: a contiguous view.
 _KINK_COARSE = _KINK_MAPS[_PINT.start :]
+# The stencil on the even samples, in indices of the grid (_even_cells).
+_EVEN_STENCIL = 2 * _KINK_STENCIL[:, None]
 
 # Relative floor below which outer-band coefficients count as decayed.
 _BAND_DECAY_RTOL = 1e-12
@@ -165,10 +169,10 @@ _NO_OVERFLOW = sys.float_info.max / 2
 # An entry holds at most one array of the torus's coefficient shape (the
 # layouts, the radius index, a derivative multiplier); a kernel multiplier
 # holds at most one complex value per distinct radius: N/2 + 1 in 1-d, at
-# most (N/2 + 1)(N/2 + 2)/2 in 2-d.  The one twiddle table of the p = inf
-# cosets (_roots) is per 2x grid size n = 2N: the n-th roots of unity
-# exp(2 pi i k / n), k < n/2, N complex values, 16 N bytes (64 KiB at N =
-# 4096); every band's cosets index into it.
+# most (N/2 + 1)(N/2 + 2)/2 in 2-d.  A twist table of the p = inf cosets
+# (_twists) is per 2x grid size n = 2N and coset size: (n/size) (size/2 + 1)
+# complex values, about 8 n bytes, and a grid has at most log2(n/128) coset
+# sizes (n = 8192: 6 tables, 385 KiB); every band of a size reads its table.
 _TORUS_CACHE_SIZE = 128
 
 
@@ -206,6 +210,7 @@ class Torus:
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash(key))
         object.__setattr__(self, "_coeff_shape", (n + 1,) * d)
+        object.__setattr__(self, "_volume", _normal_power(length, d))
 
     def __eq__(self, other):
         if self is other:
@@ -250,6 +255,17 @@ class Torus:
     def frequency_radius(self):
         """|xi| over the coefficient layout (read-only, cached)."""
         return _radial_layout(self, True)
+
+
+def _normal_power(x, e):
+    """x**e for a positive float x when it is a normal float, else 0.0: the
+    measure L^d of a torus (Torus._volume) and the cell of the 16x rule, past
+    whose range lp_norm applies L^(d/p) as a factor of its own."""
+    try:
+        power = x**e
+    except OverflowError:  # a float ** raises where numpy would warn
+        return 0.0
+    return power if sys.float_info.min <= power < math.inf else 0.0
 
 
 @functools.lru_cache(maxsize=_TORUS_CACHE_SIZE)
@@ -298,6 +314,9 @@ class SpectralFunction:
     torus: Torus
     coefficients: np.ndarray = field(repr=False)
     tag: str = "function"
+    # the half-width b of a box outside of which every coefficient is 0, kept
+    # by _derived for _band; None (every field the constructor makes): no box
+    _box = None
 
     def __post_init__(self):
         """The C-order copy of an outside array and its checks (see _derived
@@ -330,7 +349,7 @@ class SpectralFunction:
         c.setflags(write=False)
         object.__setattr__(self, "coefficients", c)
 
-    def _derived(self, c, torus=None, tag=None, real=None, support=None):
+    def _derived(self, c, torus=None, tag=None, real=None, support=None, box=None):
         """The SpectralFunction of c, an array the library made from self.
 
         c is complex, of its torus's shape, and no caller holds it writeable,
@@ -341,6 +360,8 @@ class SpectralFunction:
         exactly symmetric) to True for a real self, whose symmetry every
         derived route keeps, else to one compare of c.  support, a view of c
         outside of which c is 0, is the part the sum and the check read.
+        box, a half-width b outside of whose central (2b+1)^d modes c is 0,
+        is kept for _band, which then scans only those modes.
         """
         out = object.__new__(SpectralFunction)
         state = {
@@ -349,6 +370,7 @@ class SpectralFunction:
             "tag": self.tag if tag is None else tag,
             "_sum_sq": _finite_sum_sq(c if support is None else support),
             "_real": (self._real or _is_conjugate_symmetric(c)) if real is None else real,
+            "_box": box,
         }
         c.setflags(write=False)
         object.__setattr__(out, "__dict__", state)
@@ -366,7 +388,7 @@ class SpectralFunction:
         scalar = real_parameter(scalar, "scalar factor")
         bound = abs(scalar) * math.sqrt(self._sum_sq)
         c = _overflow_guarded(bound, np.multiply, self.coefficients, scalar)
-        return self._derived(c)
+        return self._derived(c, box=self._box)
 
     __rmul__ = __mul__
 
@@ -405,19 +427,23 @@ class SpectralFunction:
     def _band(self):
         """The largest max_i |m_i| over the nonzero coefficients, the number
         active_bandwidth(rtol=0.0) returns, computed on first need and kept:
-        the band the p = inf and p = 1 grids and the pairing box read.  In
-        2-d it is active_bandwidth(0.0).  In 1-d it is read off the first and
-        last nonzero float of the (real, imaginary) pairs: on a Xeon host,
-        7 us at N = 4096 against 10-12 us for a complex compare and gather of
-        the band index, a gap worth about 3% of an association study, which
-        reads about 60 bands.
+        the band the p = inf and p = 1 grids and the pairing box read.  Only
+        the modes -b..b per axis are scanned, b the half-width of the box a
+        convolution keeps (_box; every mode outside it is 0), else N/2.  In
+        2-d the band index is read where the box is nonzero.  In 1-d the
+        band is read off the first and last nonzero float of the box's
+        (real, imaginary) pairs: on a Xeon host, 7 us for all of N = 4096
+        against 10-12 us for a complex compare and gather of the band index,
+        a gap worth about 3% of an association study, which reads about 60
+        bands.
         """
-        c = self.coefficients
+        b = self.torus.mode_max if self._box is None else self._box
+        box = _central(self.torus, b)
+        c = self.coefficients[box]
         if c.ndim == 2:
-            return self.active_bandwidth(0.0)
+            return int(self.torus.band_index()[box][c != 0.0].max(initial=0))
         nonzero = (np.ascontiguousarray(c).view(float) != 0.0).nonzero()[0]
-        m = self.torus.mode_max
-        return int(max(m - nonzero[0] // 2, nonzero[-1] // 2 - m)) if nonzero.size else 0
+        return int(max(b - nonzero[0] // 2, nonzero[-1] // 2 - b)) if nonzero.size else 0
 
     def spectrum_decayed(self):
         """True when the outer 1/16 of the mode range is below 1e-12 * max|c|."""
@@ -441,7 +467,7 @@ class SpectralFunction:
                     mult = mult[:, None] if axis == 0 else mult[None, :]
                 bound *= peak
                 c = _overflow_guarded(bound, np.multiply, c, mult)
-        return self._derived(c)
+        return self._derived(c, box=self._box)  # a finite multiplier keeps every 0
 
 
 def _multi_index(order):
@@ -708,7 +734,9 @@ def lp_norm(f: SpectralFunction, p):
     p = 2 is exact by Parseval, sqrt(L^d * sum_m |c_m|^2) over all stored
     modes, with no synthesis: the sum is the one f kept when it was made
     (one BLAS pass, which also checked f finite), so the norm costs no pass
-    over f while the sum is a normal float.  The grid routes below take f
+    over f while the sum is a normal float.  Where L^d (or the 16x rule's
+    cell, (L/n)^d) leaves the normal float range, the norm on the unit
+    torus is multiplied by L^(d/p) instead.  The grid routes below take f
     while the sum is in [2**-1000, 2**1000 / (coefficient count)), so that
     max |f| is within 2**+-500.  Any other f has norm 0 if every
     coefficient is 0, with no synthesis (moduli below 1e-162 square to 0),
@@ -739,7 +767,9 @@ def lp_norm(f: SpectralFunction, p):
         raise AliasingRisk("L^p quadrature of a truncated distribution spectrum (p < inf)")
     if p == 2.0:
         if sys.float_info.min <= f._sum_sq < math.inf:
-            return math.sqrt(f.torus.length**d * f._sum_sq)
+            if f.torus._volume:
+                return math.sqrt(f.torus._volume * f._sum_sq)
+            return math.sqrt(f._sum_sq) * f.torus.length ** (d / 2)
     elif 2.0**-1000 <= f._sum_sq < 2.0**1000 / f.coefficients.size:
         if math.isinf(p):
             return _sup(f)
@@ -754,8 +784,14 @@ def lp_norm(f: SpectralFunction, p):
             mags /= scale
         if p != 1.0:
             mags **= p
-        cell = (f.torus.length / (f.torus.grid_size * _QUAD_OVERSAMPLE_GEN)) ** d
-        return scale * float((np.sum(mags) * cell) ** (1.0 / p))
+        n = f.torus.grid_size * _QUAD_OVERSAMPLE_GEN
+        cell = _normal_power(f.torus.length / n, d)
+        if cell:
+            return scale * float((np.sum(mags) * cell) ** (1.0 / p))
+        # L^(d/p) as two factors L^(d/2p), each between L and 1, so in the
+        # float range: the product leaves it only where the norm does
+        root = f.torus.length ** (d / (2.0 * p))
+        return scale * float((np.sum(mags) / n**d) ** (1.0 / p)) * root * root
     if not f.coefficients.any():
         return 0.0
     scale = 2.0**600 if f._sum_sq < 1.0 else 2.0**-600
@@ -783,9 +819,10 @@ def _sup(f: SpectralFunction):
         f(x_{rk+s}) = sum_m (c_m w^{ms}) exp(2 pi i m k / size),  w = exp(2 pi i / n):
 
     coset s is the size-point synthesis of the twisted spectrum c_m w^{ms},
-    conjugate-symmetric as c is, so one irfft of its modes 0..B.  The twist
-    reads _roots(n) at s m < n/2.  The r cosets hold the same n values as
-    the full grid, computed with n/size-fold shorter transforms.
+    conjugate-symmetric as c is, so one irfft of its modes 0..B.  The twists
+    w^{ms} are the columns 0..B of the cached table _twists(n, size), one
+    multiply per call.  The r cosets hold the same n values as the full
+    grid, computed with n/size-fold shorter transforms.
     """
     n = _SUP_OVERSAMPLE * f.torus.grid_size
     if not f._real or f.torus.dimension == 2:
@@ -793,17 +830,21 @@ def _sup(f: SpectralFunction):
         return float(np.max(np.abs(vals, out=vals) if f._real else np.abs(vals)))
     b, m = f._band, f.torus.mode_max
     size = min(n, max(_COSET_MIN, 1 << (2 * b).bit_length()))
-    twist = _roots(n).take(np.multiply.outer(np.arange(n // size), np.arange(b + 1)))
     spectra = np.zeros((n // size, size // 2 + 1), complex)
-    np.multiply(twist, f.coefficients[m : m + b + 1], out=spectra[:, : b + 1])
+    np.multiply(_twists(n, size)[:, : b + 1], f.coefficients[m : m + b + 1], out=spectra[:, : b + 1])
     vals = np.fft.irfft(spectra, n=size, axis=-1, norm="forward")
     return float(np.max(np.abs(vals, out=vals)))
 
 
 @functools.lru_cache(maxsize=_TORUS_CACHE_SIZE)
-def _roots(n):
-    """exp(2 pi i k / n) for k < n/2, read-only (cached per grid size)."""
-    out = np.exp((2j * np.pi / n) * np.arange(n // 2))
+def _twists(n, size):
+    """w^(s m), w = exp(2 pi i / n), for the cosets s < n/size of _sup and
+    the modes m = 0..size/2, read-only (cached per (n, size)): row s of the
+    table twists coset s, and a band B reads its columns 0..B.  Each value
+    is the root exp(2 pi i k / n) at k = s m < n/2, gathered from one array
+    of those roots."""
+    roots = np.exp((2j * np.pi / n) * np.arange(n // 2))
+    out = roots.take(np.multiply.outer(np.arange(n // size), np.arange(size // 2 + 1)))
     out.flags.writeable = False
     return out
 
@@ -868,11 +909,23 @@ def _l1_rule(v, h):
     kinks, lows = _zero_places(mags, v > 0)
     kink_places, kink_signs, kink_term = _kink_terms(v, kinks)
     dip_places, dip_signs, dip_term = _dip_terms(v, lows)
-    nodes, theta = np.divmod(np.concatenate((kink_places, dip_places)) / 2.0, 1.0)  # cells of step 2h
-    maps = _KINK_COARSE @ v.take(2 * (nodes.astype(np.intp) + _KINK_STENCIL[:, None]), mode="wrap")
+    stencils, theta = _even_cells(np.concatenate((kink_places, dip_places)))
+    maps = _KINK_COARSE @ v.take(stencils, mode="wrap")
     coarse = np.concatenate((kink_signs, dip_signs)) @ _kink_e(maps[-1], maps[:-1], theta)
     fine = h * (float(mags.sum()) + 2.0 * (kink_term + dip_term))
     return fine, 2.0 * h * (float(mags[::2].sum()) + 2.0 * coarse)
+
+
+def _even_cells(places):
+    """Each place (in cells of a grid) in the cells of its even samples: the
+    grid indices of the six even samples of its stencil there, and its
+    offset theta in [0, 1] in that cell.  One multiply, floor and subtract:
+    the split np.divmod(places / 2.0, 1.0) makes, bit for bit (both are
+    exact up to the one rounding of the offset, which they share), at a
+    fraction of divmod's cost.  places is a new array and becomes theta."""
+    places *= 0.5
+    nodes = np.floor(places)
+    return 2 * nodes.astype(np.intp) + _EVEN_STENCIL, np.subtract(places, nodes, out=places)
 
 
 def _zero_places(m, p):
@@ -922,17 +975,20 @@ def _dip_terms(v, nodes):
     curv = maps[2]  # p''(0) / 2, of the sign of v_j at a dip
     dip = (mid < left) & (mid <= right) & (s[2] * curv > 0)
     maps, curv, nodes = maps[:, dip], curv[dip], nodes[dip]
-    bottom = np.clip(-0.5 * maps[1] / curv, -1.0, 1.0)
+    bottom = -0.5 * maps[1] / curv
+    np.maximum(bottom, -1.0, out=bottom)
+    np.minimum(bottom, 1.0, out=bottom)
     depth = _horner(maps[_P], bottom)
     half = np.sqrt(np.maximum(-depth / curv, 0.0))  # 0: no zeros
     # the lower zeros lo, then the upper ones hi, each quintic twice: one
     # Newton step and one antiderivative for both
-    maps = np.tile(maps, 2)
+    maps = np.concatenate((maps, maps), axis=1)
     ends = _newton_step(maps, np.concatenate((bottom - half, bottom + half)), -1.0)
     area = ends * _horner(maps[_PINT], ends)
     signs = np.sign(curv)  # f falls through lo and rises through hi where v_j > 0
     k = nodes.size
-    return np.tile(nodes, 2) + ends, np.concatenate((-signs, signs)), np.abs(area[k:] - area[:k]).sum()
+    places = np.concatenate((nodes, nodes)) + ends
+    return places, np.concatenate((-signs, signs)), np.abs(area[k:] - area[:k]).sum()
 
 
 def _quadratic_zero(v0, v1, curv):
@@ -1017,7 +1073,8 @@ def convolve_scaled(T: SpectralFunction, kernel, y):
     min_scale(kernel, torus) are rejected (the scaled spectrum would extend
     past Nyquist, silently truncating the result), and so are non-finite
     ones.  The multiplier and the kernel's box, the modes -b..b per axis,
-    are read from _kernel_multiplier.  At a scale of at least twice the
+    are read from _kernel_multiplier, and the result keeps b, so its band
+    (_band) scans only the box.  At a scale of at least twice the
     smallest, the box (b <= N/4) is narrower than half the torus: only
     its modes are multiplied, and the result's sum of squares is read from
     them, since every mode outside it is exactly 0.  Below that, as on
@@ -1035,12 +1092,12 @@ def convolve_scaled(T: SpectralFunction, kernel, y):
     # field is made: freed before, it left detect-lp's peak RSS 0.6 MiB higher
     if y < 2.0 * floor:
         mult = table.take(where, mode="clip")
-        return T._derived(T.coefficients * mult, tag="function")
+        return T._derived(T.coefficients * mult, tag="function", box=b)
     box = _central(T.torus, b)
     mult = table.take(where[box], mode="clip")
     c = np.zeros(T.torus.coeff_shape(), complex)
     np.multiply(T.coefficients[box], mult, out=c[box])
-    return T._derived(c, tag="function", support=c[box])
+    return T._derived(c, tag="function", support=c[box], box=b)
 
 
 @functools.lru_cache(maxsize=_TORUS_CACHE_SIZE)

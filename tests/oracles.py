@@ -155,6 +155,22 @@ def padded_zero_places(m, p):
     return kinks, lows
 
 
+def divmod_even_cells(places):
+    """The even-sample stencil indices and offsets of spectral._even_cells,
+    by the first form of the p = 1 rule's coarse pass: np.divmod of the
+    halved places by 1."""
+    nodes, theta = np.divmod(places / 2.0, 1.0)
+    return 2 * (nodes.astype(np.intp) + np.arange(-2, 4)[:, None]), theta
+
+
+def gathered_twists(n, size, b):
+    """The twists w^(s m) of spectral._twists, s < n/size and m = 0..b, by the
+    first form of the coset sup: the n-th roots of unity exp(2 pi i k / n),
+    k < n/2, gathered per call at k = s m."""
+    roots = np.exp((2j * np.pi / n) * np.arange(n // 2))
+    return roots.take(np.multiply.outer(np.arange(n // size), np.arange(b + 1)))
+
+
 def kernel_space_samples(kernel, x, resolution=512.0):
     """K(x) by direct cosine quadrature of the spectral profile (even, real)."""
     dxi = min_transition(kernel) / resolution

@@ -320,6 +320,8 @@ class TestKeptBoxes:
             unboxed = scales._unbox(T, b, box)
             np.testing.assert_array_equal(unboxed.coefficients, f.coefficients)
             assert (unboxed.tag, unboxed.is_real()) == ("function", f.is_real())
+            # it keeps the convolution's box, so its band scans only that
+            assert unboxed._box == f._box == b and unboxed._band == unboxed.active_bandwidth(0.0)
             reals.append(f.is_real())
         assert set(reals) == {field != "complex"}
 

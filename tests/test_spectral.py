@@ -38,11 +38,18 @@ from besovlab.spectral import (
 from oracles import (
     antiderivative_lp,
     direct_mode_sum,
+    divmod_even_cells,
+    gathered_twists,
     kernel_space_norm,
     padded_zero_places,
     synthetic_profile,
     trigonometric_l1,
 )
+
+
+def _same_bits(a, b):
+    """a and b hold the same float bits (so 0.0 and -0.0 differ)."""
+    return a.dtype == b.dtype and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def _complex_quadrature(f, p, oversample):
@@ -454,6 +461,22 @@ class TestCosetSup:
             z[rng.integers(size, size=rng.integers(1, 4))] = rng.choice([1.0, -2j, 5e-324, 5e-324j])
             fields.append(SpectralFunction(t, z.reshape(t.coeff_shape())))
         assert [f._band for f in fields] == [f.active_bandwidth(rtol=0.0) for f in fields]
+
+    @pytest.mark.parametrize("n", [8192, 32768])
+    def test_twist_tables_are_the_gathered_roots(self, n):
+        # every coset size of a 2x grid of n points, read at the smallest
+        # and largest band of the size: bitwise the per-call gather
+        sizes = [256 << j for j in range((n // 256).bit_length())]
+        assert sizes[-1] == n
+        for size in sizes:
+            table = spectral._twists(n, size)
+            assert table.shape == (n // size, size // 2 + 1) and not table.flags.writeable
+            for b in (0, size // 2 - 1):
+                assert _same_bits(table[:, : b + 1].view(float), gathered_twists(n, size, b).view(float))
+
+    def test_twist_tables_of_a_grid_take_under_400_kb(self):
+        # N = 4096: the tables of coset sizes 256..8192 of its 2x grid
+        assert sum(spectral._twists(8192, 256 << j).nbytes for j in range(6)) <= 400_000
 
     @pytest.mark.parametrize("n", [64, 1024, 4096])
     def test_constant_and_zero_fields(self, n):
@@ -1112,6 +1135,54 @@ class TestConvolveScaled:
             out = convolve_scaled(dirac(t), kernel, y).coefficients
             assert spectral._kernel_multiplier(kernel, t, y)[1] == t.band_index()[out != 0].max()
 
+    @staticmethod
+    def _box_band_inputs(t, kernel, grid):
+        """dirac, a complex T and a real T that is 0 on the edge of the box
+        of a mid-grid scale (max_i |m_i| = b there), and in 1-d sine(t, 3)
+        and lacunary."""
+        rng = np.random.default_rng(41)
+        z = rng.standard_normal(t.coeff_shape()) + 1j * rng.standard_normal(t.coeff_shape())
+        b = spectral._kernel_multiplier(kernel, t, grid[len(grid) // 2])[1]
+        edged = _real_coefficients(rng, t).coefficients.copy()
+        edged[t.band_index() == b] = 0.0
+        inputs = [dirac(t), SpectralFunction(t, z), SpectralFunction(t, edged)]
+        if t.dimension == 1:
+            inputs += [sine(t, 3), lacunary(t, 0.5)]
+        return inputs
+
+    @pytest.mark.parametrize("d,n", [(1, 4096), (2, 128)])
+    def test_box_read_band_is_exact(self, pair32, d, n):
+        # the band scanned over the box a convolution keeps is the band over
+        # every mode, at every scale, and so for the fields that keep its
+        # zeros: a derivative and a scalar multiple (a field rebuilt from a
+        # profile's box: TestKeptBoxes in test_scales.py)
+        t = Torus(d, 1.0, n)
+        grid = default_grid(t, pair32[0]).values()
+        edge_below_box = 0
+        for T in self._box_band_inputs(t, pair32[0], grid):
+            for y in grid:
+                f = convolve_scaled(T, pair32[0], y)
+                b = spectral._kernel_multiplier(pair32[0], t, y)[1]
+                assert f._box == b
+                assert f._band == f.active_bandwidth(0.0)
+                edge_below_box += f._band < b
+                order = 2 if d == 1 else (1, 1)
+                for g in (f.derivative(order), f * -3.0):
+                    assert g._box == b and g._band == g.active_bandwidth(0.0)
+        # the edged T, and in 1-d sine(t, 3) and lacunary, give bands inside the box
+        assert edge_below_box > (len(grid) if d == 1 else 0)
+
+    def test_a_p2_analysis_computes_no_band(self, monkeypatch, pair32, torus16k):
+        # detect-l2's path reads no band: the box a convolution keeps costs
+        # it nothing; a p = inf analysis on the same spy reads bands
+        band = SpectralFunction.__dict__["_band"].func
+        calls = []
+        monkeypatch.setattr(SpectralFunction, "_band", property(lambda f: calls.append(1) or band(f)))
+        detect_regularity(dirac(torus16k), 2, "inf", "auto", pair32)
+        assert calls == []
+        detect_regularity(dirac(Torus(1, 1.0, 1024)), "inf", "inf", "auto", pair32)
+        assert calls
+
     @pytest.mark.parametrize("y", [0.2, 1e308])
     def test_2d_multiplier_holds_one_value_per_distinct_radius(self, pair32, y):
         # up to the first radius past the support, where the profile is 0
@@ -1279,6 +1350,52 @@ class TestZeroPlaces:
             low_ends += 0 in lows and v.size - 1 in lows
         # the wrap entries were exercised, not only the interior
         assert wrap_kink > 50 and low_ends > 50
+
+
+class TestEvenCells:
+    """_even_cells splits the zeros' places into cells of the even samples
+    with one multiply, floor and subtract: bitwise the split of np.divmod,
+    the reference."""
+
+    @staticmethod
+    def _check(places):
+        got = spectral._even_cells(places.copy())
+        want = divmod_even_cells(places)
+        assert got[0].dtype == want[0].dtype
+        np.testing.assert_array_equal(got[0], want[0])
+        assert _same_bits(got[1], want[1])
+        return got
+
+    def test_a_dip_at_node_0_with_its_zeros_in_cell_minus_1(self):
+        # the lower zero of the pair sits before node 0: negative places,
+        # whose even cell is -1 and whose stencil wraps
+        v = spectral._synthesize(_zero_pair(-0.4 / 64), 64, real=True)
+        places = spectral._dip_terms(v, spectral._zero_places(np.abs(v), v > 0)[1])[0]
+        assert places.size == 2 and np.all(places < 0.0)
+        stencils, theta = self._check(places)
+        assert np.all(stencils[:, 0] == 2 * (np.arange(-2, 4) - 1))
+        # from a rounding below 0, up to 1 in cell -1 and -0.0, and node 0 itself
+        edges = np.array([-2.0, -1.0, -0.5, -1e-17, -5e-324, -0.0, 0.0, 5e-324])
+        stencils, theta = self._check(edges)
+        assert theta[3] == 1.0 and stencils[2, 3] == -2
+
+    def test_an_offset_of_1_in_an_odd_cell(self):
+        # a zero clipped to the end of odd cell j is the even node j + 1,
+        # offset 0 in the next even cell, as divmod has it
+        odd = np.arange(1, 64, 2, dtype=float)
+        stencils, theta = self._check(odd + 1.0)
+        assert np.all(theta == 0.0) and np.all(stencils[2] == odd + 1.0)
+        self._check(np.nextafter(odd + 1.0, 0.0))
+
+    def test_every_cell_of_a_long_grid(self):
+        # n = 32768: random places in every cell, each cell's ends, offsets
+        # of 1 - 2**-52 and 2**-52, places past the last node
+        n = 32768
+        rng = np.random.default_rng(40)
+        cells = np.arange(-1, n + 1, dtype=float)
+        for offsets in (rng.random(cells.size), np.zeros(cells.size), np.full(cells.size, 1.0 - 2.0**-52),
+                        np.full(cells.size, 2.0**-52), np.ones(cells.size)):
+            self._check(cells + offsets)
 
 
 class TestLineFieldNorms:
@@ -1899,6 +2016,49 @@ class TestFarFromUnitMagnitude:
         assert factors == []
         assert lp_norm(tiny, 2) == pytest.approx(1e-160 * lp_norm(_S3, 2), rel=1e-12, abs=0.0)
         assert factors == [2.0**600]
+
+
+class TestFarFromUnitLength:
+    """A torus whose measure L^d leaves the float range: lp_norm applies
+    L^(d/p) as a factor of its own, and keeps its expression elsewhere."""
+
+    @pytest.mark.parametrize("p", [1, 2, 3, "inf"])
+    @pytest.mark.parametrize("length", [1e300, 1e-300])
+    def test_norms_scale_as_the_length_to_the_d_over_p(self, length, p):
+        # 2 cos(4 pi y / L) on Torus(2, L, 16): c = 1 at modes (0, +-2)
+        def field(L):
+            t = Torus(2, L, 16)
+            c = np.zeros(t.coeff_shape(), dtype=complex)
+            c[8, [6, 10]] = 1.0
+            return SpectralFunction(t, c)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            unit, got = lp_norm(field(1.0), p), lp_norm(field(length), p)
+        q = spectral.parse_exponent(p)
+        try:
+            want = length ** (2 / q) * unit
+        except OverflowError:
+            want = math.inf
+        # the norm itself leaves the float range only at p = 1: 1.27e600 and 1.27e-600
+        if p == 1:
+            assert want in (0.0, math.inf) and got == want
+        else:
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        if p == 2:
+            assert unit == math.sqrt(2.0) and got == pytest.approx(length * math.sqrt(2.0), rel=1e-15)
+        if p == 3:
+            assert got == pytest.approx(length ** (2 / 3) * (32 / (3 * math.pi)) ** (1 / 3), rel=1e-6)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_in_range_lengths_keep_the_one_expression(self, d):
+        # p = 2 reads sqrt(L^d sum |c|^2) and the 16x rule (L / 16N)^d as before
+        for length in (1.0, 1.7, 1e150 if d == 1 else 1e100):
+            t = Torus(d, length, 16)
+            f = SpectralFunction(t, _real_coefficients(np.random.default_rng(d), t).coefficients)
+            c = f.coefficients
+            assert lp_norm(f, 2) == math.sqrt(length**d * float(np.vdot(c, c).real))
+            assert lp_norm(f, 3) == _allocating_norm(f, 3)
 
 
 class TestSymmetricPairing:
